@@ -32,8 +32,6 @@ from .operators import (
     SparseFactorization,
     SparseOperator,
     TransformedOperator,
-    block_apply,
-    block_solve,
     cholesky_transform,
     validate_symmetric,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "TransformedOperator",
     "TruncatedFactor",
     "band_tridiagonalize",
-    "block_apply",
-    "block_solve",
     "cholesky_transform",
     "ctri_lyapunov",
     "ctri_sylvester",

@@ -42,8 +42,6 @@ class BasisWindow:
     def __init__(self, mode, extended=False):
         if mode not in ("windowed", "stored"):
             raise ValueError("storage mode must be 'windowed' or 'stored'")
-        self.mode = mode
-        self.extended = extended
         self._window = deque(maxlen=3)
         self.stored = [] if mode == "stored" else None
         self.second_halves = [] if (extended and mode == "windowed") else None
@@ -99,11 +97,11 @@ class ProjectionState:
         self.gamma = gamma
         self.rhs = rhs
         self.m = 1
-        # standard mode: per-step MGS sums and QR factors
+        # standard mode: per-step diagonal MGS sums and QR factors
         self.diag_raw = []
-        self.off_mgs = []
         self.sub = []
-        # extended mode: the same for H, plus recovered T block columns
+        # extended mode: the same for H, plus the off-diagonal MGS sums the
+        # T recurrence reads and the recovered T block columns
         self.h_diag_raw = []
         self.h_off_mgs = []
         self.h_sub = []
@@ -189,7 +187,7 @@ def _qr_new_block(w, context):
     return q, r
 
 
-def init_basis(op, c, space="standard", storage="stored", fact=None):
+def init_basis(op, c, space="standard", storage="stored"):
     """Set up the first basis block and an empty projection state.
 
     Standard mode starts from the QR of C; extended mode from the QR of
@@ -207,8 +205,7 @@ def init_basis(op, c, space="standard", storage="stored", fact=None):
         v1, gamma = _qr_new_block(c, "initial QR of C")
         state = ProjectionState(space, s, gamma, c)
     elif space == "extended":
-        solver = fact if fact is not None else op
-        w0 = np.hstack([c, solver.solve(c)])
+        w0 = np.hstack([c, op.solve(c)])
         v1, kappa = _qr_new_block(w0, "initial QR of [C, inv(A) C]")
         state = ProjectionState(space, s, kappa[:, :s], c)
         state.kappa12 = kappa[:s, s:]
@@ -235,16 +232,14 @@ def lanczos_step(op, window, state, on_zero_residual="raise"):
     older, current = window.last_two()
     w = op.apply(current)
     scale = np.linalg.norm(w)
-    w, off_sum, diag_sum = mgs_twice(w, older, current)
+    w, _, diag_sum = mgs_twice(w, older, current)
     if on_zero_residual == "finalize" and np.linalg.norm(w) <= ZERO_BLOCK_TOL * scale:
-        state.off_mgs.append(off_sum)
         state.diag_raw.append(diag_sum)
         state.sub.append(np.zeros((state.ell, state.ell)))
         state.m += 1
         state.exhausted = True
         return window, state
     v_next, tau = _qr_new_block(w, "Lanczos step %d" % state.m)
-    state.off_mgs.append(off_sum)
     state.diag_raw.append(diag_sum)
     state.sub.append(tau)
     window.push(v_next)
@@ -265,7 +260,7 @@ def _padded(col, rows):
     return out
 
 
-def extended_step(op, window, state, fact=None, on_zero_residual="raise"):
+def extended_step(op, window, state, on_zero_residual="raise"):
     """One step of the extended Krylov iteration.
 
     The new directions are A V^{(1)} and A^{-1} V^{(2)}; the projection
@@ -279,8 +274,7 @@ def extended_step(op, window, state, fact=None, on_zero_residual="raise"):
     s, ell = state.s, state.ell
     big_m = state.m
     older, current = window.last_two()
-    solver = fact if fact is not None else op
-    w = np.hstack([op.apply(current[:, :s]), solver.solve(current[:, s:])])
+    w = np.hstack([op.apply(current[:, :s]), op.solve(current[:, s:])])
     scale = np.linalg.norm(w)
     w, off_sum, diag_sum = mgs_twice(w, older, current)
     exhausted = (

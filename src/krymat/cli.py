@@ -10,7 +10,6 @@ flags take precedence over the file.
 """
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -28,15 +27,6 @@ from .solvers import HISTORY_COLUMNS, SolveOptions, solve_lyapunov, \
     solve_sylvester_one_sided, solve_sylvester_two_sided
 
 _FLOAT_FMT = "%.17g"
-
-
-def _thread_pinned():
-    """Pin BLAS pools to one thread inside timed regions when possible."""
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=1)
 
 
 def _read_config(path):
@@ -136,6 +126,19 @@ def _solve_options(args, config):
     )
 
 
+def _generate(kind, n, s, seed):
+    """A, B-or-None, C1 and C2-or-None of a generated problem kind."""
+    if kind == "fd2d-pair":
+        a, b = problems.gen_fd2d("fd2d-exp", n), problems.gen_fd2d("fd2d-trig", n)
+    elif kind == "fd3d-split":
+        a, b = problems.gen_fd3d_split(n)
+    else:
+        a, b = problems.gen_operator(kind, n), None
+    c1 = problems.gen_rhs(a.shape[0], s, seed)
+    c2 = problems.gen_rhs(b.shape[0], s, seed + 1) if b is not None else None
+    return a, b, c1, c2
+
+
 def _problem_inputs(args, config, need_pair=False):
     """Build (A, B-or-None, C1, C2-or-None) from flags: either Matrix Market
     paths or a generated problem."""
@@ -149,16 +152,7 @@ def _problem_inputs(args, config, need_pair=False):
         n = _resolve(args, config, "n", None, int)
         if n is None:
             raise KrymatError("--problem needs --n")
-        if kind == "fd2d-pair":
-            a = problems.gen_fd2d("fd2d-exp", n)
-            b = problems.gen_fd2d("fd2d-trig", n)
-        elif kind == "fd3d-split":
-            a, b = problems.gen_fd3d_split(n)
-        else:
-            a = problems.gen_operator(kind, n)
-            b = None
-        c1 = problems.gen_rhs(a.shape[0], s, seed)
-        c2 = problems.gen_rhs(b.shape[0], s, seed + 1) if b is not None else None
+        a, b, c1, c2 = _generate(kind, n, s, seed)
         if need_pair and b is None:
             raise KrymatError("problem kind %r does not define a B matrix" % kind)
         return a, b, c1, c2
@@ -222,22 +216,38 @@ def cmd_gen(args, config):
     s = _resolve(args, config, "s", 1, int)
     seed = _resolve(args, config, "seed", 0, int)
     out = _outdir(args, config)
-    if kind == "fd2d-pair":
-        a, b = problems.gen_fd2d("fd2d-exp", n), problems.gen_fd2d("fd2d-trig", n)
-    elif kind == "fd3d-split":
-        a, b = problems.gen_fd3d_split(n)
-    else:
-        a, b = problems.gen_operator(kind, n), None
+    a, b, c1, c2 = _generate(kind, n, s, seed)
     mmio.write_coordinate(os.path.join(out, "A.mtx"), a)
-    mmio.write_array(os.path.join(out, "C1.mtx"), problems.gen_rhs(a.shape[0], s, seed))
+    mmio.write_array(os.path.join(out, "C1.mtx"), c1)
     written = ["A.mtx", "C1.mtx"]
     if b is not None:
         mmio.write_coordinate(os.path.join(out, "B.mtx"), b)
-        mmio.write_array(
-            os.path.join(out, "C2.mtx"), problems.gen_rhs(b.shape[0], s, seed + 1)
-        )
+        mmio.write_array(os.path.join(out, "C2.mtx"), c2)
         written += ["B.mtx", "C2.mtx"]
     print("wrote %s in %s" % (", ".join(written), out))
+    return 0
+
+
+def _solve_and_write(out, opts, solve, **summary_extra):
+    """Run ``solve()`` and write the factor files, history.csv and
+    summary.json; on non-convergence only the history is written."""
+    try:
+        sol = solve()
+    except ConvergenceError as exc:
+        _write_history(os.path.join(out, "history.csv"), exc.history)
+        raise
+    if sol.z2 is None:
+        mmio.write_array(os.path.join(out, "Z.mtx"), sol.z)
+    else:
+        mmio.write_array(os.path.join(out, "Z1.mtx"), sol.z1)
+        mmio.write_array(os.path.join(out, "Z2.mtx"), sol.z2)
+    _write_history(os.path.join(out, "history.csv"), sol.history)
+    payload = dict(_summary_payload(sol, opts), **summary_extra)
+    _write_summary(os.path.join(out, "summary.json"), payload)
+    print(
+        "converged: m=%d dim=%d rank=%d residual=%.3e"
+        % (sol.iterations, sol.space_dim, sol.rank, sol.final_residual)
+    )
     return 0
 
 
@@ -246,19 +256,7 @@ def cmd_solve_lyap(args, config):
     a, _, c, _ = _problem_inputs(args, config)
     out = _outdir(args, config)
     op = SparseOperator(a)
-    try:
-        sol = solve_lyapunov(op, c, opts)
-    except ConvergenceError as exc:
-        _write_history(os.path.join(out, "history.csv"), exc.history)
-        raise
-    mmio.write_array(os.path.join(out, "Z.mtx"), sol.z)
-    _write_history(os.path.join(out, "history.csv"), sol.history)
-    _write_summary(os.path.join(out, "summary.json"), _summary_payload(sol, opts))
-    print(
-        "converged: m=%d dim=%d rank=%d residual=%.3e"
-        % (sol.iterations, sol.space_dim, sol.rank, sol.final_residual)
-    )
-    return 0
+    return _solve_and_write(out, opts, lambda: solve_lyapunov(op, c, opts))
 
 
 def cmd_solve_sylv(args, config):
@@ -271,25 +269,13 @@ def cmd_solve_sylv(args, config):
         one_sided = b.shape[0] <= 1000 and b.shape[0] < a.shape[0]
     out = _outdir(args, config)
     op_a = SparseOperator(a)
-    try:
+
+    def solve():
         if one_sided:
-            sol = solve_sylvester_one_sided(op_a, b.toarray(), c1, c2, opts)
-        else:
-            sol = solve_sylvester_two_sided(op_a, SparseOperator(b), c1, c2, opts)
-    except ConvergenceError as exc:
-        _write_history(os.path.join(out, "history.csv"), exc.history)
-        raise
-    mmio.write_array(os.path.join(out, "Z1.mtx"), sol.z1)
-    mmio.write_array(os.path.join(out, "Z2.mtx"), sol.z2)
-    _write_history(os.path.join(out, "history.csv"), sol.history)
-    payload = _summary_payload(sol, opts)
-    payload["one_sided"] = bool(one_sided)
-    _write_summary(os.path.join(out, "summary.json"), payload)
-    print(
-        "converged: m=%d dim=%d rank=%d residual=%.3e"
-        % (sol.iterations, sol.space_dim, sol.rank, sol.final_residual)
-    )
-    return 0
+            return solve_sylvester_one_sided(op_a, b.toarray(), c1, c2, opts)
+        return solve_sylvester_two_sided(op_a, SparseOperator(b), c1, c2, opts)
+
+    return _solve_and_write(out, opts, solve, one_sided=bool(one_sided))
 
 
 def _median_timing(fun, reps):
@@ -317,15 +303,14 @@ def cmd_bench_residual(args, config):
             continue
         t = state.projected_matrix()
         tau = state.coupling_upper()
-        with _thread_pinned():
-            fast, secs_fast = _median_timing(
-                lambda: ctri_lyapunov(t, state.gamma, tau, rhs_norm=beta2), reps
-            )
-            naive, secs_naive = _median_timing(
-                lambda: naive_residual(
-                    solve_reduced_lyapunov(t, state.gamma), tau
-                ), reps
-            )
+        fast, secs_fast = _median_timing(
+            lambda: ctri_lyapunov(t, state.gamma, tau, rhs_norm=beta2), reps
+        )
+        naive, secs_naive = _median_timing(
+            lambda: naive_residual(
+                solve_reduced_lyapunov(t, state.gamma), tau
+            ), reps
+        )
         gain = 100.0 * (secs_naive - secs_fast) / secs_naive if secs_naive else 0.0
         rows.append((it, it * state.ell, fast.res, naive, secs_fast, secs_naive, gain))
         if fast.relative <= opts.tol:

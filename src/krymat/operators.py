@@ -163,16 +163,6 @@ def cholesky_transform(e, a):
     return TransformedOperator(lower, a)
 
 
-def block_apply(op, v):
-    """Apply an operator to a block of vectors."""
-    return op.apply(v)
-
-
-def block_solve(fact, v):
-    """Solve with a factorization (or an operator exposing one) on a block."""
-    return fact.solve(v)
-
-
 def estimate_max_eigenvalue(op, iters=30, seed=0):
     """Crude Lanczos estimate of the largest eigenvalue, as a definiteness
     diagnostic for operators flagged negative definite."""

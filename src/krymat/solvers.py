@@ -1,11 +1,12 @@
 """Outer Galerkin drivers.
 
-Each driver grows one (or two) block Krylov bases, monitors the relative
-residual norm through the cheap projected evaluation every ``check_period``
-iterations, and at convergence factors the reduced solution in diagonalized
-coordinates before mapping it back through the basis.  With ``windowed``
-storage the basis is never kept in memory: a second Lanczos pass
-regenerates it block by block while the solution factor accumulates.
+All three solvers run one loop that grows a block Krylov basis per large
+coefficient matrix and, every ``check_period`` iterations, evaluates the
+relative residual norm with the solver's cheap projected formula.  At
+convergence the solver factors its reduced solution once in diagonalized
+coordinates and maps it back through the basis.  With ``windowed`` storage
+the basis is never kept in memory: a second Lanczos pass regenerates it
+block by block while the solution factor accumulates.
 """
 
 import time
@@ -122,11 +123,6 @@ def true_sylvester_residual(op_a, z1, z2, c1, c2, apply_b):
     return _gram_residual_norm([(az1, z2), (z1, bz2), (c1, c2)])
 
 
-def _assemble_stored(window, qy, m, ell):
-    blocks = window.basis_blocks(m)
-    return np.concatenate(blocks, axis=1) @ qy
-
-
 def two_pass_recover(op, state, qy, window=None):
     """Second Lanczos pass: regenerate the basis blocks and accumulate
     Z = sum_i V_i (E_i^T Q Ycheck) incrementally, never holding more than the
@@ -143,58 +139,129 @@ def two_pass_recover(op, state, qy, window=None):
     multiplication by A each), reusing the retained second half-blocks so no
     inverse-applies occur.
     """
-    ell = state.ell
-    m = state.n_t_blocks
-
-    def check(regenerated, stored, step):
-        scale = max(np.linalg.norm(stored), 1e-300)
-        if np.linalg.norm(regenerated - stored) > REPLAY_TOL * scale:
-            raise RecurrenceMismatchError(
-                "second pass regenerated a coupling block that differs from "
-                "the stored one at step %d; the operator looks nondeterministic"
-                % step
-            )
-
-    if state.space == "standard":
-        v, _ = economy_qr(state.rhs)
-        z = v @ qy[:ell]
-        older = None
-        for i in range(2, m + 1):
-            w = op.apply(v)
-            w, _, _ = mgs_twice(w, older, v)
-            v_new, tau_hat = economy_qr(w)
-            check(tau_hat, state.sub[i - 2], i)
-            z += v_new @ qy[(i - 1) * ell: i * ell]
-            older, v = v, v_new
-        return z
-
-    if window is None or window.second_halves is None:
+    s, ell = state.s, state.ell
+    standard = state.space == "standard"
+    halves = None if window is None else window.second_halves
+    if not standard and halves is None:
         raise DimensionMismatchError(
             "extended two-pass recovery needs the window with stored half-blocks"
         )
-    s = state.s
-    halves = window.second_halves
-    v = state.v1
+    v = economy_qr(state.rhs)[0] if standard else state.v1
+    stored_sub = state.sub if standard else state.h_sub
     z = v @ qy[:ell]
     older = None
-    for i in range(2, m + 1):
-        # first-half columns of the joint orthogonalization: MGS acts per
-        # column, and the leading s columns of the joint QR factor equal the
-        # QR of the first half-block alone
-        w1 = op.apply(v[:, :s])
-        w1, _, _ = mgs_twice(w1, older, v)
-        v1h, r11_hat = economy_qr(w1)
-        check(r11_hat, state.h_sub[i - 2][:s, :s], i)
-        v_new = np.hstack([v1h, halves[i - 1]])
+    for i in range(2, state.n_t_blocks + 1):
+        # first s columns of the joint orthogonalization (all of them in
+        # standard mode): MGS acts per column, and the leading s columns of
+        # the joint QR factor equal the QR of the first half-block alone
+        w = op.apply(v[:, :s])
+        w, _, _ = mgs_twice(w, older, v)
+        v_new, r_hat = economy_qr(w)
+        stored = stored_sub[i - 2][:s, :s]
+        scale = max(np.linalg.norm(stored), 1e-300)
+        if np.linalg.norm(r_hat - stored) > REPLAY_TOL * scale:
+            raise RecurrenceMismatchError(
+                "second pass regenerated a coupling block that differs from "
+                "the stored one at step %d; the operator looks nondeterministic"
+                % i
+            )
+        if halves is not None:
+            v_new = np.hstack([v_new, halves[i - 1]])
         z += v_new @ qy[(i - 1) * ell: i * ell]
         older, v = v, v_new
     return z
 
 
-def _recover_factor(op, window, state, qy, storage):
-    if storage == "stored":
-        return _assemble_stored(window, qy, state.n_t_blocks, state.ell)
+def _recover_factor(op, window, state, qy):
+    """V Q Ycheck: from the stored blocks, or by a second pass when windowed."""
+    if window.stored is not None:
+        return np.concatenate(window.basis_blocks(state.n_t_blocks), axis=1) @ qy
     return two_pass_recover(op, state, qy, window)
+
+
+def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
+    """The outer loop of every solver: one basis per (operator, right-hand
+    side) pair, each stepped until it alone becomes invariant.  Every
+    ``check_period`` iterations, and once all are invariant, ``residual``
+    gets the projection (T, gamma, tau) of each basis; at convergence
+    ``reduce`` gets each (window, state) pair and returns the truncated
+    factor, Z1 and Z2 (None for Lyapunov), and with ``opts.verify``
+    ``true_residual(z1, z2)`` gives the verified relative residual.
+    """
+    step = lanczos_step if opts.space == "standard" else extended_step
+    tic = time.perf_counter()
+    windows, states = zip(*[init_basis(op, c, space=opts.space, storage=opts.storage)
+                            for op, c in zip(ops, rhss)])
+    t_basis, t_res = time.perf_counter() - tic, 0.0
+
+    history = []
+    rv = None
+    for it in range(1, opts.max_m + 1):
+        tic = time.perf_counter()
+        for op, window, state in zip(ops, windows, states):
+            if not state.exhausted:
+                step(op, window, state, on_zero_residual="finalize")
+        t_basis += time.perf_counter() - tic
+        exhausted = all(state.exhausted for state in states)
+        if it % opts.check_period == 0 or exhausted:
+            tic = time.perf_counter()
+            rv = residual(*[(st.projected_matrix(), st.gamma, st.coupling_upper())
+                            for st in states])
+            t_res += time.perf_counter() - tic
+            history.append((it, it * states[0].ell, rv.relative, t_basis, t_res))
+            if rv.relative <= opts.tol:
+                break
+            if exhausted:
+                spaces = "both Krylov spaces" if len(states) > 1 else "the Krylov space"
+                raise ConvergenceError(
+                    "%s became invariant at m=%d without meeting the tolerance "
+                    "(residual %.3e)" % (spaces, it, rv.relative),
+                    history,
+                )
+    else:
+        raise ConvergenceError(
+            "no convergence to %.1e within %d iterations (last residual %s)"
+            % (opts.tol, opts.max_m, "%.3e" % rv.relative if rv else "never checked"),
+            history,
+        )
+
+    tic = time.perf_counter()
+    fac, z1, z2 = reduce(*zip(windows, states))
+    t_rec = time.perf_counter() - tic
+    verify = opts.verify and max(op.n for op in ops) <= VERIFY_LIMIT
+    return LowRankSolution(
+        z1=z1,
+        z2=z2,
+        rank=fac.rank,
+        iterations=it,
+        space_dim=it * states[0].ell,
+        final_residual=rv.relative,
+        history=history,
+        basis_seconds=t_basis,
+        residual_seconds=t_res,
+        recovery_seconds=t_rec,
+        peak_basis_vectors=sum(window.peak_vectors for window in windows),
+        truncation_discarded=fac.discarded_mass,
+        verified_residual=true_residual(z1, z2) if verify else None,
+    )
+
+
+def _diagonalize(state, message):
+    """Eigenpairs of the projected matrix, which must be negative definite,
+    and gamma in its eigenbasis."""
+    lam, q = np.linalg.eigh(state.projected_matrix().to_dense())
+    if lam[-1] >= 0.0:
+        raise IndefiniteMatrixError(message)
+    return lam, q, q[: state.gamma.shape[0], :].T @ state.gamma
+
+
+def _sylvester_rhs(c1, c2):
+    """C1, C2 as 2-D float blocks of equal width, and ||C1||_F ||C2||_F."""
+    c1 = np.atleast_2d(np.asarray(c1, dtype=float))
+    c2 = np.atleast_2d(np.asarray(c2, dtype=float))
+    if c1.shape[1] != c2.shape[1]:
+        raise DimensionMismatchError("C1 and C2 must have the same number of columns")
+    return c1, c2, float(np.linalg.norm(c1) * np.linalg.norm(c2))
 
 
 def solve_lyapunov(op, c, options=None):
@@ -211,77 +278,18 @@ def solve_lyapunov(op, c, options=None):
     opts = options if options is not None else SolveOptions()
     c = np.atleast_2d(np.asarray(c, dtype=float))
     beta2 = float(np.linalg.norm(c) ** 2)
-    step = lanczos_step if opts.space == "standard" else extended_step
 
-    t_basis = t_res = 0.0
-    tic = time.perf_counter()
-    window, state = init_basis(op, c, space=opts.space, storage=opts.storage)
-    t_basis += time.perf_counter() - tic
+    def reduce(basis):
+        win, st = basis
+        lam, q, u = _diagonalize(st, "projected matrix is not negative definite")
+        ytilde = -(u @ u.T) / guarded_denominators(lam, lam)
+        ytilde = 0.5 * (ytilde + ytilde.T)
+        fac = truncated_spd_factor(ytilde, opts.trunc_eps)
+        return fac, _recover_factor(op, win, st, q @ fac.factor), None
 
-    history = []
-    converged_at = None
-    rv = None
-    for it in range(1, opts.max_m + 1):
-        tic = time.perf_counter()
-        step(op, window, state, on_zero_residual="finalize")
-        t_basis += time.perf_counter() - tic
-        if it % opts.check_period == 0 or state.exhausted:
-            tic = time.perf_counter()
-            rv = ctri_lyapunov(
-                state.projected_matrix(),
-                state.gamma,
-                state.coupling_upper(),
-                rhs_norm=beta2,
-            )
-            t_res += time.perf_counter() - tic
-            history.append((it, it * state.ell, rv.relative, t_basis, t_res))
-            if rv.relative <= opts.tol:
-                converged_at = it
-                break
-            if state.exhausted:
-                raise ConvergenceError(
-                    "the Krylov space became invariant at m=%d without meeting "
-                    "the tolerance (residual %.3e)" % (it, rv.relative),
-                    history,
-                )
-    if converged_at is None:
-        raise ConvergenceError(
-            "no convergence to %.1e within %d iterations (last residual %s)"
-            % (opts.tol, opts.max_m, "%.3e" % rv.relative if rv else "never checked"),
-            history,
-        )
-
-    tic = time.perf_counter()
-    t_dense = state.projected_matrix().to_dense()
-    lam, q = np.linalg.eigh(t_dense)
-    if lam[-1] >= 0.0:
-        raise IndefiniteMatrixError("projected matrix is not negative definite")
-    denom = guarded_denominators(lam, lam)
-    u = q[: state.gamma.shape[0], :].T @ state.gamma
-    ytilde = -(u @ u.T) / denom
-    ytilde = 0.5 * (ytilde + ytilde.T)
-    fac = truncated_spd_factor(ytilde, opts.trunc_eps)
-    qy = q @ fac.factor
-    z = _recover_factor(op, window, state, qy, opts.storage)
-    t_rec = time.perf_counter() - tic
-
-    verified = None
-    if opts.verify and op.n <= VERIFY_LIMIT:
-        verified = true_lyapunov_residual(op, z, c) / beta2
-
-    return LowRankSolution(
-        z1=z,
-        rank=fac.rank,
-        iterations=converged_at,
-        space_dim=converged_at * state.ell,
-        final_residual=rv.relative,
-        history=history,
-        basis_seconds=t_basis,
-        residual_seconds=t_res,
-        recovery_seconds=t_rec,
-        peak_basis_vectors=window.peak_vectors,
-        truncation_discarded=fac.discarded_mass,
-        verified_residual=verified,
+    return _galerkin(
+        [op], [c], opts, lambda proj: ctri_lyapunov(*proj, rhs_norm=beta2), reduce,
+        lambda z, _: true_lyapunov_residual(op, z, c) / beta2,
     )
 
 
@@ -293,93 +301,26 @@ def solve_sylvester_two_sided(op_a, op_b, c1, c2, options=None):
     truncated SVD of the diagonalized reduced solution yields X ~ Z1 Z2^T.
     """
     opts = options if options is not None else SolveOptions()
-    c1 = np.atleast_2d(np.asarray(c1, dtype=float))
-    c2 = np.atleast_2d(np.asarray(c2, dtype=float))
-    if c1.shape[1] != c2.shape[1]:
-        raise DimensionMismatchError("C1 and C2 must have the same number of columns")
-    rhs_norm = float(np.linalg.norm(c1) * np.linalg.norm(c2))
-    step = lanczos_step if opts.space == "standard" else extended_step
+    c1, c2, rhs_norm = _sylvester_rhs(c1, c2)
 
-    t_basis = t_res = 0.0
-    tic = time.perf_counter()
-    win_a, st_a = init_basis(op_a, c1, space=opts.space, storage=opts.storage)
-    win_b, st_b = init_basis(op_b, c2, space=opts.space, storage=opts.storage)
-    t_basis += time.perf_counter() - tic
+    def residual(proj_a, proj_b):
+        (t, gamma1, tau), (j, gamma2, iota) = proj_a, proj_b
+        return ctri_sylvester(t, j, gamma1, gamma2, tau, iota, rhs_norm=rhs_norm)
 
-    history = []
-    converged_at = None
-    rv = None
-    for it in range(1, opts.max_m + 1):
-        tic = time.perf_counter()
-        if not st_a.exhausted:
-            step(op_a, win_a, st_a, on_zero_residual="finalize")
-        if not st_b.exhausted:
-            step(op_b, win_b, st_b, on_zero_residual="finalize")
-        t_basis += time.perf_counter() - tic
-        both_exhausted = st_a.exhausted and st_b.exhausted
-        if it % opts.check_period == 0 or both_exhausted:
-            tic = time.perf_counter()
-            rv = ctri_sylvester(
-                st_a.projected_matrix(),
-                st_b.projected_matrix(),
-                st_a.gamma,
-                st_b.gamma,
-                st_a.coupling_upper(),
-                st_b.coupling_upper(),
-                rhs_norm=rhs_norm,
-            )
-            t_res += time.perf_counter() - tic
-            history.append((it, it * st_a.ell, rv.relative, t_basis, t_res))
-            if rv.relative <= opts.tol:
-                converged_at = it
-                break
-            if both_exhausted:
-                raise ConvergenceError(
-                    "both Krylov spaces became invariant at m=%d without "
-                    "meeting the tolerance (residual %.3e)" % (it, rv.relative),
-                    history,
-                )
-    if converged_at is None:
-        raise ConvergenceError(
-            "no convergence to %.1e within %d iterations (last residual %s)"
-            % (opts.tol, opts.max_m, "%.3e" % rv.relative if rv else "never checked"),
-            history,
-        )
+    def reduce(basis_a, basis_b):
+        (win_a, st_a), (win_b, st_b) = basis_a, basis_b
+        message = "a projected matrix is not negative definite"
+        lam, q, u = _diagonalize(st_a, message)
+        ups, p, v = _diagonalize(st_b, message)
+        ytilde = -(u @ v.T) / guarded_denominators(lam, ups)
+        fac1, fac2 = truncated_svd_factor(ytilde, opts.trunc_eps)
+        z1 = _recover_factor(op_a, win_a, st_a, q @ fac1.factor)
+        return fac1, z1, _recover_factor(op_b, win_b, st_b, p @ fac2.factor)
 
-    tic = time.perf_counter()
-    lam, q = np.linalg.eigh(st_a.projected_matrix().to_dense())
-    ups, p = np.linalg.eigh(st_b.projected_matrix().to_dense())
-    if lam[-1] >= 0.0 or ups[-1] >= 0.0:
-        raise IndefiniteMatrixError("a projected matrix is not negative definite")
-    denom = guarded_denominators(lam, ups)
-    u = q[: st_a.gamma.shape[0], :].T @ st_a.gamma
-    v = p[: st_b.gamma.shape[0], :].T @ st_b.gamma
-    ytilde = -(u @ v.T) / denom
-    fac1, fac2 = truncated_svd_factor(ytilde, opts.trunc_eps)
-    z1 = _recover_factor(op_a, win_a, st_a, q @ fac1.factor, opts.storage)
-    z2 = _recover_factor(op_b, win_b, st_b, p @ fac2.factor, opts.storage)
-    t_rec = time.perf_counter() - tic
-
-    verified = None
-    if opts.verify and max(op_a.n, op_b.n) <= VERIFY_LIMIT:
-        verified = (
-            true_sylvester_residual(op_a, z1, z2, c1, c2, op_b.apply) / rhs_norm
-        )
-
-    return LowRankSolution(
-        z1=z1,
-        z2=z2,
-        rank=fac1.rank,
-        iterations=converged_at,
-        space_dim=converged_at * st_a.ell,
-        final_residual=rv.relative,
-        history=history,
-        basis_seconds=t_basis,
-        residual_seconds=t_res,
-        recovery_seconds=t_rec,
-        peak_basis_vectors=win_a.peak_vectors + win_b.peak_vectors,
-        truncation_discarded=fac1.discarded_mass,
-        verified_residual=verified,
+    return _galerkin(
+        [op_a, op_b], [c1, c2], opts, residual, reduce,
+        lambda z1, z2: true_sylvester_residual(op_a, z1, z2, c1, c2, op_b.apply)
+        / rhs_norm,
     )
 
 
@@ -391,91 +332,29 @@ def solve_sylvester_one_sided(op_a, b, c1, c2, options=None):
     """
     opts = options if options is not None else SolveOptions()
     b = np.asarray(b, dtype=float)
-    c1 = np.atleast_2d(np.asarray(c1, dtype=float))
-    c2 = np.atleast_2d(np.asarray(c2, dtype=float))
     if not np.array_equal(b, b.T):
         raise DimensionMismatchError("small coefficient matrix B must be symmetric")
-    if c1.shape[1] != c2.shape[1]:
-        raise DimensionMismatchError("C1 and C2 must have the same number of columns")
+    c1, c2, rhs_norm = _sylvester_rhs(c1, c2)
     if c2.shape[0] != b.shape[0]:
         raise DimensionMismatchError("C2 does not conform with B")
-    rhs_norm = float(np.linalg.norm(c1) * np.linalg.norm(c2))
-    step = lanczos_step if opts.space == "standard" else extended_step
-
     ups, p = np.linalg.eigh(b)
     if ups[-1] >= 0.0:
         raise IndefiniteMatrixError("B must be negative definite")
+    p_c2 = p.T @ c2
 
-    t_basis = t_res = 0.0
-    tic = time.perf_counter()
-    window, state = init_basis(op_a, c1, space=opts.space, storage=opts.storage)
-    t_basis += time.perf_counter() - tic
-    s_input = (p.T @ c2) @ state.gamma.T
+    def residual(proj):
+        t, gamma, tau = proj
+        return residual_one_sided(t, tau, p_c2 @ gamma.T, ups, rhs_norm=rhs_norm)
 
-    history = []
-    converged_at = None
-    rv = None
-    for it in range(1, opts.max_m + 1):
-        tic = time.perf_counter()
-        step(op_a, window, state, on_zero_residual="finalize")
-        t_basis += time.perf_counter() - tic
-        if it % opts.check_period == 0 or state.exhausted:
-            tic = time.perf_counter()
-            rv = residual_one_sided(
-                state.projected_matrix(),
-                state.coupling_upper(),
-                s_input,
-                ups,
-                rhs_norm=rhs_norm,
-            )
-            t_res += time.perf_counter() - tic
-            history.append((it, it * state.ell, rv.relative, t_basis, t_res))
-            if rv.relative <= opts.tol:
-                converged_at = it
-                break
-            if state.exhausted:
-                raise ConvergenceError(
-                    "the Krylov space became invariant at m=%d without meeting "
-                    "the tolerance (residual %.3e)" % (it, rv.relative),
-                    history,
-                )
-    if converged_at is None:
-        raise ConvergenceError(
-            "no convergence to %.1e within %d iterations (last residual %s)"
-            % (opts.tol, opts.max_m, "%.3e" % rv.relative if rv else "never checked"),
-            history,
-        )
+    def reduce(basis):
+        win, st = basis
+        lam, q, u = _diagonalize(st, "projected matrix is not negative definite")
+        ytilde = -(u @ (c2.T @ p)) / guarded_denominators(lam, ups)
+        fac1, fac2 = truncated_svd_factor(ytilde, opts.trunc_eps)
+        return fac1, _recover_factor(op_a, win, st, q @ fac1.factor), p @ fac2.factor
 
-    tic = time.perf_counter()
-    lam, q = np.linalg.eigh(state.projected_matrix().to_dense())
-    if lam[-1] >= 0.0:
-        raise IndefiniteMatrixError("projected matrix is not negative definite")
-    denom = guarded_denominators(lam, ups)
-    u = q[: state.gamma.shape[0], :].T @ state.gamma
-    ytilde = -(u @ (c2.T @ p)) / denom
-    fac1, fac2 = truncated_svd_factor(ytilde, opts.trunc_eps)
-    z1 = _recover_factor(op_a, window, state, q @ fac1.factor, opts.storage)
-    z2 = p @ fac2.factor
-    t_rec = time.perf_counter() - tic
-
-    verified = None
-    if opts.verify and op_a.n <= VERIFY_LIMIT:
-        verified = (
-            true_sylvester_residual(op_a, z1, z2, c1, c2, lambda m: b @ m) / rhs_norm
-        )
-
-    return LowRankSolution(
-        z1=z1,
-        z2=z2,
-        rank=fac1.rank,
-        iterations=converged_at,
-        space_dim=converged_at * state.ell,
-        final_residual=rv.relative,
-        history=history,
-        basis_seconds=t_basis,
-        residual_seconds=t_res,
-        recovery_seconds=t_rec,
-        peak_basis_vectors=window.peak_vectors,
-        truncation_discarded=fac1.discarded_mass,
-        verified_residual=verified,
+    return _galerkin(
+        [op_a], [c1], opts, residual, reduce,
+        lambda z1, z2: true_sylvester_residual(op_a, z1, z2, c1, c2, lambda m: b @ m)
+        / rhs_norm,
     )

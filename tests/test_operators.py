@@ -7,8 +7,6 @@ from krymat import (
     FactorizationError,
     SparseFactorization,
     SparseOperator,
-    block_apply,
-    block_solve,
     cholesky_transform,
     validate_symmetric,
 )
@@ -39,7 +37,7 @@ class TestBlockApply:
     def test_identity(self):
         op = SparseOperator(sp.eye(4, format="csr"), definite=False)
         v = np.arange(8.0).reshape(4, 2)
-        assert np.allclose(block_apply(op, v), v)
+        assert np.allclose(op.apply(v), v)
 
     def test_laplacian_stencil(self):
         op = SparseOperator(sp.diags([[1.0, 1], [-2.0, -2, -2], [1.0, 1]], (-1, 0, 1)).tocsr())
@@ -82,7 +80,7 @@ class TestBlockSolve:
         op = SparseOperator(a)
         rng = np.random.default_rng(3)
         v = rng.standard_normal((64, 4))
-        y = block_solve(op.factorization(), v)
+        y = op.factorization().solve(v)
         assert np.linalg.norm(a @ y - v) <= 1e-10 * np.linalg.norm(v)
 
     def test_multiply_back_many_rhs(self):

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from krymat import (
     ConvergenceError,
+    RecurrenceMismatchError,
     SolveOptions,
     SparseOperator,
     cholesky_transform,
@@ -27,6 +28,16 @@ from conftest import (
 
 def _diag_op(values):
     return SparseOperator(sp.diags(values).tocsr())
+
+
+class _DriftingOperator(SparseOperator):
+    """Scales the k-th product by 1 + 1e-6 k: a nondeterministic operator."""
+
+    calls = 0
+
+    def apply(self, v):
+        self.calls += 1
+        return (1.0 + 1e-6 * self.calls) * super().apply(v)
 
 
 class TestSolveLyapunov:
@@ -173,6 +184,16 @@ class TestTwoPass:
         rel = np.linalg.norm(stored.z - windowed.z) / np.linalg.norm(stored.z)
         assert rel <= 1e-12
 
+    @pytest.mark.parametrize("space", ["standard", "extended"])
+    def test_nondeterministic_operator_fails_replay(self, space):
+        # the second pass regenerates the basis with a drifted operator, so
+        # its first recomputed coupling block misses the stored one
+        op = _DriftingOperator(gen_fd2d("fd2d-exp", 8))
+        c = gen_rhs(64, 2, seed=1)
+        opts = SolveOptions(tol=1e-8, max_m=64, space=space, storage="windowed")
+        with pytest.raises(RecurrenceMismatchError, match="at step 2;"):
+            solve_lyapunov(op, c, opts)
+
 
 class TestSylvesterTwoSided:
     def test_invariant_rhs(self):
@@ -220,23 +241,44 @@ class TestSylvesterTwoSided:
         err = np.linalg.norm(sol.z1 @ sol.z2.T - x_ref)
         assert err <= 10.0 * tol * np.linalg.norm(c1 @ c2.T)
 
-    def test_windowed_two_pass_matches_stored(self):
+    @pytest.mark.parametrize("space", ["standard", "extended"])
+    def test_windowed_two_pass_matches_stored(self, space):
         a = gen_fd2d("fd2d-exp", 8)
         b = gen_fd2d("fd2d-trig", 8)
         c1 = gen_rhs(64, 2, seed=17)
         c2 = gen_rhs(64, 2, seed=18)
         stored = solve_sylvester_two_sided(
             SparseOperator(a), SparseOperator(b), c1, c2,
-            SolveOptions(tol=1e-6, max_m=64),
+            SolveOptions(tol=1e-6, max_m=64, space=space),
         )
         windowed = solve_sylvester_two_sided(
             SparseOperator(a), SparseOperator(b), c1, c2,
-            SolveOptions(tol=1e-6, max_m=64, storage="windowed"),
+            SolveOptions(tol=1e-6, max_m=64, space=space, storage="windowed"),
         )
+        assert stored.iterations == windowed.iterations
         for z_s, z_w in ((stored.z1, windowed.z1), (stored.z2, windowed.z2)):
             assert np.linalg.norm(z_s - z_w) <= 1e-12 * np.linalg.norm(z_s)
-        # 3s blocks per side
-        assert windowed.peak_basis_vectors == 2 * 3 * 2
+        if space == "standard":
+            # 3s blocks per side; extended mode also retains half-blocks
+            assert windowed.peak_basis_vectors == 2 * 3 * 2
+
+    @pytest.mark.parametrize("storage", ["stored", "windowed"])
+    def test_one_space_invariant_early(self, storage):
+        # the A space is invariant after one step, the B space is not: each
+        # basis is stepped only until it alone becomes invariant
+        a = -np.eye(6)
+        b = gen_fd2d("laplacian2d", 6)
+        c1 = np.zeros((6, 1))
+        c1[0] = 1.0
+        c2 = gen_rhs(36, 1, seed=3)
+        sol = solve_sylvester_two_sided(
+            SparseOperator(sp.csr_matrix(a)), SparseOperator(b), c1, c2,
+            SolveOptions(tol=1e-10, max_m=40, storage=storage),
+        )
+        assert sol.iterations > 1
+        x_ref = kronecker_solve(a, b.toarray(), c1, c2)
+        err = np.linalg.norm(sol.z1 @ sol.z2.T - x_ref)
+        assert err <= 1e-12 * np.linalg.norm(x_ref)
 
     def test_true_residual_below_tolerance(self):
         a = gen_fd2d("fd2d-exp", 7)
@@ -297,18 +339,20 @@ class TestSylvesterOneSided:
         err = np.linalg.norm(sol.z1 @ sol.z2.T - x_ref)
         assert err <= 10.0 * tol * np.linalg.norm(c1 @ c2.T)
 
-    def test_windowed_matches_stored(self):
+    @pytest.mark.parametrize("space", ["standard", "extended"])
+    def test_windowed_matches_stored(self, space):
         a = gen_fd2d("laplacian2d", 9)
         w = np.diag(-np.arange(1.0, 8.0))
         c1 = gen_rhs(81, 2, seed=25)
         c2 = gen_rhs(7, 2, seed=26)
         stored = solve_sylvester_one_sided(
-            SparseOperator(a), w, c1, c2, SolveOptions(tol=1e-8, max_m=81)
+            SparseOperator(a), w, c1, c2, SolveOptions(tol=1e-8, max_m=81, space=space)
         )
         windowed = solve_sylvester_one_sided(
             SparseOperator(a), w, c1, c2,
-            SolveOptions(tol=1e-8, max_m=81, storage="windowed"),
+            SolveOptions(tol=1e-8, max_m=81, space=space, storage="windowed"),
         )
+        assert stored.iterations == windowed.iterations
         assert np.linalg.norm(stored.z1 - windowed.z1) \
             <= 1e-12 * np.linalg.norm(stored.z1)
         assert np.array_equal(stored.z2, windowed.z2)
