@@ -2,8 +2,9 @@
 
 Galerkin projection onto block standard or extended Krylov subspaces, with
 residual norms evaluated from the projected block tridiagonal matrix alone
-and an optional two-pass basis regeneration that caps basis storage at three
-blocks.
+and an optional two-pass basis regeneration that holds three basis blocks
+(in extended mode also the second half of every block, so the second pass
+needs no solves with A).
 """
 
 from .errors import (

@@ -1,9 +1,9 @@
 """Dense small-matrix kernels.
 
 Everything here operates on the projected (small) matrices of the outer
-iteration: economy QR, reduction of symmetric block tridiagonal matrices to
-tridiagonal form with only the first/last block row of the transformation,
-tridiagonal eigensolution, and truncated low-rank factorizations.
+iteration: economy QR, the partial eigendecomposition (eigenvalues plus the
+first/last block row of the eigenvectors) of symmetric block tridiagonal
+matrices, tridiagonal eigensolution, and truncated low-rank factorizations.
 """
 
 from dataclasses import dataclass
@@ -167,17 +167,16 @@ def _effective_bandwidth(t):
     generic blocks can fill up to ``2*ell - 1``.
     """
     ell = t.block_size
-    dist_diag = np.abs(np.arange(ell)[:, None] - np.arange(ell)[None, :])
-    dist_off = ell + np.arange(ell)[:, None] - np.arange(ell)[None, :]
+    if ell == 1:  # scalar blocks are tridiagonal by construction
+        return 1
+    lag = np.arange(ell)[:, None] - np.arange(ell)[None, :]
     bw = 1
-    for blk in t.diag:
-        nz = blk != 0.0
-        if nz.any():
-            bw = max(bw, int(dist_diag[nz].max()))
-    for blk in t.offdiag:
-        nz = blk != 0.0
-        if nz.any():
-            bw = max(bw, int(dist_off[nz].max()))
+    for blocks, dist in ((t.diag, np.abs(lag)), (t.offdiag, ell + lag)):
+        if blocks:
+            # union of the nonzero patterns of all blocks of one kind
+            nz = np.any(np.asarray(blocks) != 0.0, axis=0)
+            if nz.any():
+                bw = max(bw, int(dist[nz].max()))
     return min(bw, max(t.dim - 1, 1))
 
 
@@ -186,9 +185,17 @@ def band_tridiagonalize(t, full_p=False):
 
     Returns ``(d, e, p_first, p_last)`` with ``P^T T P = F = tridiag(e, d, e)``
     for an orthogonal P of which only the first and last ``block_size`` rows
-    are accumulated.  Givens rotations chase the band bulge; the row slices
-    receive each chase's rotations in one batched update (the planes within a
-    chase are disjoint, stride >= 2).
+    are accumulated.
+
+    On matrices whose effective bandwidth is 1 (block size 1, or blocked
+    input that is already tridiagonal) this only reads off the bands, with
+    P = I; ``partial_eig_blocktridiag`` takes this path for them.  Wider
+    bands are reduced by Givens rotations chasing the band bulge, O(s k^2)
+    arithmetic done one rotation at a time in Python; the row slices receive
+    each chase's rotations in one batched update (the planes within a chase
+    are disjoint, stride >= 2).  ``partial_eig_blocktridiag`` hands wider bands
+    to LAPACK instead, and this chase followed by ``sym_tridiag_eig`` is the
+    independent reference it is tested against.
 
     With ``full_p=True`` the full P is accumulated as a fifth return value,
     intended for validation on small instances only.
@@ -287,23 +294,45 @@ def sym_tridiag_eig(d, e):
             continue
     if lam is None:
         raise FactorizationError("tridiagonal eigensolver did not converge")
+    return lam, _fix_signs(g)
+
+
+def _fix_signs(g):
+    """Flip eigenvector columns in place so that each column's
+    largest-magnitude entry is positive, which makes results deterministic."""
     piv = np.argmax(np.abs(g), axis=0)
     flip = g[piv, np.arange(g.shape[1])] < 0.0
     g[:, flip] *= -1.0
-    return lam, g
+    return g
 
 
 def partial_eig_blocktridiag(t):
     """Eigenvalues of a block tridiagonal matrix together with the first and
-    last ``block_size`` rows of its eigenvector matrix.
+    last ``block_size`` rows of its (sign-fixed) eigenvector matrix.
 
-    This is the composition of the banded tridiagonalization and the
-    tridiagonal eigensolver: ``first_rows = (E1' P) G`` and
-    ``last_rows = (Em' P) G``, never forming the full eigenvector matrix.
+    At effective bandwidth 1 the matrix is tridiagonal already and goes to
+    the tridiagonal eigensolver (MRRR, O(k^2)) through
+    ``band_tridiagonalize``: ``first_rows = (E1' P) G``, ``last_rows =
+    (Em' P) G``.  Wider bands go in LAPACK lower band storage to one
+    symmetric banded eigensolve (``dsbevd``, O(k^3) with a small constant),
+    of whose eigenvectors only the first and last block rows are kept.
     """
-    d, e, p_first, p_last = band_tridiagonalize(t)
-    lam, g = sym_tridiag_eig(d, e)
-    return PartialSpectral(lam, p_first @ g, p_last @ g)
+    bw = _effective_bandwidth(t)
+    if bw == 1:
+        d, e, p_first, p_last = band_tridiagonalize(t)
+        lam, g = sym_tridiag_eig(d, e)
+        return PartialSpectral(lam, p_first @ g, p_last @ g)
+    a = t.to_dense()
+    band = np.zeros((bw + 1, t.dim))
+    for i in range(bw + 1):
+        band[i, :t.dim - i] = np.diagonal(a, -i)
+    try:
+        lam, q = scipy.linalg.eig_banded(band, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError("banded eigensolver did not converge") from exc
+    _fix_signs(q)
+    ell = t.block_size
+    return PartialSpectral(lam, q[:ell], q[-ell:])
 
 
 def truncated_spd_factor(y, eps=TRUNC_EPS):

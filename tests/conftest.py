@@ -55,7 +55,7 @@ def random_block_tridiagonal(rng, ell, m, triangular=False):
     return t
 
 
-def lanczos_block_tridiagonal(rng, ell, m, general=False):
+def lanczos_block_tridiagonal(rng, ell, m, general=False, spectrum=None):
     """Block tridiagonal projection of a random negative spectrum, built by
     an independent full-reorthogonalization block Lanczos.
 
@@ -63,9 +63,15 @@ def lanczos_block_tridiagonal(rng, ell, m, general=False):
     negative definite, slowly decaying reduced solutions, triangular coupling
     blocks (rotated into general position with ``general=True``).  Returns
     the matrix together with the coupling block to the next basis block.
+    ``spectrum`` replaces the random operator spectrum (it needs more than
+    ``ell * m`` entries).
     """
-    n = ell * m + 60
-    lam = -np.exp(rng.uniform(np.log(0.1), np.log(1e3), n))
+    if spectrum is None:
+        n = ell * m + 60
+        lam = -np.exp(rng.uniform(np.log(0.1), np.log(1e3), n))
+    else:
+        lam = np.asarray(spectrum, dtype=float)
+        n = lam.size
     v, _ = np.linalg.qr(rng.standard_normal((n, ell)))
     basis = [v]
     diag, off = [], []

@@ -7,12 +7,20 @@ precision.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import krymat.residual
 from krymat import (
     BlockTridiagonal,
+    FactorizationError,
     IndefiniteMatrixError,
+    PartialSpectral,
+    SparseOperator,
+    band_tridiagonalize,
     ctri_lyapunov,
     ctri_sylvester,
+    extended_step,
+    init_basis,
     naive_one_sided_residual,
     naive_residual,
     naive_sylvester_residual,
@@ -20,7 +28,10 @@ from krymat import (
     solve_reduced_lyapunov,
     solve_reduced_one_sided,
     solve_reduced_sylvester,
+    sym_tridiag_eig,
 )
+from krymat.kernels import _effective_bandwidth
+from krymat.problems import gen_fd2d, gen_rhs
 
 from conftest import lanczos_block_tridiagonal, random_block_tridiagonal
 
@@ -177,3 +188,114 @@ def test_extended_shortcut_zero_lower_block():
     full = ctri_lyapunov(t, gamma, tau_full)
     short = ctri_lyapunov(t, gamma, tau_full[:s, :])
     assert abs(full.res - short.res) <= 1e-13 * max(full.res, 1e-30)
+
+
+def _givens_partial_eig(t):
+    """Partial eigendecomposition through the Givens chase and the
+    tridiagonal eigensolver, the reference for the LAPACK banded path."""
+    d, e, p_first, p_last = band_tridiagonalize(t)
+    lam, g = sym_tridiag_eig(d, e)
+    return PartialSpectral(lam, p_first @ g, p_last @ g)
+
+
+def _banded_and_givens(monkeypatch, evaluate):
+    """``evaluate()`` through the library's partial eigendecomposition and
+    again through the Givens reference."""
+    banded = evaluate().res
+    with monkeypatch.context() as patch:
+        patch.setattr(krymat.residual, "partial_eig_blocktridiag", _givens_partial_eig)
+        givens = evaluate().res
+    return banded, givens
+
+
+def _clustered_spectrum():
+    # 20 values, each repeated four times up to a relative 3e-13: the
+    # projections then hold dozens of eigenvalue pairs closer than 1e-12
+    centres = -np.geomspace(0.1, 1e3, 20)
+    return np.concatenate([centres * (1.0 + 1e-13 * j) for j in range(4)])
+
+
+def _projection(case):
+    """(T, gamma, tau, expected effective bandwidth)."""
+    kind, s, general = case
+    rng = np.random.default_rng(300 + 10 * s + general)
+    if kind == "lanczos":
+        t, tau = lanczos_block_tridiagonal(rng, s, {2: 20, 3: 14, 4: 10}[s], general)
+        return t, rng.standard_normal((s, s)), tau, 2 * s - 1 if general else s
+    if kind == "clustered":
+        t, tau = lanczos_block_tridiagonal(rng, s, 25, spectrum=_clustered_spectrum())
+        lam = np.linalg.eigvalsh(t.to_dense())
+        assert np.min(np.diff(lam) / np.abs(lam[1:])) < 1e-12
+        return t, rng.standard_normal((s, s)), tau, s
+    op = SparseOperator(gen_fd2d("fd2d-exp", 12))
+    window, state = init_basis(op, gen_rhs(144, s, seed=s), space="extended")
+    # five steps keep the residual (~3e-5) well above the cancellation
+    # floor of the dense reference
+    for _ in range(5):
+        extended_step(op, window, state)
+    t = state.projected_matrix()
+    assert t.block_size == 2 * s
+    return t, state.gamma, state.coupling_upper(), 2 * s
+
+
+class TestBandedPath:
+    """Projections of effective bandwidth 2 or more go to one LAPACK banded
+    eigensolve.  Eigenvector rows are not unique inside clusters, so the
+    residual values are compared: against the Givens chase composition and
+    against the dense reduced solve."""
+
+    @pytest.mark.parametrize("case", [
+        ("lanczos", 2, False), ("lanczos", 3, False), ("lanczos", 4, False),
+        ("lanczos", 2, True), ("lanczos", 3, True), ("lanczos", 4, True),
+        ("extended", 2, False), ("clustered", 2, False),
+    ], ids=lambda case: "%s-s%d%s" % (case[0], case[1], "-general" * case[2]))
+    def test_lyapunov_matches_references(self, monkeypatch, case):
+        t, gamma, tau, bandwidth = _projection(case)
+        assert _effective_bandwidth(t) == bandwidth
+        banded, givens = _banded_and_givens(
+            monkeypatch, lambda: ctri_lyapunov(t, gamma, tau))
+        dense = naive_residual(solve_reduced_lyapunov(t, gamma), tau)
+        assert abs(banded - givens) <= 1e-10 * givens
+        assert abs(banded - dense) <= 1e-10 * dense
+
+    def test_sylvester_matches_references(self, monkeypatch):
+        rng = np.random.default_rng(410)
+        t, tau = lanczos_block_tridiagonal(rng, 3, 12, general=True)
+        j, iota = lanczos_block_tridiagonal(rng, 3, 12)
+        g1, g2 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        banded, givens = _banded_and_givens(
+            monkeypatch, lambda: ctri_sylvester(t, j, g1, g2, tau, iota))
+        dense = naive_sylvester_residual(
+            solve_reduced_sylvester(t, j, g1, g2), tau, iota)
+        assert abs(banded - givens) <= 1e-10 * givens
+        assert abs(banded - dense) <= 1e-10 * dense
+
+    def test_one_sided_matches_references(self, monkeypatch):
+        rng = np.random.default_rng(420)
+        t, tau = lanczos_block_tridiagonal(rng, 2, 18, general=True)
+        w = rng.standard_normal((5, 5))
+        ups, p = np.linalg.eigh(-(w @ w.T) - np.eye(5))
+        gamma1 = rng.standard_normal((2, 2))
+        c2 = rng.standard_normal((5, 2))
+        s_input = (p.T @ c2) @ gamma1.T
+        banded, givens = _banded_and_givens(
+            monkeypatch, lambda: residual_one_sided(t, tau, s_input, ups))
+        dense = naive_one_sided_residual(
+            solve_reduced_one_sided(t, ups, p, gamma1, c2), tau)
+        assert abs(banded - givens) <= 1e-10 * givens
+        assert abs(banded - dense) <= 1e-10 * dense
+
+
+def test_banded_eigensolver_failure_is_typed(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("eig algorithm did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", no_convergence)
+    rng = np.random.default_rng(430)
+    t, tau = lanczos_block_tridiagonal(rng, 2, 6)
+    with pytest.raises(FactorizationError, match="banded eigensolver") as info:
+        ctri_lyapunov(t, rng.standard_normal((2, 2)), tau)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    # bandwidth 1 never reaches the banded solver
+    t, tau = lanczos_block_tridiagonal(rng, 1, 12)
+    assert ctri_lyapunov(t, np.array([[1.0]]), tau).res > 0.0
