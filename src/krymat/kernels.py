@@ -187,15 +187,14 @@ def band_tridiagonalize(t, full_p=False):
     for an orthogonal P of which only the first and last ``block_size`` rows
     are accumulated.
 
-    On matrices whose effective bandwidth is 1 (block size 1, or blocked
-    input that is already tridiagonal) this only reads off the bands, with
-    P = I; ``partial_eig_blocktridiag`` takes this path for them.  Wider
-    bands are reduced by Givens rotations chasing the band bulge, O(s k^2)
+    The band is reduced by Givens rotations chasing the band bulge, O(s k^2)
     arithmetic done one rotation at a time in Python; the row slices receive
     each chase's rotations in one batched update (the planes within a chase
-    are disjoint, stride >= 2).  ``partial_eig_blocktridiag`` hands wider bands
-    to LAPACK instead, and this chase followed by ``sym_tridiag_eig`` is the
-    independent reference it is tested against.
+    are disjoint, stride >= 2).  At effective bandwidth 1 (block size 1, or
+    blocked input that is already tridiagonal) no rotation is needed and
+    P = I.  ``partial_eig_blocktridiag`` does not call this chase; followed
+    by ``sym_tridiag_eig`` it is the independent reference that function is
+    tested against.
 
     With ``full_p=True`` the full P is accumulated as a fifth return value,
     intended for validation on small instances only.
@@ -203,24 +202,6 @@ def band_tridiagonalize(t, full_p=False):
     ell = t.block_size
     k = t.dim
     bw = _effective_bandwidth(t)
-
-    if bw == 1 and not full_p:
-        d = np.concatenate([np.diag(blk) for blk in t.diag]) if ell > 1 else \
-            np.array([blk[0, 0] for blk in t.diag])
-        if ell > 1:
-            e = np.zeros(k - 1)
-            for i, blk in enumerate(t.diag):
-                e[i * ell:(i + 1) * ell - 1] = np.diag(blk, -1)
-                if i + 1 < t.n_blocks:
-                    e[(i + 1) * ell - 1] = t.offdiag[i][0, ell - 1]
-        else:
-            e = np.array([blk[0, 0] for blk in t.offdiag])
-        p_first = np.zeros((ell, k))
-        p_first[:, :ell] = np.eye(ell)
-        p_last = np.zeros((ell, k))
-        p_last[:, k - ell:] = np.eye(ell)
-        return d, e, p_first, p_last
-
     a = t.to_dense()
     slices = np.zeros((2 * ell, k))
     slices[:ell, :ell] = np.eye(ell)
@@ -310,27 +291,25 @@ def partial_eig_blocktridiag(t):
     """Eigenvalues of a block tridiagonal matrix together with the first and
     last ``block_size`` rows of its (sign-fixed) eigenvector matrix.
 
-    At effective bandwidth 1 the matrix is tridiagonal already and goes to
-    the tridiagonal eigensolver (MRRR, O(k^2)) through
-    ``band_tridiagonalize``: ``first_rows = (E1' P) G``, ``last_rows =
-    (Em' P) G``.  Wider bands go in LAPACK lower band storage to one
-    symmetric banded eigensolve (``dsbevd``, O(k^3) with a small constant),
-    of whose eigenvectors only the first and last block rows are kept.
+    The matrix goes in LAPACK lower band storage.  At effective bandwidth 1
+    it is tridiagonal already and goes to the tridiagonal eigensolver (MRRR,
+    O(k^2)); wider bands go to one symmetric banded eigensolve (``dsbevd``,
+    O(k^3) with a small constant).  Of the eigenvectors only the first and
+    last block rows are kept.
     """
     bw = _effective_bandwidth(t)
-    if bw == 1:
-        d, e, p_first, p_last = band_tridiagonalize(t)
-        lam, g = sym_tridiag_eig(d, e)
-        return PartialSpectral(lam, p_first @ g, p_last @ g)
     a = t.to_dense()
     band = np.zeros((bw + 1, t.dim))
     for i in range(bw + 1):
         band[i, :t.dim - i] = np.diagonal(a, -i)
-    try:
-        lam, q = scipy.linalg.eig_banded(band, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("banded eigensolver did not converge") from exc
-    _fix_signs(q)
+    if bw == 1:
+        lam, q = sym_tridiag_eig(band[0], band[1, :-1])
+    else:
+        try:
+            lam, q = scipy.linalg.eig_banded(band, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError("banded eigensolver did not converge") from exc
+        _fix_signs(q)
     ell = t.block_size
     return PartialSpectral(lam, q[:ell], q[-ell:])
 

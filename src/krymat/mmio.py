@@ -1,20 +1,28 @@
-"""Matrix Market readers and writers.
+"""Matrix Market readers and writers, on top of ``scipy.io``.
 
 Coordinate format (``symmetric`` or ``general``) for sparse matrices and
-array format for dense blocks.  Values are printed with 17 significant
-digits so write-then-read round-trips binary64 exactly.
+array format for dense blocks.  Values are written as the shortest decimal
+that reads back as the same binary64 value, so write-then-read round-trips
+every value except the sign of zero: ``-0.0`` reads back as ``+0.0``.
+Malformed files raise ``MatrixMarketError``.
 """
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sp
 
 from .errors import KrymatError
 
-_FMT = "%.16e"
-
 
 class MatrixMarketError(KrymatError):
     """Malformed Matrix Market content."""
+
+
+def _write(path, a, symmetry):
+    # through an open file: given a path, scipy appends ".mtx" to a name
+    # that lacks it
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, a, symmetry=symmetry)
 
 
 def write_coordinate(path, a, symmetric=True):
@@ -23,77 +31,32 @@ def write_coordinate(path, a, symmetric=True):
     With ``symmetric=True`` only the lower triangle is stored and the header
     declares the symmetric qualifier.
     """
-    a = sp.coo_matrix(a)
-    rows, cols, vals = a.row, a.col, a.data
-    if symmetric:
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    kind = "symmetric" if symmetric else "general"
-    with open(path, "w") as fh:
-        fh.write("%%%%MatrixMarket matrix coordinate real %s\n" % kind)
-        fh.write("%d %d %d\n" % (a.shape[0], a.shape[1], len(vals)))
-        for i, j, v in zip(rows, cols, vals):
-            fh.write(("%d %d " + _FMT + "\n") % (i + 1, j + 1, v))
+    _write(path, sp.coo_matrix(a), "symmetric" if symmetric else "general")
 
 
 def write_array(path, m):
     """Write a dense matrix in array format (column-major, per the format)."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        fh.write("%d %d\n" % m.shape)
-        for j in range(m.shape[1]):
-            for i in range(m.shape[0]):
-                fh.write((_FMT + "\n") % m[i, j])
+    # "general" explicitly: otherwise scipy stores a symmetric square block
+    # as its lower triangle under the symmetric qualifier
+    _write(path, np.atleast_2d(np.asarray(m, dtype=float)), "general")
 
 
-def _header_and_lines(path):
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("%%MatrixMarket"):
-            raise MatrixMarketError("%s: missing MatrixMarket header" % path)
-        tokens = header.split()
-        if len(tokens) < 5:
-            raise MatrixMarketError("%s: incomplete header %r" % (path, header.strip()))
-        lines = [ln for ln in fh if ln.strip() and not ln.startswith("%")]
-    return [t.lower() for t in tokens], lines
+def _read(path, layout):
+    """Check that ``path`` holds ``<layout> real`` data, then read it."""
+    try:
+        if scipy.io.mminfo(path)[3:5] != (layout, "real"):
+            raise MatrixMarketError("%s: expected '%s real' data" % (path, layout))
+        return scipy.io.mmread(path)
+    except ValueError as exc:
+        raise MatrixMarketError("%s: %s" % (path, exc)) from exc
 
 
 def read_coordinate(path):
-    """Read a coordinate-format file into CSR, expanding symmetric storage."""
-    tokens, lines = _header_and_lines(path)
-    if tokens[2] != "coordinate" or tokens[3] != "real":
-        raise MatrixMarketError("%s: expected 'coordinate real' data" % path)
-    symmetric = tokens[4] == "symmetric"
-    nrow, ncol, nnz = (int(v) for v in lines[0].split())
-    if len(lines) - 1 != nnz:
-        raise MatrixMarketError(
-            "%s: header promises %d entries, found %d" % (path, nnz, len(lines) - 1)
-        )
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz)
-    for k, ln in enumerate(lines[1:]):
-        i, j, v = ln.split()
-        rows[k], cols[k], vals[k] = int(i) - 1, int(j) - 1, float(v)
-    if symmetric:
-        off = rows != cols
-        mrows, mcols, mvals = cols[off], rows[off], vals[off]
-        rows = np.concatenate([rows, mrows])
-        cols = np.concatenate([cols, mcols])
-        vals = np.concatenate([vals, mvals])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nrow, ncol)).tocsr()
+    """Read a coordinate-format file into CSR, expanding symmetric and
+    skew-symmetric storage."""
+    return _read(path, "coordinate").tocsr()
 
 
 def read_array(path):
-    """Read an array-format file into a dense ndarray."""
-    tokens, lines = _header_and_lines(path)
-    if tokens[2] != "array" or tokens[3] != "real":
-        raise MatrixMarketError("%s: expected 'array real' data" % path)
-    nrow, ncol = (int(v) for v in lines[0].split())
-    vals = np.array([float(v) for v in lines[1:]])
-    if vals.size != nrow * ncol:
-        raise MatrixMarketError(
-            "%s: expected %d values, found %d" % (path, nrow * ncol, vals.size)
-        )
-    return vals.reshape((nrow, ncol), order="F")
+    """Read an array-format file into a dense float ndarray."""
+    return _read(path, "array")

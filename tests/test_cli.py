@@ -60,6 +60,14 @@ class TestSolveLyap:
         err = capsys.readouterr().err
         assert "not symmetric" in err and "(0, 1)" in err
 
+    def test_malformed_input_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n"
+        )
+        assert run(["solve-lyap", "--A", bad, "--out", tmp_path]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_windowed_and_stored_agree(self, tmp_path):
         out_s = tmp_path / "stored"
         out_w = tmp_path / "windowed"
