@@ -11,6 +11,12 @@ In extended mode the orthogonalization coefficients form a block tridiagonal
 matrix H that differs from the projection T = V' A V; the columns of T are
 recovered during the iteration by a short recurrence that uses only the
 coefficients and the triangularity of the QR factors.
+
+Both step functions share one orthogonalize-and-factor skeleton, and every
+step records the new diagonal and coupling blocks of T once, so T and its
+coupling block are read off the state without rebuilding them.  A residual
+block that is numerically zero means the space became invariant: the step
+completes T with a zero coupling block and marks the state exhausted.
 """
 
 from collections import deque
@@ -84,27 +90,27 @@ class BasisWindow:
 class ProjectionState:
     """Coefficients of the projection accumulated during basis construction.
 
-    The raw modified Gram-Schmidt sums are kept separately from the QR
-    factors: the symmetric projected matrix is assembled from them on
-    demand, and a second basis pass checks its recomputed coefficients
-    against them to detect nondeterministic operators.
+    Every step appends three ell x ell blocks: ``t_diag``, the symmetrized
+    diagonal block of T; ``t_sub``, its coupling block to the next basis
+    block; and ``r_sub``, the R factor of the new basis block, which a second
+    basis pass checks its recomputed coefficients against to detect
+    nondeterministic operators.  In standard mode the coupling block is that
+    R factor.  Extended mode also keeps what its T recurrence reads: the
+    recovered block columns of T and the Gram-Schmidt sums of every step.
     """
 
     def __init__(self, space, s, gamma, rhs):
         self.space = space
         self.s = s
-        self.ell = s if space == "standard" else 2 * s
+        self.ell = gamma.shape[0]  # s, or 2s in extended mode
         self.gamma = gamma
         self.rhs = rhs
         self.m = 1
-        # standard mode: per-step diagonal MGS sums and QR factors
-        self.diag_raw = []
-        self.sub = []
-        # extended mode: the same for H, plus the off-diagonal MGS sums the
-        # T recurrence reads and the recovered T block columns
-        self.h_diag_raw = []
-        self.h_off_mgs = []
-        self.h_sub = []
+        self.t_diag = []
+        self.t_sub = []
+        self.r_sub = []
+        # extended mode: per-step (older, current) MGS sums and T columns
+        self.mgs_sums = []
         self.t_cols = []
         self.kappa12 = None
         self.kappa22 = None
@@ -119,44 +125,24 @@ class ProjectionState:
         """Number of completed diagonal blocks of the projected matrix."""
         return self.m - 1
 
-    def _col_block(self, col_idx, row_block):
-        col = self.t_cols[col_idx]
-        ell = self.ell
-        if (row_block + 1) * ell > col.shape[0]:
-            return np.zeros((ell, ell))
-        return col[row_block * ell:(row_block + 1) * ell, :]
-
     def projected_matrix(self):
-        """The symmetric block tridiagonal projection T accumulated so far."""
-        ell, m = self.ell, self.n_t_blocks
-        if m < 1:
+        """The symmetric block tridiagonal projection T accumulated so far.
+
+        The block lists are copies, so a T taken now does not grow with
+        later steps.
+        """
+        if self.n_t_blocks < 1:
             raise DimensionMismatchError("no completed projection blocks yet")
-        if self.space == "standard":
-            diag = [0.5 * (d + d.T) for d in self.diag_raw[:m]]
-            off = list(self.sub[:m - 1])
-        else:
-            diag = []
-            off = []
-            for i in range(m):
-                d = self._col_block(i, i)
-                diag.append(0.5 * (d + d.T))
-                if i + 1 < m:
-                    off.append(self._col_block(i, i + 1))
-        return BlockTridiagonal(ell, diag, off)
+        return BlockTridiagonal(self.ell, list(self.t_diag), self.t_sub[:-1])
 
     def coupling_block(self):
         """tau_{m+1,m}: the block linking the projection to the next basis block."""
-        m = self.n_t_blocks
-        if self.space == "standard":
-            return self.sub[m - 1]
-        return self._col_block(m - 1, m)
+        return self.t_sub[-1]
 
     def coupling_upper(self):
-        """The nonzero upper part of the coupling block (extended mode)."""
-        tau = self.coupling_block()
-        if self.space == "standard":
-            return tau
-        return tau[: self.s, :]
+        """The nonzero upper s rows of the coupling block (all of it in
+        standard mode, where s == ell)."""
+        return self.t_sub[-1][: self.s]
 
 
 def mgs_twice(w, older, current):
@@ -217,34 +203,57 @@ def init_basis(op, c, space="standard", storage="stored"):
     return window, state
 
 
-def lanczos_step(op, window, state, on_zero_residual="raise"):
-    """One step of block Lanczos with block MGS (performed twice).
+def _next_block(op, window, state):
+    """Orthogonalize the new directions of step ``state.m`` and factor them.
 
-    Extends the projection by one diagonal block and one coupling block and
-    pushes the next basis block into the window.  A residual block that is
-    numerically zero means the space became invariant; by default that is
-    reported as a breakdown, with ``on_zero_residual="finalize"`` the
-    projection is completed with a zero coupling block instead and the state
-    is marked exhausted (the projected solution is then exact).
+    The directions are A V_m in standard mode and [A V_m^(1), A^{-1} V_m^(2)]
+    in extended mode.  Appends the R factor of the new block to
+    ``state.r_sub`` and returns the new block with the (older, current)
+    Gram-Schmidt sums.  A numerically zero residual block means the space
+    became invariant: the new block is then None and its R factor zero.
     """
     if state.exhausted:
         raise DeflationUnsupportedError("the Krylov space is already invariant")
     older, current = window.last_two()
-    w = op.apply(current)
+    if state.space == "standard":
+        w, context = op.apply(current), "Lanczos step %d"
+    else:
+        s = state.s
+        w = np.hstack([op.apply(current[:, :s]), op.solve(current[:, s:])])
+        context = "extended step %d"
     scale = np.linalg.norm(w)
-    w, _, diag_sum = mgs_twice(w, older, current)
-    if on_zero_residual == "finalize" and np.linalg.norm(w) <= ZERO_BLOCK_TOL * scale:
-        state.diag_raw.append(diag_sum)
-        state.sub.append(np.zeros((state.ell, state.ell)))
-        state.m += 1
+    w, off_sum, diag_sum = mgs_twice(w, older, current)
+    if np.linalg.norm(w) <= ZERO_BLOCK_TOL * scale:
+        v_next, r = None, np.zeros((state.ell, state.ell))
+    else:
+        v_next, r = _qr_new_block(w, context % state.m)
+    state.r_sub.append(r)
+    return v_next, off_sum, diag_sum
+
+
+def _record(window, state, diag, sub, v_next):
+    """Append T's blocks of this step, then push the next basis block, or
+    mark the state exhausted when there is none."""
+    state.t_diag.append(0.5 * (diag + diag.T))
+    state.t_sub.append(sub)
+    if v_next is None:
         state.exhausted = True
-        return window, state
-    v_next, tau = _qr_new_block(w, "Lanczos step %d" % state.m)
-    state.diag_raw.append(diag_sum)
-    state.sub.append(tau)
-    window.push(v_next)
+    else:
+        window.push(v_next)
     state.m += 1
-    return window, state
+
+
+def lanczos_step(op, window, state):
+    """One step of block Lanczos with block MGS (performed twice).
+
+    Extends the projection by one diagonal block and one coupling block and
+    pushes the next basis block into the window.  A residual block that is
+    numerically zero means the space became invariant: the projection is
+    completed with a zero coupling block, so the projected solution is
+    exact, and the state is marked exhausted.
+    """
+    v_next, _, diag_sum = _next_block(op, window, state)
+    _record(window, state, diag_sum, state.r_sub[-1], v_next)
 
 
 def _right_triangular_solve(rhs, r):
@@ -252,15 +261,7 @@ def _right_triangular_solve(rhs, r):
     return scipy.linalg.solve_triangular(r, rhs.T, lower=False, trans="T").T
 
 
-def _padded(col, rows):
-    if col.shape[0] == rows:
-        return col
-    out = np.zeros((rows, col.shape[1]))
-    out[: col.shape[0]] = col
-    return out
-
-
-def extended_step(op, window, state, on_zero_residual="raise"):
+def extended_step(op, window, state):
     """One step of the extended Krylov iteration.
 
     The new directions are A V^{(1)} and A^{-1} V^{(2)}; the projection
@@ -269,25 +270,10 @@ def extended_step(op, window, state, on_zero_residual="raise"):
     inverts the upper triangular QR factor of the previous step.  Zero
     residual blocks behave as in ``lanczos_step``.
     """
-    if state.exhausted:
-        raise DeflationUnsupportedError("the Krylov space is already invariant")
     s, ell = state.s, state.ell
     big_m = state.m
-    older, current = window.last_two()
-    w = np.hstack([op.apply(current[:, :s]), op.solve(current[:, s:])])
-    scale = np.linalg.norm(w)
-    w, off_sum, diag_sum = mgs_twice(w, older, current)
-    exhausted = (
-        on_zero_residual == "finalize"
-        and np.linalg.norm(w) <= ZERO_BLOCK_TOL * scale
-    )
-    if exhausted:
-        v_next, theta_sub = None, np.zeros((ell, ell))
-    else:
-        v_next, theta_sub = _qr_new_block(w, "extended step %d" % big_m)
-    state.h_off_mgs.append(off_sum)
-    state.h_diag_raw.append(diag_sum)
-    state.h_sub.append(theta_sub)
+    v_next, off_sum, diag_sum = _next_block(op, window, state)
+    theta_sub = state.r_sub[-1]
 
     # T block column big_m (rows 1 .. big_m+1)
     rows = (big_m + 1) * ell
@@ -305,14 +291,14 @@ def extended_step(op, window, state, on_zero_residual="raise"):
         col[:, s:] = _right_triangular_solve(rhs, state.kappa22)
     else:
         # recurrence on the second half-columns of the previous step
-        theta_diag2 = state.h_diag_raw[big_m - 2][:, s:]
-        theta_sub2 = state.h_sub[big_m - 2][:, s:]
+        off_prev, diag_prev = state.mgs_sums[-1]
+        theta_sub2 = state.r_sub[-2][:, s:]
         rhs = np.zeros((rows, s))
         rhs[(big_m - 2) * ell + s: (big_m - 1) * ell] = np.eye(s)
+        # earlier columns are shorter: their missing rows are zero
         if big_m >= 3:
-            theta_off2 = state.h_off_mgs[big_m - 2][:, s:]
-            rhs -= _padded(state.t_cols[big_m - 3], rows) @ theta_off2
-        rhs -= _padded(state.t_cols[big_m - 2], rows) @ theta_diag2
+            rhs[: (big_m - 1) * ell] -= state.t_cols[-2] @ off_prev[:, s:]
+        rhs[: big_m * ell] -= state.t_cols[-1] @ diag_prev[:, s:]
         rhs -= col[:, :s] @ theta_sub2[:s, :]
         col[:, s:] = _right_triangular_solve(rhs, theta_sub2[s:, :])
 
@@ -329,12 +315,10 @@ def extended_step(op, window, state, on_zero_residual="raise"):
             "(relative defect %.3e)" % defect
         )
     col[big_m * ell + s:, :] = 0.0
-
-    state.t_cols.append(col)
-    if exhausted:
+    if v_next is None:
         col[big_m * ell:, :] = 0.0
-        state.exhausted = True
-    else:
-        window.push(v_next)
-    state.m += 1
-    return window, state
+
+    state.mgs_sums.append((off_sum, diag_sum))
+    state.t_cols.append(col)
+    _record(window, state, col[(big_m - 1) * ell: big_m * ell], col[big_m * ell:],
+            v_next)

@@ -51,7 +51,10 @@ def _resolve(args, config, key, default, cast):
         raw = config[key]
         if cast is bool:
             return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise KrymatError("config value %s = %r: %s" % (key, raw, exc)) from exc
     return default
 
 
@@ -115,19 +118,24 @@ def build_parser():
 
 
 def _solve_options(args, config):
-    return SolveOptions(
-        tol=_resolve(args, config, "tol", 1e-6, float),
-        max_m=_resolve(args, config, "max_m", 500, int),
-        check_period=_resolve(args, config, "check_period", 1, int),
-        space=_resolve(args, config, "space", "standard", str),
-        storage=_resolve(args, config, "storage", "stored", str),
-        trunc_eps=_resolve(args, config, "trunc_eps", 1e-12, float),
-        verify=_resolve(args, config, "verify", False, bool),
-    )
+    try:
+        return SolveOptions(
+            tol=_resolve(args, config, "tol", 1e-6, float),
+            max_m=_resolve(args, config, "max_m", 500, int),
+            check_period=_resolve(args, config, "check_period", 1, int),
+            space=_resolve(args, config, "space", "standard", str),
+            storage=_resolve(args, config, "storage", "stored", str),
+            trunc_eps=_resolve(args, config, "trunc_eps", 1e-12, float),
+            verify=_resolve(args, config, "verify", False, bool),
+        )
+    except ValueError as exc:
+        raise KrymatError(str(exc)) from exc
 
 
 def _generate(kind, n, s, seed):
     """A, B-or-None, C1 and C2-or-None of a generated problem kind."""
+    if n < 1:
+        raise KrymatError("--n must be >= 1")
     if kind == "fd2d-pair":
         a, b = problems.gen_fd2d("fd2d-exp", n), problems.gen_fd2d("fd2d-trig", n)
     elif kind == "fd3d-split":
@@ -299,7 +307,7 @@ def cmd_bench_residual(args, config):
     rows = []
     for it in range(1, opts.max_m + 1):
         step(op, window, state)
-        if it % opts.check_period:
+        if it % opts.check_period and not state.exhausted:
             continue
         t = state.projected_matrix()
         tau = state.coupling_upper()
@@ -313,7 +321,7 @@ def cmd_bench_residual(args, config):
         )
         gain = 100.0 * (secs_naive - secs_fast) / secs_naive if secs_naive else 0.0
         rows.append((it, it * state.ell, fast.res, naive, secs_fast, secs_naive, gain))
-        if fast.relative <= opts.tol:
+        if fast.relative <= opts.tol or state.exhausted:
             break
     path = os.path.join(out, "bench.csv")
     with open(path, "w") as fh:
@@ -346,10 +354,10 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    config = _read_config(args.config) if args.config else {}
     try:
+        config = _read_config(args.config) if args.config else {}
         return _COMMANDS[args.command](args, config)
-    except KrymatError as exc:
+    except (KrymatError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -82,30 +82,14 @@ class BlockTridiagonal:
         return self.block_size * len(self.diag)
 
     def to_dense(self):
-        ell, k = self.block_size, self.dim
-        a = np.zeros((k, k))
-        for i, blk in enumerate(self.diag):
-            a[i * ell:(i + 1) * ell, i * ell:(i + 1) * ell] = blk
-        for i, blk in enumerate(self.offdiag):
-            a[(i + 1) * ell:(i + 2) * ell, i * ell:(i + 1) * ell] = blk
-            a[i * ell:(i + 1) * ell, (i + 1) * ell:(i + 2) * ell] = blk.T
-        return a
-
-    @classmethod
-    def from_dense(cls, a, block_size):
-        a = np.asarray(a, dtype=float)
-        k = a.shape[0]
-        if a.shape != (k, k) or k % block_size:
-            raise DimensionMismatchError(
-                "cannot split %s into blocks of size %d" % (a.shape, block_size)
-            )
-        m = k // block_size
-        ell = block_size
-        diag = [a[i * ell:(i + 1) * ell, i * ell:(i + 1) * ell].copy()
-                for i in range(m)]
-        off = [a[(i + 1) * ell:(i + 2) * ell, i * ell:(i + 1) * ell].copy()
-               for i in range(m - 1)]
-        return cls(ell, diag, off)
+        ell, nb = self.block_size, self.n_blocks
+        a = np.zeros((nb, ell, nb, ell))
+        idx = np.arange(nb)
+        off = np.reshape(self.offdiag, (-1, ell, ell))
+        a[idx, :, idx, :] = np.reshape(self.diag, (-1, ell, ell))
+        a[idx[1:], :, idx[:-1], :] = off
+        a[idx[:-1], :, idx[1:], :] = off.transpose(0, 2, 1)
+        return a.reshape(self.dim, self.dim)
 
 
 @dataclass

@@ -123,7 +123,7 @@ def true_sylvester_residual(op_a, z1, z2, c1, c2, apply_b):
     return _gram_residual_norm([(az1, z2), (z1, bz2), (c1, c2)])
 
 
-def two_pass_recover(op, state, qy, window=None):
+def two_pass_recover(op, state, qy, window):
     """Second Lanczos pass: regenerate the basis blocks and accumulate
     Z = sum_i V_i (E_i^T Q Ycheck) incrementally, never holding more than the
     three-block window.
@@ -141,13 +141,12 @@ def two_pass_recover(op, state, qy, window=None):
     """
     s, ell = state.s, state.ell
     standard = state.space == "standard"
-    halves = None if window is None else window.second_halves
+    halves = window.second_halves
     if not standard and halves is None:
         raise DimensionMismatchError(
             "extended two-pass recovery needs the window with stored half-blocks"
         )
     v = economy_qr(state.rhs)[0] if standard else state.v1
-    stored_sub = state.sub if standard else state.h_sub
     z = v @ qy[:ell]
     older = None
     for i in range(2, state.n_t_blocks + 1):
@@ -157,7 +156,7 @@ def two_pass_recover(op, state, qy, window=None):
         w = op.apply(v[:, :s])
         w, _, _ = mgs_twice(w, older, v)
         v_new, r_hat = economy_qr(w)
-        stored = stored_sub[i - 2][:s, :s]
+        stored = state.r_sub[i - 2][:s, :s]
         scale = max(np.linalg.norm(stored), 1e-300)
         if np.linalg.norm(r_hat - stored) > REPLAY_TOL * scale:
             raise RecurrenceMismatchError(
@@ -200,7 +199,7 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
         tic = time.perf_counter()
         for op, window, state in zip(ops, windows, states):
             if not state.exhausted:
-                step(op, window, state, on_zero_residual="finalize")
+                step(op, window, state)
         t_basis += time.perf_counter() - tic
         exhausted = all(state.exhausted for state in states)
         if it % opts.check_period == 0 or exhausted:

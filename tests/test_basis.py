@@ -61,12 +61,33 @@ class TestLanczosStep:
         assert np.allclose(state.projected_matrix().diag[0], [[-1.5]])
 
     def test_invariant_subspace_breakdown(self):
+        # A c = -c: the first step finds the space invariant and finalizes
+        # the projection with a zero coupling block instead of breaking down
         op = _diag_op([-1.0] * 4)
         c = np.zeros((4, 1))
         c[0] = 1.0
         window, state = init_basis(op, c)
+        lanczos_step(op, window, state)
+        assert state.exhausted
+        assert np.array_equal(state.coupling_block(), np.zeros((1, 1)))
+        assert np.array_equal(state.projected_matrix().to_dense(), [[-1.0]])
         with pytest.raises(DeflationUnsupportedError):
             lanczos_step(op, window, state)
+
+    @pytest.mark.parametrize("space", ["standard", "extended"])
+    def test_projection_taken_earlier_does_not_grow(self, space):
+        op = SparseOperator(laplacian1d(40))
+        c = np.random.default_rng(11).standard_normal((40, 2))
+        step = lanczos_step if space == "standard" else extended_step
+        window, state = init_basis(op, c, space=space)
+        for _ in range(3):
+            step(op, window, state)
+        t = state.projected_matrix()
+        before = t.to_dense().copy()
+        step(op, window, state)
+        assert t.n_blocks == 3
+        assert np.array_equal(t.to_dense(), before)
+        assert state.projected_matrix().n_blocks == 4
 
     def test_projection_identity_stored_mode(self):
         # 1-D Laplacian of order 200, block width 2, ten steps
@@ -158,6 +179,22 @@ class TestExtendedStep:
         # the nonzero part is the upper s x 2s slice
         assert np.allclose(state.coupling_block()[2:, :], 0.0)
         assert np.allclose(state.coupling_upper(), state.coupling_block()[:2, :])
+
+    def test_invariant_space_is_exhausted(self):
+        # order 6 and block size 2: the third step spans the whole space
+        op = SparseOperator(laplacian1d(6))
+        c = np.random.default_rng(12).standard_normal((6, 1))
+        window, state = init_basis(op, c, space="extended", storage="stored")
+        for _ in range(3):
+            extended_step(op, window, state)
+        assert state.exhausted
+        assert np.array_equal(state.coupling_block(), np.zeros((2, 2)))
+        v = _full_basis(window, 3)
+        proj = v.T @ op.apply(v)
+        t = state.projected_matrix().to_dense()
+        assert np.linalg.norm(proj - t) <= 1e-12 * np.linalg.norm(proj)
+        with pytest.raises(DeflationUnsupportedError):
+            extended_step(op, window, state)
 
     def test_local_orthogonality_windowed(self):
         op = SparseOperator(gen_fd2d("laplacian2d", 12))

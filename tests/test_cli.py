@@ -154,6 +154,36 @@ class TestBenchResidual:
             secs_fast, secs_naive = float(cols[4]), float(cols[5])
             assert np.isclose(gain, 100.0 * (secs_naive - secs_fast) / secs_naive)
 
+    def test_stops_once_the_space_is_invariant(self, tmp_path):
+        # laplacian1d(6) with one column: the sixth step spans the whole
+        # space, so the coupling block and the residual are exactly zero
+        assert run([
+            "bench-residual", "--problem", "laplacian1d", "--n", 6, "--s", 1,
+            "--tol", "1e-12", "--out", tmp_path,
+        ]) == 0
+        rows = (tmp_path / "bench.csv").read_text().splitlines()[1:]
+        assert float(rows[-1].split(",")[2]) == 0.0
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["solve-lyap", "--A", "missing.mtx"], None),
+    (["solve-lyap", "--config", "missing.cfg"], None),
+    (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--tol", -1], None),
+    (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--check-period", 0], None),
+    (["solve-lyap"], "problem = laplacian2d\nn = abc\n"),
+    (["solve-lyap"], "problem = laplacian2d\nn = 4\nspace = krylov\n"),
+    (["solve-lyap", "--problem", "laplacian2d", "--n", 0], None),
+    (["gen", "--problem", "laplacian1d", "--n", 0], None),
+], ids=["missing-matrix", "missing-config", "negative-tol", "zero-check-period",
+        "non-integer-n", "unknown-space", "zero-n-solve", "zero-n-gen"])
+def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = argv + ["--config", "run.cfg"]
+    assert run(argv + ["--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_unknown_problem_kind_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit):

@@ -263,3 +263,19 @@ def test_band_tridiagonalize_blocked_but_already_tridiagonal():
     assert np.allclose(f, t.to_dense())
     assert np.allclose(p_first, np.eye(4)[:2])
     assert np.allclose(p_last, np.eye(4)[2:])
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+@pytest.mark.parametrize("n_blocks", [1, 4])
+def test_to_dense_matches_blockwise_assembly(ell, n_blocks):
+    rng = np.random.default_rng(ell * 10 + n_blocks)
+    diag = [rng.standard_normal((ell, ell)) for _ in range(n_blocks)]
+    diag = [d + d.T for d in diag]
+    off = [rng.standard_normal((ell, ell)) for _ in range(n_blocks - 1)]
+    ref = np.zeros((n_blocks * ell, n_blocks * ell))
+    for i, blk in enumerate(diag):
+        ref[i * ell:(i + 1) * ell, i * ell:(i + 1) * ell] = blk
+    for i, blk in enumerate(off):
+        ref[(i + 1) * ell:(i + 2) * ell, i * ell:(i + 1) * ell] = blk
+        ref[i * ell:(i + 1) * ell, (i + 1) * ell:(i + 2) * ell] = blk.T
+    assert np.array_equal(BlockTridiagonal(ell, diag, off).to_dense(), ref)

@@ -1,0 +1,149 @@
+"""Print the observable outputs of a fixed grid of solves, one line per case.
+
+Two checkouts that give the same results print the same text, so the gate
+for a refactor that must not change any result is an empty diff:
+
+    PYTHONPATH=<old checkout>/src python tools/same_outputs.py > old.txt
+    PYTHONPATH=<new checkout>/src python tools/same_outputs.py > new.txt
+    diff old.txt new.txt
+
+The grid is 3 solvers x 2 spaces x 2 storages x s in {1, 2, 3} x check
+period in {1, 3} x max_m in {500, 4} (the last one ends in
+ConvergenceError), all with verify, plus 20 cases whose Krylov space
+becomes invariant.  Each line gives the iterations, rank, the repr of the
+final and verified residuals, SHA-256 digests of the factors and of the
+history (without its timing columns), or the type and message of the error
+raised.  BLAS runs on one thread so that sums are taken in a fixed order.
+"""
+
+import hashlib
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
+
+from krymat import (  # noqa: E402
+    ConvergenceError,
+    KrymatError,
+    SolveOptions,
+    SparseOperator,
+    solve_lyapunov,
+    solve_sylvester_one_sided,
+    solve_sylvester_two_sided,
+)
+from krymat.problems import gen_fd2d, gen_rhs, laplacian1d  # noqa: E402
+
+SPACES = ("standard", "extended")
+STORAGES = ("stored", "windowed")
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        if a is None:
+            h.update(b"none")
+            continue
+        a = np.ascontiguousarray(a, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _history_digest(history):
+    # m, space_dim and relative_residual; the remaining columns are timings
+    return hashlib.sha256(repr([(r[0], r[1], repr(r[2])) for r in history])
+                          .encode()).hexdigest()[:16]
+
+
+def _outcome(solve):
+    try:
+        sol = solve()
+    except ConvergenceError as exc:
+        return "%s: %s history=%s" % (type(exc).__name__, exc,
+                                      _history_digest(exc.history))
+    except KrymatError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return "it=%d rank=%d final=%r verified=%r z=%s history=%s" % (
+        sol.iterations, sol.rank, sol.final_residual, sol.verified_residual,
+        _digest(sol.z1, sol.z2), _history_digest(sol.history),
+    )
+
+
+def _lyapunov(a, c):
+    return lambda opts: solve_lyapunov(SparseOperator(a), c, opts)
+
+
+def _two_sided(a, b, c1, c2):
+    return lambda opts: solve_sylvester_two_sided(
+        SparseOperator(a), SparseOperator(b), c1, c2, opts)
+
+
+def _one_sided(a, b, c1, c2):
+    return lambda opts: solve_sylvester_one_sided(SparseOperator(a), b, c1, c2, opts)
+
+
+def grid_cases():
+    """(name, solve, options) of the 144-case grid."""
+    a_lyap = gen_fd2d("fd2d-exp", 10)
+    a_pair, b_pair = gen_fd2d("fd2d-exp", 8), gen_fd2d("fd2d-trig", 8)
+    b_small = (10.0 * laplacian1d(8)).toarray()
+    for s in (1, 2, 3):
+        solvers = (
+            ("lyapunov", _lyapunov(a_lyap, gen_rhs(100, s, seed=s))),
+            ("two-sided", _two_sided(a_pair, b_pair, gen_rhs(64, s, seed=10 + s),
+                                     gen_rhs(64, s, seed=20 + s))),
+            ("one-sided", _one_sided(a_lyap, b_small, gen_rhs(100, s, seed=30 + s),
+                                     gen_rhs(8, s, seed=40 + s))),
+        )
+        for name, solve in solvers:
+            for space in SPACES:
+                for storage in STORAGES:
+                    for d in (1, 3):
+                        for max_m in (500, 4):
+                            opts = SolveOptions(
+                                tol=1e-8, max_m=max_m, check_period=d, space=space,
+                                storage=storage, verify=True,
+                            )
+                            yield ("%s %s %s s=%d d=%d max_m=%d"
+                                   % (name, space, storage, s, d, max_m), solve, opts)
+
+
+def invariant_cases():
+    """(name, solve, options) of 20 cases whose Krylov space becomes invariant."""
+    lap6 = laplacian1d(6)
+    eye6 = -sp.identity(6, format="csr")
+    e1 = np.zeros((6, 1))
+    e1[0] = 1.0
+    b_small = (10.0 * laplacian1d(4)).toarray()
+    cases = []
+    for space in SPACES:
+        for storage in STORAGES:
+            for s in (1, 2):
+                cases.append(("lyapunov laplacian1d(6) s=%d" % s, space, storage,
+                              _lyapunov(lap6, gen_rhs(6, s, seed=50 + s))))
+            cases.append(("one-sided laplacian1d(6)", space, storage,
+                          _one_sided(lap6, b_small, gen_rhs(6, 1, seed=60),
+                                     gen_rhs(4, 1, seed=61))))
+            cases.append(("two-sided one space invariant", space, storage,
+                          _two_sided(eye6, gen_fd2d("laplacian2d", 6), e1,
+                                     gen_rhs(36, 1, seed=3))))
+    for storage in STORAGES:
+        cases.append(("lyapunov -I e1", "standard", storage, _lyapunov(eye6, e1)))
+        cases.append(("two-sided -I e1", "standard", storage,
+                      _two_sided(eye6, eye6, e1, e1)))
+    for name, space, storage, solve in cases:
+        opts = SolveOptions(tol=1e-10, max_m=40, space=space, storage=storage,
+                            verify=True)
+        yield "%s %s %s" % (name, space, storage), solve, opts
+
+
+def main():
+    for name, solve, opts in list(grid_cases()) + list(invariant_cases()):
+        print("%s | %s" % (name, _outcome(lambda: solve(opts))))
+
+
+if __name__ == "__main__":
+    main()
