@@ -145,6 +145,12 @@ class ProjectionState:
         return self.t_sub[-1][: self.s]
 
 
+def _times(block, alpha):
+    """block @ alpha; for a one-column block the broadcast product, whose
+    entries are the same single products without a matmul call."""
+    return block * alpha if block.shape[1] == 1 else block @ alpha
+
+
 def mgs_twice(w, older, current):
     """Orthogonalize w against the window blocks, MGS performed twice.
 
@@ -157,10 +163,10 @@ def mgs_twice(w, older, current):
         if older is not None:
             alpha = older.T @ w
             off_sum += alpha
-            w = w - older @ alpha
+            w = w - _times(older, alpha)
         alpha = current.T @ w
         diag_sum += alpha
-        w = w - current @ alpha
+        w = w - _times(current, alpha)
     return w, off_sum, diag_sum
 
 

@@ -132,6 +132,13 @@ def _solve_options(args, config):
         raise KrymatError(str(exc)) from exc
 
 
+def _rhs_width(args, config):
+    s = _resolve(args, config, "s", 1, int)
+    if s < 1:
+        raise KrymatError("--s must be >= 1")
+    return s
+
+
 def _generate(kind, n, s, seed):
     """A, B-or-None, C1 and C2-or-None of a generated problem kind."""
     if n < 1:
@@ -154,7 +161,7 @@ def _problem_inputs(args, config, need_pair=False):
     a_path = getattr(args, "a_path", None) or config.get("a")
     if (kind is None) == (a_path is None):
         raise KrymatError("give either --problem or explicit matrix files, not both")
-    s = _resolve(args, config, "s", 1, int)
+    s = _rhs_width(args, config)
     seed = _resolve(args, config, "seed", 0, int)
     if kind is not None:
         n = _resolve(args, config, "n", None, int)
@@ -221,7 +228,7 @@ def cmd_gen(args, config):
     n = _resolve(args, config, "n", None, int)
     if kind is None or n is None:
         raise KrymatError("gen needs --problem and --n")
-    s = _resolve(args, config, "s", 1, int)
+    s = _rhs_width(args, config)
     seed = _resolve(args, config, "seed", 0, int)
     out = _outdir(args, config)
     a, b, c1, c2 = _generate(kind, n, s, seed)

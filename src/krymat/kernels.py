@@ -119,17 +119,25 @@ def economy_qr(w):
     """Economy-size QR with the sign convention diag(R) >= 0.
 
     The sign normalization makes the factorization unique (for full-rank
-    input), which the two-pass basis regeneration relies on.
+    input), which the two-pass basis regeneration relies on.  A single
+    column is normalized directly; a zero column gives R = 0, so
+    ``rank_deficient`` flags it, and Q = e_1 as from Householder QR.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] < w.shape[1]:
         raise DimensionMismatchError(
             "economy QR needs a tall matrix, got shape %s" % (w.shape,)
         )
-    q, r = np.linalg.qr(w)
+    if w.shape[1] == 1:
+        norm = scipy.linalg.blas.dnrm2(w[:, 0])  # scaled: no under/overflow
+        q = w / norm if norm > 0.0 else np.eye(w.shape[0], 1)
+        return q, np.array([[norm]])
+    q, r = scipy.linalg.qr(w, mode="economic", check_finite=False)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
-    return q * signs, signs[:, None] * r
+    # scipy returns Q in Fortran order, and BLAS rounds products with it
+    # differently; a C-ordered Q keeps the bits numpy's QR gave the basis
+    return np.multiply(q, signs, order="C"), signs[:, None] * r
 
 
 def rank_deficient(r, rank_tol=RANK_TOL):

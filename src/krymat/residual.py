@@ -1,8 +1,11 @@
 """Residual norms from projected data alone.
 
-The Frobenius norm of the residual matrix is evaluated at O(k^2) cost from
-the partial eigendecomposition of the projected block tridiagonal matrix,
-without solving the reduced equation.  Writing T = Q diag(lam) Q^T and
+The Frobenius norm of the residual matrix is evaluated from the partial
+eigendecomposition of the projected block tridiagonal matrix, without
+solving the reduced equation.  For s = 1 the projection is tridiagonal and
+the evaluation costs O(k^2); for s >= 2 the banded eigensolve still forms
+every eigenvector, which is O(k^3) with a small constant, although only the
+first and last block rows are read.  Writing T = Q diag(lam) Q^T and
 splitting the reduced solution along eigencomponents, each row of the
 relevant product picks up a diagonal scaling 1/(lam_i + lam_j), applied as
 an elementwise division, never a matrix inverse.

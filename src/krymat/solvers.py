@@ -37,6 +37,10 @@ VERIFY_LIMIT = 20000
 #: the stored ones.
 REPLAY_TOL = 1e-8
 
+#: Width, in columns, of the workspace in which two-pass recovery gathers
+#: regenerated blocks before adding them to the factor by one matrix product.
+RECOVERY_COLUMNS = 32
+
 #: Columns of the per-check history rows, in order.
 HISTORY_COLUMNS = (
     "m",
@@ -68,6 +72,8 @@ class SolveOptions:
             raise ValueError("tol must be positive")
         if self.check_period < 1:
             raise ValueError("check_period must be >= 1")
+        if self.trunc_eps < 0.0:
+            raise ValueError("trunc_eps must be >= 0")
         if self.space not in ("standard", "extended"):
             raise ValueError("space must be 'standard' or 'extended'")
         if self.storage not in ("stored", "windowed"):
@@ -138,6 +144,12 @@ def two_pass_recover(op, state, qy, window):
     operator.  Extended mode regenerates only the first half-blocks (one
     multiplication by A each), reusing the retained second half-blocks so no
     inverse-applies occur.
+
+    The regenerated blocks are copied into a workspace of n x (b ell)
+    columns, b = max(RECOVERY_COLUMNS // ell, 1) blocks (fewer when the
+    basis has fewer), which is added to Z by one matrix product whenever it
+    is full and once at the end.  Like Z, the workspace is recovery storage:
+    ``peak_basis_vectors`` counts the basis window only.
     """
     s, ell = state.s, state.ell
     standard = state.space == "standard"
@@ -147,7 +159,11 @@ def two_pass_recover(op, state, qy, window):
             "extended two-pass recovery needs the window with stored half-blocks"
         )
     v = economy_qr(state.rhs)[0] if standard else state.v1
-    z = v @ qy[:ell]
+    per_flush = min(max(RECOVERY_COLUMNS // ell, 1), state.n_t_blocks)
+    buf = np.empty((v.shape[0], per_flush * ell))
+    buf[:, :ell] = v
+    used, first_row = ell, 0
+    z = np.zeros((v.shape[0], qy.shape[1]))
     older = None
     for i in range(2, state.n_t_blocks + 1):
         # first s columns of the joint orthogonalization (all of them in
@@ -166,8 +182,13 @@ def two_pass_recover(op, state, qy, window):
             )
         if halves is not None:
             v_new = np.hstack([v_new, halves[i - 1]])
-        z += v_new @ qy[(i - 1) * ell: i * ell]
+        if used == buf.shape[1]:
+            z += buf @ qy[first_row: first_row + used]
+            used, first_row = 0, first_row + used
+        buf[:, used: used + ell] = v_new
+        used += ell
         older, v = v, v_new
+    z += buf[:, :used] @ qy[first_row: first_row + used]
     return z
 
 

@@ -9,6 +9,7 @@ from krymat import (
     init_basis,
     lanczos_step,
 )
+from krymat.basis import mgs_twice
 from krymat.problems import gen_fd2d, laplacian1d
 
 
@@ -18,6 +19,33 @@ def _diag_op(values):
 
 def _full_basis(window, m):
     return np.concatenate(window.basis_blocks(m), axis=1)
+
+
+def _mgs_twice_matmul(w, older, current):
+    """mgs_twice with every block product written as a matmul."""
+    off_sum = None if older is None else np.zeros((older.shape[1], w.shape[1]))
+    diag_sum = np.zeros((current.shape[1], w.shape[1]))
+    for _ in range(2):
+        if older is not None:
+            alpha = older.T @ w
+            off_sum += alpha
+            w = w - older @ alpha
+        alpha = current.T @ w
+        diag_sum += alpha
+        w = w - current @ alpha
+    return w, off_sum, diag_sum
+
+
+@pytest.mark.parametrize("with_older", [False, True])
+@pytest.mark.parametrize("width", [1, 2])
+def test_mgs_twice_on_one_column_blocks_matches_matmul(with_older, width):
+    rng = np.random.default_rng(8)
+    q = np.linalg.qr(rng.standard_normal((300, 2)))[0]
+    older, current = (q[:, :1] if with_older else None), q[:, 1:]
+    w = rng.standard_normal((300, width))
+    got, want = mgs_twice(w, older, current), _mgs_twice_matmul(w, older, current)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 class TestInitBasis:

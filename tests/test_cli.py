@@ -174,8 +174,12 @@ class TestBenchResidual:
     (["solve-lyap"], "problem = laplacian2d\nn = 4\nspace = krylov\n"),
     (["solve-lyap", "--problem", "laplacian2d", "--n", 0], None),
     (["gen", "--problem", "laplacian1d", "--n", 0], None),
+    (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--s", -1], None),
+    (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--s", 0], None),
+    (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--trunc-eps", -1], None),
 ], ids=["missing-matrix", "missing-config", "negative-tol", "zero-check-period",
-        "non-integer-n", "unknown-space", "zero-n-solve", "zero-n-gen"])
+        "non-integer-n", "unknown-space", "zero-n-solve", "zero-n-gen",
+        "negative-s", "zero-s", "negative-trunc-eps"])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:
@@ -183,6 +187,13 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config)
         argv = argv + ["--config", "run.cfg"]
     assert run(argv + ["--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_zero_block_width_names_the_flag(tmp_path, capsys):
+    # unchecked, --s 0 surfaces as a rank-deficient initial block
+    assert run(["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--s", 0,
+                "--out", tmp_path]) == 1
+    assert "--s must be >= 1" in capsys.readouterr().err
 
 
 def test_unknown_problem_kind_rejected(tmp_path, capsys):

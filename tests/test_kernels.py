@@ -51,6 +51,25 @@ class TestEconomyQR:
         assert not rank_deficient(r)
 
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e170])
+    def test_one_column_matches_householder(self, scale):
+        w = scale * np.random.default_rng(3).standard_normal((200, 1))
+        q, r = economy_qr(w)
+        q_ref, r_ref = np.linalg.qr(w)
+        sign = np.sign(r_ref[0, 0])
+        assert r[0, 0] >= 0.0
+        assert abs(q[:, 0] @ q[:, 0] - 1.0) <= 1e-14
+        assert np.max(np.abs(q - sign * q_ref)) <= 1e-14
+        assert abs(r[0, 0] - sign * r_ref[0, 0]) <= 1e-14 * r[0, 0]
+
+    def test_zero_column_is_rank_deficient(self):
+        with np.errstate(all="raise"):
+            q, r = economy_qr(np.zeros((5, 1)))
+        assert np.array_equal(r, [[0.0]])
+        assert rank_deficient(r)
+        assert np.array_equal(q, np.eye(5, 1))
+
+
 class TestBandTridiagonalize:
     def test_block_size_one_is_identity(self):
         t = BlockTridiagonal(

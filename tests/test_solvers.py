@@ -8,6 +8,7 @@ from krymat import (
     SolveOptions,
     SparseOperator,
     cholesky_transform,
+    extended_step,
     init_basis,
     kronecker_solve,
     lanczos_step,
@@ -15,9 +16,11 @@ from krymat import (
     solve_sylvester_one_sided,
     solve_sylvester_two_sided,
     true_lyapunov_residual,
+    truncated_spd_factor,
     two_pass_recover,
 )
 from krymat.problems import gen_fd2d, gen_rhs, laplacian1d
+from krymat.solvers import RECOVERY_COLUMNS
 
 from conftest import (
     dense_sylvester_residual,
@@ -31,13 +34,36 @@ def _diag_op(values):
 
 
 class _DriftingOperator(SparseOperator):
-    """Scales the k-th product by 1 + 1e-6 k: a nondeterministic operator."""
+    """Scales the k-th product by 1 + 1e-6 (k - exact_calls) once k exceeds
+    ``exact_calls``: a nondeterministic operator."""
 
     calls = 0
+    exact_calls = 0
 
     def apply(self, v):
         self.calls += 1
-        return (1.0 + 1e-6 * self.calls) * super().apply(v)
+        return (1.0 + 1e-6 * max(self.calls - self.exact_calls, 0)) * super().apply(v)
+
+
+def _first_pass(op, c, space, storage, m):
+    step = lanczos_step if space == "standard" else extended_step
+    window, state = init_basis(op, c, space=space, storage=storage)
+    for _ in range(m):
+        step(op, window, state)
+    return window, state
+
+
+def _stored_and_two_pass(op, c, space, m):
+    """Z after m steps from the stored basis and from a second pass, and
+    the window of the second."""
+    win_s, st_s = _first_pass(op, c, space, "stored", m)
+    win_w, st_w = _first_pass(op, c, space, "windowed", m)
+    lam, q = np.linalg.eigh(st_s.projected_matrix().to_dense())
+    u = q[:st_s.ell, :].T @ st_s.gamma
+    ytilde = -(u @ u.T) / (lam[:, None] + lam[None, :])
+    qy = q @ truncated_spd_factor(0.5 * (ytilde + ytilde.T)).factor
+    z_stored = np.concatenate(win_s.basis_blocks(m), axis=1) @ qy
+    return z_stored, two_pass_recover(op, st_w, qy, win_w), win_w
 
 
 class TestSolveLyapunov:
@@ -141,23 +167,37 @@ class TestTwoPass:
     @pytest.mark.parametrize("s", [1, 3])
     def test_windowed_equals_stored_at_fixed_depth(self, s):
         op = SparseOperator(gen_fd2d("laplacian2d", 20))  # order 400
-        c = gen_rhs(400, s, seed=10 + s)
-        m = 20
-        win_s, st_s = init_basis(op, c, storage="stored")
-        win_w, st_w = init_basis(op, c, storage="windowed")
-        for _ in range(m):
-            lanczos_step(op, win_s, st_s)
-            lanczos_step(op, win_w, st_w)
-        lam, q = np.linalg.eigh(st_s.projected_matrix().to_dense())
-        u = q[:s, :].T @ st_s.gamma
-        ytilde = -(u @ u.T) / (lam[:, None] + lam[None, :])
-        from krymat import truncated_spd_factor
-        qy = q @ truncated_spd_factor(0.5 * (ytilde + ytilde.T)).factor
-        z_stored = np.concatenate(win_s.basis_blocks(m), axis=1) @ qy
-        z_two_pass = two_pass_recover(op, st_w, qy, win_w)
+        z_stored, z_two_pass, win_w = _stored_and_two_pass(
+            op, gen_rhs(400, s, seed=10 + s), "standard", 20)
         rel = np.linalg.norm(z_two_pass - z_stored) / np.linalg.norm(z_stored)
         assert rel <= 1e-12
         assert win_w.peak_vectors == 3 * s
+
+    # m blocks fill the recovery workspace twice and end partway through it
+    @pytest.mark.parametrize("space, s, m", [("standard", 1, 70), ("extended", 2, 21)])
+    def test_windowed_equals_stored_across_flushes(self, space, s, m):
+        per_flush = RECOVERY_COLUMNS // (s if space == "standard" else 2 * s)
+        assert 2 * per_flush < m < 3 * per_flush
+        op = SparseOperator(gen_fd2d("fd2d-exp", 20))  # order 400
+        z_stored, z_two_pass, _ = _stored_and_two_pass(
+            op, gen_rhs(400, s, seed=20 + s), space, m)
+        rel = np.linalg.norm(z_two_pass - z_stored) / np.linalg.norm(z_stored)
+        assert rel <= 1e-12
+
+    # the drift starts at a block in the middle of the second workspace fill
+    @pytest.mark.parametrize("space, s, m, drift_step", [
+        ("standard", 1, 70, 41), ("extended", 2, 21, 13),
+    ])
+    def test_replay_mismatch_inside_a_later_flush(self, space, s, m, drift_step):
+        op = _DriftingOperator(gen_fd2d("fd2d-exp", 20))
+        op.exact_calls = 10 ** 9
+        window, state = _first_pass(op, gen_rhs(400, s, seed=30 + s), space,
+                                    "windowed", m)
+        # the second pass multiplies once per regenerated block, from step 2
+        op.exact_calls = op.calls + drift_step - 2
+        qy = np.ones((state.n_t_blocks * state.ell, 1))
+        with pytest.raises(RecurrenceMismatchError, match="at step %d;" % drift_step):
+            two_pass_recover(op, state, qy, window)
 
     def test_full_solve_windowed_matches_stored(self):
         op = SparseOperator(gen_fd2d("fd2d-exp", 10))
