@@ -4,7 +4,8 @@ Galerkin projection onto block standard or extended Krylov subspaces, with
 residual norms evaluated from the projected block tridiagonal matrix alone
 and an optional two-pass basis regeneration that holds three basis blocks
 (in extended mode also the second half of every block, so the second pass
-needs no solves with A).
+needs no solves with A).  Stored and regenerated blocks reach the solution
+factor through the same workspace of n x 32 columns.
 """
 
 from .errors import (
@@ -36,7 +37,7 @@ from .operators import (
     cholesky_transform,
     validate_symmetric,
 )
-from .basis import BasisWindow, ProjectionState, extended_step, init_basis, lanczos_step
+from .basis import KrylovBasis, extended_step, init_basis, lanczos_step
 from .residual import ResidualValue, ctri_lyapunov, ctri_sylvester, residual_one_sided
 from .reduced import (
     ReducedSolution,
@@ -64,18 +65,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymmetricMatrixError",
-    "BasisWindow",
     "BlockTridiagonal",
     "ConvergenceError",
     "DeflationUnsupportedError",
     "DimensionMismatchError",
     "FactorizationError",
     "IndefiniteMatrixError",
+    "KrylovBasis",
     "KrymatError",
     "LinearOperator",
     "LowRankSolution",
     "PartialSpectral",
-    "ProjectionState",
     "RecurrenceMismatchError",
     "ReducedSolution",
     "ResidualValue",

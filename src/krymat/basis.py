@@ -12,11 +12,12 @@ matrix H that differs from the projection T = V' A V; the columns of T are
 recovered during the iteration by a short recurrence that uses only the
 coefficients and the triangularity of the QR factors.
 
+One ``KrylovBasis`` object per space holds its basis blocks and T's blocks.
 Both step functions share one orthogonalize-and-factor skeleton, and every
 step records the new diagonal and coupling blocks of T once, so T and its
-coupling block are read off the state without rebuilding them.  A residual
+coupling block are read off the basis without rebuilding them.  A residual
 block that is numerically zero means the space became invariant: the step
-completes T with a zero coupling block and marks the state exhausted.
+completes T with a zero coupling block and marks the basis exhausted.
 """
 
 from collections import deque
@@ -24,7 +25,12 @@ from collections import deque
 import numpy as np
 import scipy.linalg
 
-from .errors import DeflationUnsupportedError, DimensionMismatchError, FactorizationError
+from .errors import (
+    DeflationUnsupportedError,
+    DimensionMismatchError,
+    FactorizationError,
+    KrymatError,
+)
 from .kernels import BlockTridiagonal, economy_qr, rank_deficient
 
 #: Tolerated relative size of the (theoretically zero) lower part of the
@@ -36,89 +42,84 @@ STRUCTURE_TOL = 1e-8
 ZERO_BLOCK_TOL = 1e-13
 
 
-class BasisWindow:
-    """Sliding window over the basis blocks, optionally storing all of them.
+class KrylovBasis:
+    """One block Krylov space: its basis blocks and the projection T on them.
 
-    ``windowed`` keeps the last three blocks (all a step needs); ``stored``
-    keeps every block so the solution factor can be assembled directly.
-    Extended windowed mode also retains the second half-blocks, which lets a
-    second pass regenerate the basis without any inverse-applies.
+    Basis blocks: the last three, all a step needs.  ``stored`` mode also
+    keeps every block in ``stored``, so the solution factor is read from
+    them; extended ``windowed`` mode keeps the second half of every block in
+    ``second_halves``, which lets a second pass regenerate the basis without
+    any inverse-applies.  ``v1``, the first block, is where a second pass
+    starts.
+
+    Projection: every step appends three ell x ell blocks: ``t_diag``, the
+    symmetrized diagonal block of T; ``t_sub``, its coupling block to the
+    next basis block; and ``r_sub``, the R factor of the new basis block,
+    which a second basis pass checks its recomputed coefficients against to
+    detect nondeterministic operators.  In standard mode the coupling block
+    is that R factor.  Extended mode also keeps what its T recurrence reads:
+    the recovered block columns of T of the last two steps and the
+    Gram-Schmidt sums of the last step.
     """
 
-    def __init__(self, mode, extended=False):
-        if mode not in ("windowed", "stored"):
-            raise ValueError("storage mode must be 'windowed' or 'stored'")
+    def __init__(self, space, storage, v1, gamma):
+        self.space = space
+        self.ell, self.s = gamma.shape  # ell is s, or 2s in extended mode
+        self.gamma = gamma
+        self.v1 = v1
+        self.m = 1
         self._window = deque(maxlen=3)
-        self.stored = [] if mode == "stored" else None
-        self.second_halves = [] if (extended and mode == "windowed") else None
-        self.generated = 0
+        self.stored = [] if storage == "stored" else None
+        halves = space == "extended" and storage == "windowed"
+        self.second_halves = [] if halves else None
         self.peak_vectors = 0
+        self.t_diag = []
+        self.t_sub = []
+        self.r_sub = []
+        self.t_cols = deque(maxlen=2)
+        self.last_mgs_sums = None
+        self.kappa12 = None
+        self.kappa22 = None
+        self.structure_defect = 0.0
+        # set when the space became invariant: the projection is exact and
+        # the coupling to any further block is zero
+        self.exhausted = False
+        self._push(v1)
 
-    def push(self, block):
+    def _push(self, block):
         self._window.append(block)
-        self.generated += 1
         if self.stored is not None:
             self.stored.append(block)
         if self.second_halves is not None:
-            half = block.shape[1] // 2
-            self.second_halves.append(block[:, half:].copy())
+            self.second_halves.append(block[:, self.s:].copy())
         self.peak_vectors = max(self.peak_vectors, self._held_vectors())
 
     def _held_vectors(self):
         # storage accounting convention: the in-flight block of stored mode
         # is not counted, so a converged run reports ell*m vs 3*ell
         if self.stored is not None:
-            return max(self.generated - 1, 1) * self._window[-1].shape[1]
-        count = len(self._window) * self._window[-1].shape[1]
+            return max(len(self.stored) - 1, 1) * self.ell
+        count = len(self._window) * self.ell
         if self.second_halves is not None:
-            count += sum(h.shape[1] for h in self.second_halves)
+            count += len(self.second_halves) * self.s
         return count
+
+    def _record(self, diag, sub, v_next):
+        """Append T's blocks of this step, then push the next basis block, or
+        mark the space exhausted when there is none."""
+        self.t_diag.append(0.5 * (diag + diag.T))
+        self.t_sub.append(sub)
+        if v_next is None:
+            self.exhausted = True
+        else:
+            self._push(v_next)
+        self.m += 1
 
     def last_two(self):
         """The two most recent blocks, oldest first (None when only one exists)."""
         if len(self._window) == 1:
             return None, self._window[-1]
         return self._window[-2], self._window[-1]
-
-    def basis_blocks(self, m):
-        """The first m stored basis blocks (stored mode only)."""
-        if self.stored is None:
-            raise DimensionMismatchError("basis blocks were not stored")
-        return self.stored[:m]
-
-
-class ProjectionState:
-    """Coefficients of the projection accumulated during basis construction.
-
-    Every step appends three ell x ell blocks: ``t_diag``, the symmetrized
-    diagonal block of T; ``t_sub``, its coupling block to the next basis
-    block; and ``r_sub``, the R factor of the new basis block, which a second
-    basis pass checks its recomputed coefficients against to detect
-    nondeterministic operators.  In standard mode the coupling block is that
-    R factor.  Extended mode also keeps what its T recurrence reads: the
-    recovered block columns of T and the Gram-Schmidt sums of every step.
-    """
-
-    def __init__(self, space, s, gamma, rhs):
-        self.space = space
-        self.s = s
-        self.ell = gamma.shape[0]  # s, or 2s in extended mode
-        self.gamma = gamma
-        self.rhs = rhs
-        self.m = 1
-        self.t_diag = []
-        self.t_sub = []
-        self.r_sub = []
-        # extended mode: per-step (older, current) MGS sums and T columns
-        self.mgs_sums = []
-        self.t_cols = []
-        self.kappa12 = None
-        self.kappa22 = None
-        self.v1 = None
-        self.structure_defect = 0.0
-        # set when the space became invariant: the projection is exact and
-        # the coupling to any further block is zero
-        self.exhausted = False
 
     @property
     def n_t_blocks(self):
@@ -180,10 +181,11 @@ def _qr_new_block(w, context):
 
 
 def init_basis(op, c, space="standard", storage="stored"):
-    """Set up the first basis block and an empty projection state.
+    """Set up the first basis block and an empty projection.
 
     Standard mode starts from the QR of C; extended mode from the QR of
-    [C, A^{-1}C], which doubles the block size.
+    [C, A^{-1}C], which doubles the block size and needs an operator that
+    can solve with A.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != op.n:
@@ -191,75 +193,66 @@ def init_basis(op, c, space="standard", storage="stored"):
             "right-hand side block of shape %s does not match operator order %d"
             % (c.shape, op.n)
         )
+    if storage not in ("windowed", "stored"):
+        raise ValueError("storage mode must be 'windowed' or 'stored'")
     s = c.shape[1]
-    window = BasisWindow(storage, extended=(space == "extended"))
     if space == "standard":
         v1, gamma = _qr_new_block(c, "initial QR of C")
-        state = ProjectionState(space, s, gamma, c)
-    elif space == "extended":
-        w0 = np.hstack([c, op.solve(c)])
-        v1, kappa = _qr_new_block(w0, "initial QR of [C, inv(A) C]")
-        state = ProjectionState(space, s, kappa[:, :s], c)
-        state.kappa12 = kappa[:s, s:]
-        state.kappa22 = kappa[s:, s:]
-        state.v1 = v1
-    else:
+        return KrylovBasis(space, storage, v1, gamma)
+    if space != "extended":
         raise ValueError("space must be 'standard' or 'extended'")
-    window.push(v1)
-    return window, state
+    if not op.can_solve:
+        raise KrymatError(
+            "the extended Krylov space needs solves with A, which this operator "
+            "cannot do; use the standard space"
+        )
+    w0 = np.hstack([c, op.solve(c)])
+    v1, kappa = _qr_new_block(w0, "initial QR of [C, inv(A) C]")
+    basis = KrylovBasis(space, storage, v1, kappa[:, :s])
+    basis.kappa12 = kappa[:s, s:]
+    basis.kappa22 = kappa[s:, s:]
+    return basis
 
 
-def _next_block(op, window, state):
-    """Orthogonalize the new directions of step ``state.m`` and factor them.
+def _next_block(op, basis):
+    """Orthogonalize the new directions of step ``basis.m`` and factor them.
 
     The directions are A V_m in standard mode and [A V_m^(1), A^{-1} V_m^(2)]
     in extended mode.  Appends the R factor of the new block to
-    ``state.r_sub`` and returns the new block with the (older, current)
+    ``basis.r_sub`` and returns the new block with the (older, current)
     Gram-Schmidt sums.  A numerically zero residual block means the space
     became invariant: the new block is then None and its R factor zero.
     """
-    if state.exhausted:
+    if basis.exhausted:
         raise DeflationUnsupportedError("the Krylov space is already invariant")
-    older, current = window.last_two()
-    if state.space == "standard":
+    older, current = basis.last_two()
+    if basis.space == "standard":
         w, context = op.apply(current), "Lanczos step %d"
     else:
-        s = state.s
+        s = basis.s
         w = np.hstack([op.apply(current[:, :s]), op.solve(current[:, s:])])
         context = "extended step %d"
     scale = np.linalg.norm(w)
     w, off_sum, diag_sum = mgs_twice(w, older, current)
     if np.linalg.norm(w) <= ZERO_BLOCK_TOL * scale:
-        v_next, r = None, np.zeros((state.ell, state.ell))
+        v_next, r = None, np.zeros((basis.ell, basis.ell))
     else:
-        v_next, r = _qr_new_block(w, context % state.m)
-    state.r_sub.append(r)
+        v_next, r = _qr_new_block(w, context % basis.m)
+    basis.r_sub.append(r)
     return v_next, off_sum, diag_sum
 
 
-def _record(window, state, diag, sub, v_next):
-    """Append T's blocks of this step, then push the next basis block, or
-    mark the state exhausted when there is none."""
-    state.t_diag.append(0.5 * (diag + diag.T))
-    state.t_sub.append(sub)
-    if v_next is None:
-        state.exhausted = True
-    else:
-        window.push(v_next)
-    state.m += 1
-
-
-def lanczos_step(op, window, state):
+def lanczos_step(op, basis):
     """One step of block Lanczos with block MGS (performed twice).
 
     Extends the projection by one diagonal block and one coupling block and
     pushes the next basis block into the window.  A residual block that is
     numerically zero means the space became invariant: the projection is
     completed with a zero coupling block, so the projected solution is
-    exact, and the state is marked exhausted.
+    exact, and the basis is marked exhausted.
     """
-    v_next, _, diag_sum = _next_block(op, window, state)
-    _record(window, state, diag_sum, state.r_sub[-1], v_next)
+    v_next, _, diag_sum = _next_block(op, basis)
+    basis._record(diag_sum, basis.r_sub[-1], v_next)
 
 
 def _right_triangular_solve(rhs, r):
@@ -267,7 +260,7 @@ def _right_triangular_solve(rhs, r):
     return scipy.linalg.solve_triangular(r, rhs.T, lower=False, trans="T").T
 
 
-def extended_step(op, window, state):
+def extended_step(op, basis):
     """One step of the extended Krylov iteration.
 
     The new directions are A V^{(1)} and A^{-1} V^{(2)}; the projection
@@ -276,10 +269,10 @@ def extended_step(op, window, state):
     inverts the upper triangular QR factor of the previous step.  Zero
     residual blocks behave as in ``lanczos_step``.
     """
-    s, ell = state.s, state.ell
-    big_m = state.m
-    v_next, off_sum, diag_sum = _next_block(op, window, state)
-    theta_sub = state.r_sub[-1]
+    s, ell = basis.s, basis.ell
+    big_m = basis.m
+    v_next, off_sum, diag_sum = _next_block(op, basis)
+    theta_sub = basis.r_sub[-1]
 
     # T block column big_m (rows 1 .. big_m+1)
     rows = (big_m + 1) * ell
@@ -292,19 +285,19 @@ def extended_step(op, window, state):
     if big_m == 1:
         # base case from the initial QR: T(:,1) kappa2 = E1 kappa1
         rhs = np.zeros((rows, s))
-        rhs[:ell] = state.gamma
-        rhs -= col[:, :s] @ state.kappa12
-        col[:, s:] = _right_triangular_solve(rhs, state.kappa22)
+        rhs[:ell] = basis.gamma
+        rhs -= col[:, :s] @ basis.kappa12
+        col[:, s:] = _right_triangular_solve(rhs, basis.kappa22)
     else:
         # recurrence on the second half-columns of the previous step
-        off_prev, diag_prev = state.mgs_sums[-1]
-        theta_sub2 = state.r_sub[-2][:, s:]
+        off_prev, diag_prev = basis.last_mgs_sums
+        theta_sub2 = basis.r_sub[-2][:, s:]
         rhs = np.zeros((rows, s))
         rhs[(big_m - 2) * ell + s: (big_m - 1) * ell] = np.eye(s)
         # earlier columns are shorter: their missing rows are zero
         if big_m >= 3:
-            rhs[: (big_m - 1) * ell] -= state.t_cols[-2] @ off_prev[:, s:]
-        rhs[: big_m * ell] -= state.t_cols[-1] @ diag_prev[:, s:]
+            rhs[: (big_m - 1) * ell] -= basis.t_cols[-2] @ off_prev[:, s:]
+        rhs[: big_m * ell] -= basis.t_cols[-1] @ diag_prev[:, s:]
         rhs -= col[:, :s] @ theta_sub2[:s, :]
         col[:, s:] = _right_triangular_solve(rhs, theta_sub2[s:, :])
 
@@ -314,7 +307,7 @@ def extended_step(op, window, state):
     lower = col[big_m * ell + s:, :]
     scale = max(np.linalg.norm(col), 1e-300)
     defect = np.linalg.norm(lower) / scale
-    state.structure_defect = max(state.structure_defect, defect)
+    basis.structure_defect = max(basis.structure_defect, defect)
     if defect > STRUCTURE_TOL:
         raise FactorizationError(
             "extended-mode recurrence lost the block tridiagonal structure "
@@ -324,7 +317,9 @@ def extended_step(op, window, state):
     if v_next is None:
         col[big_m * ell:, :] = 0.0
 
-    state.mgs_sums.append((off_sum, diag_sum))
-    state.t_cols.append(col)
-    _record(window, state, col[(big_m - 1) * ell: big_m * ell], col[big_m * ell:],
-            v_next)
+    basis.last_mgs_sums = (off_sum, diag_sum)
+    basis.t_cols.append(col)
+    # the coupling block is copied out of the column, so the column is freed
+    # once the recurrence has read it two steps on
+    basis._record(col[(big_m - 1) * ell: big_m * ell], col[big_m * ell:].copy(),
+                  v_next)

@@ -6,7 +6,8 @@ or file-based problems), and ``bench-residual`` (time the cheap residual
 evaluation against the classical one along one basis construction).
 
 Options may also come from a flat ``key = value`` config file; command-line
-flags take precedence over the file.
+flags take precedence over the file, and a key that no subcommand knows is
+an error.
 """
 
 import argparse
@@ -28,6 +29,13 @@ from .solvers import HISTORY_COLUMNS, SolveOptions, solve_lyapunov, \
 
 _FLOAT_FMT = "%.17g"
 
+#: Keys a config file may set: the options of every subcommand, so that one
+#: file can serve several commands.  Matrix files are keyed a, b, c, c1, c2.
+_CONFIG_KEYS = frozenset((
+    "problem", "n", "s", "seed", "out", "tol", "max_m", "check_period", "space",
+    "storage", "trunc_eps", "verify", "one_sided", "reps", "a", "b", "c", "c1", "c2",
+))
+
 
 def _read_config(path):
     values = {}
@@ -39,7 +47,10 @@ def _read_config(path):
             if "=" not in line:
                 raise KrymatError("config line %r is not 'key = value'" % raw.strip())
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+            name = key.replace("-", "_")
+            if name not in _CONFIG_KEYS:
+                raise KrymatError("unknown config key %r" % key)
+            values[name] = val
     return values
 
 
@@ -69,11 +80,15 @@ def _add_common_options(parser):
     parser.add_argument("--out", help="output directory")
 
 
-def _add_solve_options(parser):
+def _add_iteration_options(parser):
     parser.add_argument("--tol", type=float)
     parser.add_argument("--max-m", dest="max_m", type=int)
     parser.add_argument("--check-period", dest="check_period", type=int)
     parser.add_argument("--space", choices=("standard", "extended"))
+
+
+def _add_solve_options(parser):
+    _add_iteration_options(parser)
     parser.add_argument("--storage", choices=("stored", "windowed"))
     parser.add_argument("--trunc-eps", dest="trunc_eps", type=float)
     parser.add_argument("--verify", action="store_const", const=True, default=None,
@@ -112,7 +127,7 @@ def build_parser():
         help="time the projected residual evaluation against the classical path",
     )
     _add_common_options(p_bench)
-    _add_solve_options(p_bench)
+    _add_iteration_options(p_bench)
     p_bench.add_argument("--reps", type=int, help="timing repetitions (median)")
     return parser
 
@@ -310,25 +325,25 @@ def cmd_bench_residual(args, config):
     op = SparseOperator(a)
     beta2 = float(np.linalg.norm(c) ** 2)
     step = lanczos_step if opts.space == "standard" else extended_step
-    window, state = init_basis(op, c, space=opts.space, storage="windowed")
+    basis = init_basis(op, c, space=opts.space, storage="windowed")
     rows = []
     for it in range(1, opts.max_m + 1):
-        step(op, window, state)
-        if it % opts.check_period and not state.exhausted:
+        step(op, basis)
+        if it % opts.check_period and not basis.exhausted:
             continue
-        t = state.projected_matrix()
-        tau = state.coupling_upper()
+        t = basis.projected_matrix()
+        tau = basis.coupling_upper()
         fast, secs_fast = _median_timing(
-            lambda: ctri_lyapunov(t, state.gamma, tau, rhs_norm=beta2), reps
+            lambda: ctri_lyapunov(t, basis.gamma, tau, rhs_norm=beta2), reps
         )
         naive, secs_naive = _median_timing(
             lambda: naive_residual(
-                solve_reduced_lyapunov(t, state.gamma), tau
+                solve_reduced_lyapunov(t, basis.gamma), tau
             ), reps
         )
         gain = 100.0 * (secs_naive - secs_fast) / secs_naive if secs_naive else 0.0
-        rows.append((it, it * state.ell, fast.res, naive, secs_fast, secs_naive, gain))
-        if fast.relative <= opts.tol or state.exhausted:
+        rows.append((it, it * basis.ell, fast.res, naive, secs_fast, secs_naive, gain))
+        if fast.relative <= opts.tol or basis.exhausted:
             break
     path = os.path.join(out, "bench.csv")
     with open(path, "w") as fh:

@@ -162,29 +162,3 @@ def cholesky_transform(e, a):
         raise FactorizationError("mass matrix is not positive definite")
     return TransformedOperator(lower, a)
 
-
-def estimate_max_eigenvalue(op, iters=30, seed=0):
-    """Crude Lanczos estimate of the largest eigenvalue, as a definiteness
-    diagnostic for operators flagged negative definite."""
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(op.n)
-    q /= np.linalg.norm(q)
-    alphas, betas = [], []
-    q_prev = np.zeros_like(q)
-    beta = 0.0
-    for _ in range(min(iters, op.n)):
-        w = op.apply(q[:, None])[:, 0] - beta * q_prev
-        alpha = q @ w
-        w -= alpha * q
-        alphas.append(alpha)
-        beta = np.linalg.norm(w)
-        if beta == 0.0:
-            break
-        betas.append(beta)
-        q_prev, q = q, w / beta
-    if len(betas) == len(alphas):
-        betas = betas[:-1]
-    lam = scipy.linalg.eigh_tridiagonal(
-        np.array(alphas), np.array(betas), eigvals_only=True
-    )
-    return float(lam[-1])

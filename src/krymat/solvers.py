@@ -4,15 +4,18 @@ All three solvers run one loop that grows a block Krylov basis per large
 coefficient matrix and, every ``check_period`` iterations, evaluates the
 relative residual norm with the solver's cheap projected formula.  At
 convergence the solver factors its reduced solution once in diagonalized
-coordinates and maps it back through the basis.  With ``windowed`` storage
-the basis is never kept in memory: a second Lanczos pass regenerates it
-block by block while the solution factor accumulates.
+coordinates and maps it back through the basis, one workspace of blocks
+at a time.  The blocks come from the stored basis, or, with ``windowed``
+storage, where the basis is never kept in memory, from a second Lanczos
+pass that regenerates it block by block while the solution factor
+accumulates.
 """
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .basis import extended_step, init_basis, lanczos_step, mgs_twice
 from .errors import (
@@ -108,31 +111,42 @@ class LowRankSolution:
         return self.z1
 
 
-def _gram_residual_norm(pairs):
-    """Frobenius norm of sum_k U_k W_k^T computed from small Gram matrices."""
-    u = np.hstack([p[0] for p in pairs])
-    w = np.hstack([p[1] for p in pairs])
-    val = np.sum((u.T @ u) * (w.T @ w))
-    return float(np.sqrt(max(val, 0.0)))
+def _stacked_r(blocks):
+    """R factor of the QR of [blocks], an n x c matrix stacked once in
+    Fortran order (the transpose of a C-ordered c x n array) and factored in
+    place, so no second n x c copy is made."""
+    stacked = np.empty((sum(b.shape[1] for b in blocks), blocks[0].shape[0]))
+    np.concatenate([b.T for b in blocks], out=stacked)
+    _, r = scipy.linalg.qr(stacked.T, overwrite_a=True, mode="raw", check_finite=False)
+    return r
 
 
 def true_lyapunov_residual(op, z, c):
-    """||A Z Z^T + Z Z^T A + C C^T||_F without forming any n x n matrix."""
-    az = op.apply(z)
-    return _gram_residual_norm([(az, z), (z, az), (c, c)])
+    """||A Z Z^T + Z Z^T A + C C^T||_F without forming any n x n matrix.
+
+    The residual is U W^T with U = [AZ, Z, C] and W = [Z, AZ, C], which is U
+    with its first two column blocks swapped.  So with U = Q R its norm is
+    that of the small matrix R (R P)^T, P the swap, from one QR of U.
+    Unlike a sum over Gram matrices this does not cancel down to a floor
+    near sqrt(eps).
+    """
+    k = z.shape[1]
+    r = _stacked_r([op.apply(z), z, c])
+    r_w = np.hstack([r[:, k: 2 * k], r[:, :k], r[:, 2 * k:]])
+    return float(np.linalg.norm(r @ r_w.T))
 
 
 def true_sylvester_residual(op_a, z1, z2, c1, c2, apply_b):
-    """||A Z1 Z2^T + Z1 Z2^T B + C1 C2^T||_F via small Gram matrices."""
-    az1 = op_a.apply(z1)
-    bz2 = apply_b(z2)
-    return _gram_residual_norm([(az1, z2), (z1, bz2), (c1, c2)])
+    """||A Z1 Z2^T + Z1 Z2^T B + C1 C2^T||_F as ||R_U R_W^T||_F, from the QR
+    of U = [A Z1, Z1, C1] and of W = [Z2, B Z2, C2]."""
+    r_u = _stacked_r([op_a.apply(z1), z1, c1])
+    r_w = _stacked_r([z2, apply_b(z2), c2])
+    return float(np.linalg.norm(r_u @ r_w.T))
 
 
-def two_pass_recover(op, state, qy, window):
-    """Second Lanczos pass: regenerate the basis blocks and accumulate
-    Z = sum_i V_i (E_i^T Q Ycheck) incrementally, never holding more than the
-    three-block window.
+def _regenerated(op, basis):
+    """The first ``basis.n_t_blocks`` basis blocks again, from a second
+    Lanczos pass that starts at ``basis.v1``.
 
     The Gram-Schmidt coefficients are recomputed rather than substituted
     from the first pass: replaying the bare three-term recurrence with fixed
@@ -140,39 +154,23 @@ def two_pass_recover(op, state, qy, window):
     basis after a few hundred steps, while the recomputation is
     self-correcting and reproduces the first pass bit for bit on a
     deterministic operator.  The stored coefficients serve as the divergence
-    check instead: a mismatch beyond REPLAY_TOL signals a nondeterministic
-    operator.  Extended mode regenerates only the first half-blocks (one
-    multiplication by A each), reusing the retained second half-blocks so no
-    inverse-applies occur.
-
-    The regenerated blocks are copied into a workspace of n x (b ell)
-    columns, b = max(RECOVERY_COLUMNS // ell, 1) blocks (fewer when the
-    basis has fewer), which is added to Z by one matrix product whenever it
-    is full and once at the end.  Like Z, the workspace is recovery storage:
-    ``peak_basis_vectors`` counts the basis window only.
+    check instead, at every step: a mismatch beyond REPLAY_TOL signals a
+    nondeterministic operator.  Extended mode regenerates only the first
+    half-blocks (one multiplication by A each), reusing the retained second
+    half-blocks so no inverse-applies occur.
     """
-    s, ell = state.s, state.ell
-    standard = state.space == "standard"
-    halves = window.second_halves
-    if not standard and halves is None:
-        raise DimensionMismatchError(
-            "extended two-pass recovery needs the window with stored half-blocks"
-        )
-    v = economy_qr(state.rhs)[0] if standard else state.v1
-    per_flush = min(max(RECOVERY_COLUMNS // ell, 1), state.n_t_blocks)
-    buf = np.empty((v.shape[0], per_flush * ell))
-    buf[:, :ell] = v
-    used, first_row = ell, 0
-    z = np.zeros((v.shape[0], qy.shape[1]))
+    s = basis.s
+    v = basis.v1
+    yield v
     older = None
-    for i in range(2, state.n_t_blocks + 1):
+    for i in range(2, basis.n_t_blocks + 1):
         # first s columns of the joint orthogonalization (all of them in
         # standard mode): MGS acts per column, and the leading s columns of
         # the joint QR factor equal the QR of the first half-block alone
         w = op.apply(v[:, :s])
         w, _, _ = mgs_twice(w, older, v)
         v_new, r_hat = economy_qr(w)
-        stored = state.r_sub[i - 2][:s, :s]
+        stored = basis.r_sub[i - 2][:s, :s]
         scale = max(np.linalg.norm(stored), 1e-300)
         if np.linalg.norm(r_hat - stored) > REPLAY_TOL * scale:
             raise RecurrenceMismatchError(
@@ -180,23 +178,37 @@ def two_pass_recover(op, state, qy, window):
                 "the stored one at step %d; the operator looks nondeterministic"
                 % i
             )
-        if halves is not None:
-            v_new = np.hstack([v_new, halves[i - 1]])
+        if basis.second_halves is not None:
+            v_new = np.hstack([v_new, basis.second_halves[i - 1]])
+        yield v_new
+        older, v = v, v_new
+
+
+def two_pass_recover(op, basis, qy):
+    """The solution factor Z = V Q Ycheck = sum_i V_i (E_i^T Q Ycheck).
+
+    The blocks V_i come from ``basis.stored`` in stored mode and from a
+    second Lanczos pass in windowed mode, which never holds more than the
+    three-block window (see ``_regenerated``).  Either way they are copied
+    into one workspace of n x (b ell) columns, b = max(RECOVERY_COLUMNS //
+    ell, 1) blocks (fewer when the basis has fewer), which is added to Z by
+    one matrix product whenever it is full and once at the end, so no
+    n x (m ell) copy of the basis is made.  Like Z, the workspace is
+    recovery storage: ``peak_basis_vectors`` counts the basis window only.
+    """
+    ell, m = basis.ell, basis.n_t_blocks
+    blocks = basis.stored[:m] if basis.stored is not None else _regenerated(op, basis)
+    buf = np.empty((op.n, min(max(RECOVERY_COLUMNS // ell, 1), m) * ell))
+    z = np.zeros((op.n, qy.shape[1]))
+    used = first_row = 0
+    for block in blocks:
         if used == buf.shape[1]:
             z += buf @ qy[first_row: first_row + used]
             used, first_row = 0, first_row + used
-        buf[:, used: used + ell] = v_new
+        buf[:, used: used + ell] = block
         used += ell
-        older, v = v, v_new
     z += buf[:, :used] @ qy[first_row: first_row + used]
     return z
-
-
-def _recover_factor(op, window, state, qy):
-    """V Q Ycheck: from the stored blocks, or by a second pass when windowed."""
-    if window.stored is not None:
-        return np.concatenate(window.basis_blocks(state.n_t_blocks), axis=1) @ qy
-    return two_pass_recover(op, state, qy, window)
 
 
 def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
@@ -204,35 +216,35 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
     side) pair, each stepped until it alone becomes invariant.  Every
     ``check_period`` iterations, and once all are invariant, ``residual``
     gets the projection (T, gamma, tau) of each basis; at convergence
-    ``reduce`` gets each (window, state) pair and returns the truncated
-    factor, Z1 and Z2 (None for Lyapunov), and with ``opts.verify``
+    ``reduce`` gets each basis and returns the truncated factor, Z1 and Z2
+    (None for Lyapunov), and with ``opts.verify``
     ``true_residual(z1, z2)`` gives the verified relative residual.
     """
     step = lanczos_step if opts.space == "standard" else extended_step
     tic = time.perf_counter()
-    windows, states = zip(*[init_basis(op, c, space=opts.space, storage=opts.storage)
-                            for op, c in zip(ops, rhss)])
+    bases = [init_basis(op, c, space=opts.space, storage=opts.storage)
+             for op, c in zip(ops, rhss)]
     t_basis, t_res = time.perf_counter() - tic, 0.0
 
     history = []
     rv = None
     for it in range(1, opts.max_m + 1):
         tic = time.perf_counter()
-        for op, window, state in zip(ops, windows, states):
-            if not state.exhausted:
-                step(op, window, state)
+        for op, basis in zip(ops, bases):
+            if not basis.exhausted:
+                step(op, basis)
         t_basis += time.perf_counter() - tic
-        exhausted = all(state.exhausted for state in states)
+        exhausted = all(basis.exhausted for basis in bases)
         if it % opts.check_period == 0 or exhausted:
             tic = time.perf_counter()
-            rv = residual(*[(st.projected_matrix(), st.gamma, st.coupling_upper())
-                            for st in states])
+            rv = residual(*[(b.projected_matrix(), b.gamma, b.coupling_upper())
+                            for b in bases])
             t_res += time.perf_counter() - tic
-            history.append((it, it * states[0].ell, rv.relative, t_basis, t_res))
+            history.append((it, it * bases[0].ell, rv.relative, t_basis, t_res))
             if rv.relative <= opts.tol:
                 break
             if exhausted:
-                spaces = "both Krylov spaces" if len(states) > 1 else "the Krylov space"
+                spaces = "both Krylov spaces" if len(bases) > 1 else "the Krylov space"
                 raise ConvergenceError(
                     "%s became invariant at m=%d without meeting the tolerance "
                     "(residual %.3e)" % (spaces, it, rv.relative),
@@ -246,7 +258,7 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
         )
 
     tic = time.perf_counter()
-    fac, z1, z2 = reduce(*zip(windows, states))
+    fac, z1, z2 = reduce(*bases)
     t_rec = time.perf_counter() - tic
     verify = opts.verify and max(op.n for op in ops) <= VERIFY_LIMIT
     return LowRankSolution(
@@ -254,25 +266,25 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
         z2=z2,
         rank=fac.rank,
         iterations=it,
-        space_dim=it * states[0].ell,
+        space_dim=it * bases[0].ell,
         final_residual=rv.relative,
         history=history,
         basis_seconds=t_basis,
         residual_seconds=t_res,
         recovery_seconds=t_rec,
-        peak_basis_vectors=sum(window.peak_vectors for window in windows),
+        peak_basis_vectors=sum(basis.peak_vectors for basis in bases),
         truncation_discarded=fac.discarded_mass,
         verified_residual=true_residual(z1, z2) if verify else None,
     )
 
 
-def _diagonalize(state, message):
+def _diagonalize(basis, message):
     """Eigenpairs of the projected matrix, which must be negative definite,
     and gamma in its eigenbasis."""
-    lam, q = np.linalg.eigh(state.projected_matrix().to_dense())
+    lam, q = np.linalg.eigh(basis.projected_matrix().to_dense())
     if lam[-1] >= 0.0:
         raise IndefiniteMatrixError(message)
-    return lam, q, q[: state.gamma.shape[0], :].T @ state.gamma
+    return lam, q, q[: basis.gamma.shape[0], :].T @ basis.gamma
 
 
 def _sylvester_rhs(c1, c2):
@@ -300,12 +312,11 @@ def solve_lyapunov(op, c, options=None):
     beta2 = float(np.linalg.norm(c) ** 2)
 
     def reduce(basis):
-        win, st = basis
-        lam, q, u = _diagonalize(st, "projected matrix is not negative definite")
+        lam, q, u = _diagonalize(basis, "projected matrix is not negative definite")
         ytilde = -(u @ u.T) / guarded_denominators(lam, lam)
         ytilde = 0.5 * (ytilde + ytilde.T)
         fac = truncated_spd_factor(ytilde, opts.trunc_eps)
-        return fac, _recover_factor(op, win, st, q @ fac.factor), None
+        return fac, two_pass_recover(op, basis, q @ fac.factor), None
 
     return _galerkin(
         [op], [c], opts, lambda proj: ctri_lyapunov(*proj, rhs_norm=beta2), reduce,
@@ -328,14 +339,13 @@ def solve_sylvester_two_sided(op_a, op_b, c1, c2, options=None):
         return ctri_sylvester(t, j, gamma1, gamma2, tau, iota, rhs_norm=rhs_norm)
 
     def reduce(basis_a, basis_b):
-        (win_a, st_a), (win_b, st_b) = basis_a, basis_b
         message = "a projected matrix is not negative definite"
-        lam, q, u = _diagonalize(st_a, message)
-        ups, p, v = _diagonalize(st_b, message)
+        lam, q, u = _diagonalize(basis_a, message)
+        ups, p, v = _diagonalize(basis_b, message)
         ytilde = -(u @ v.T) / guarded_denominators(lam, ups)
         fac1, fac2 = truncated_svd_factor(ytilde, opts.trunc_eps)
-        z1 = _recover_factor(op_a, win_a, st_a, q @ fac1.factor)
-        return fac1, z1, _recover_factor(op_b, win_b, st_b, p @ fac2.factor)
+        z1 = two_pass_recover(op_a, basis_a, q @ fac1.factor)
+        return fac1, z1, two_pass_recover(op_b, basis_b, p @ fac2.factor)
 
     return _galerkin(
         [op_a, op_b], [c1, c2], opts, residual, reduce,
@@ -367,11 +377,10 @@ def solve_sylvester_one_sided(op_a, b, c1, c2, options=None):
         return residual_one_sided(t, tau, p_c2 @ gamma.T, ups, rhs_norm=rhs_norm)
 
     def reduce(basis):
-        win, st = basis
-        lam, q, u = _diagonalize(st, "projected matrix is not negative definite")
+        lam, q, u = _diagonalize(basis, "projected matrix is not negative definite")
         ytilde = -(u @ (c2.T @ p)) / guarded_denominators(lam, ups)
         fac1, fac2 = truncated_svd_factor(ytilde, opts.trunc_eps)
-        return fac1, _recover_factor(op_a, win, st, q @ fac1.factor), p @ fac2.factor
+        return fac1, two_pass_recover(op_a, basis, q @ fac1.factor), p @ fac2.factor
 
     return _galerkin(
         [op_a], [c1], opts, residual, reduce,

@@ -86,14 +86,14 @@ def test_criterion_2_end_to_end_residual_truth():
     recorded = dict((m, rel) for m, _, rel, _, _ in sol.history)
     beta2 = float(np.linalg.norm(c) ** 2)
     ad = a.toarray()
-    window, state = init_basis(op, c, storage="stored")
+    basis = init_basis(op, c, storage="stored")
     worst = 0.0
     for m in range(1, sol.iterations + 1):
-        lanczos_step(op, window, state)
+        lanczos_step(op, basis)
         if m not in recorded:
             continue
-        y = refined_reduced_lyapunov(state.projected_matrix(), state.gamma)
-        v = np.concatenate(window.basis_blocks(m), axis=1)
+        y = refined_reduced_lyapunov(basis.projected_matrix(), basis.gamma)
+        v = np.concatenate(basis.stored[:m], axis=1)
         truth = explicit_lyapunov_residual_ld(ad, v, y, c) / beta2
         worst = max(worst, abs(recorded[m] - truth) / truth)
     elapsed = time.perf_counter() - tic
@@ -199,26 +199,26 @@ def test_criterion_5_two_pass_equivalence_and_memory(s):
     op = SparseOperator(gen_fd2d("laplacian2d", 20))  # order 400
     c = gen_rhs(400, s, seed=1005 + s)
     m = 30
-    win_s, st_s = init_basis(op, c, storage="stored")
-    win_w, st_w = init_basis(op, c, storage="windowed")
+    stored = init_basis(op, c, storage="stored")
+    windowed = init_basis(op, c, storage="windowed")
     for _ in range(m):
-        lanczos_step(op, win_s, st_s)
-        lanczos_step(op, win_w, st_w)
-    lam, q = np.linalg.eigh(st_s.projected_matrix().to_dense())
-    u = q[:s, :].T @ st_s.gamma
+        lanczos_step(op, stored)
+        lanczos_step(op, windowed)
+    lam, q = np.linalg.eigh(stored.projected_matrix().to_dense())
+    u = q[:s, :].T @ stored.gamma
     ytilde = -(u @ u.T) / (lam[:, None] + lam[None, :])
     qy = q @ truncated_spd_factor(0.5 * (ytilde + ytilde.T)).factor
-    z_stored = np.concatenate(win_s.basis_blocks(m), axis=1) @ qy
-    z_two_pass = two_pass_recover(op, st_w, qy, win_w)
+    z_stored = np.concatenate(stored.stored[:m], axis=1) @ qy
+    z_two_pass = two_pass_recover(op, windowed, qy)
     rel = np.linalg.norm(z_two_pass - z_stored) / np.linalg.norm(z_stored)
     elapsed = time.perf_counter() - tic
     assert rel <= 1e-12, "factors differ by %.3e relative" % rel
-    assert win_w.peak_vectors == 3 * s, (
-        "peak basis vectors %d != 3s" % win_w.peak_vectors
+    assert windowed.peak_vectors == 3 * s, (
+        "peak basis vectors %d != 3s" % windowed.peak_vectors
     )
     assert elapsed < 30.0, "ran %.1f s" % elapsed
     _report(5, "s=%d: windowed == stored to %.2e, peak storage %d vectors"
-            % (s, rel, win_w.peak_vectors))
+            % (s, rel, windowed.peak_vectors))
 
 
 def test_criterion_6_desk_scale_convergence():

@@ -17,8 +17,8 @@ def _diag_op(values):
     return SparseOperator(sp.diags(values).tocsr())
 
 
-def _full_basis(window, m):
-    return np.concatenate(window.basis_blocks(m), axis=1)
+def _full_basis(basis, m):
+    return np.concatenate(basis.stored[:m], axis=1)
 
 
 def _mgs_twice_matmul(w, older, current):
@@ -53,18 +53,18 @@ class TestInitBasis:
         op = _diag_op([-1.0, -2, -3, -4, -5])
         c = np.zeros((5, 1))
         c[0] = 1.0
-        window, state = init_basis(op, c)
-        v1 = window.basis_blocks(1)[0]
+        basis = init_basis(op, c)
+        v1 = basis.stored[0]
         assert np.allclose(v1, c)
-        assert np.allclose(state.gamma, [[1.0]])
+        assert np.allclose(basis.gamma, [[1.0]])
 
     def test_gamma_is_column_norm(self):
         rng = np.random.default_rng(2)
         c = rng.standard_normal((8, 1))
         c /= np.linalg.norm(c)
         op = _diag_op(-np.arange(1.0, 9.0))
-        _, state = init_basis(op, c)
-        assert np.isclose(state.gamma[0, 0], 1.0)
+        basis = init_basis(op, c)
+        assert np.isclose(basis.gamma[0, 0], 1.0)
 
     def test_extended_collinear_start_is_breakdown(self):
         op = _diag_op([-1.0] * 5)
@@ -84,9 +84,9 @@ class TestLanczosStep:
     def test_hand_computed_first_diagonal_block(self):
         op = _diag_op([-1.0, -2.0])
         c = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-        window, state = init_basis(op, c)
-        lanczos_step(op, window, state)
-        assert np.allclose(state.projected_matrix().diag[0], [[-1.5]])
+        basis = init_basis(op, c)
+        lanczos_step(op, basis)
+        assert np.allclose(basis.projected_matrix().diag[0], [[-1.5]])
 
     def test_invariant_subspace_breakdown(self):
         # A c = -c: the first step finds the space invariant and finalizes
@@ -94,57 +94,57 @@ class TestLanczosStep:
         op = _diag_op([-1.0] * 4)
         c = np.zeros((4, 1))
         c[0] = 1.0
-        window, state = init_basis(op, c)
-        lanczos_step(op, window, state)
-        assert state.exhausted
-        assert np.array_equal(state.coupling_block(), np.zeros((1, 1)))
-        assert np.array_equal(state.projected_matrix().to_dense(), [[-1.0]])
+        basis = init_basis(op, c)
+        lanczos_step(op, basis)
+        assert basis.exhausted
+        assert np.array_equal(basis.coupling_block(), np.zeros((1, 1)))
+        assert np.array_equal(basis.projected_matrix().to_dense(), [[-1.0]])
         with pytest.raises(DeflationUnsupportedError):
-            lanczos_step(op, window, state)
+            lanczos_step(op, basis)
 
     @pytest.mark.parametrize("space", ["standard", "extended"])
     def test_projection_taken_earlier_does_not_grow(self, space):
         op = SparseOperator(laplacian1d(40))
         c = np.random.default_rng(11).standard_normal((40, 2))
         step = lanczos_step if space == "standard" else extended_step
-        window, state = init_basis(op, c, space=space)
+        basis = init_basis(op, c, space=space)
         for _ in range(3):
-            step(op, window, state)
-        t = state.projected_matrix()
+            step(op, basis)
+        t = basis.projected_matrix()
         before = t.to_dense().copy()
-        step(op, window, state)
+        step(op, basis)
         assert t.n_blocks == 3
         assert np.array_equal(t.to_dense(), before)
-        assert state.projected_matrix().n_blocks == 4
+        assert basis.projected_matrix().n_blocks == 4
 
     def test_projection_identity_stored_mode(self):
         # 1-D Laplacian of order 200, block width 2, ten steps
         op = SparseOperator(laplacian1d(200))
         rng = np.random.default_rng(4)
         c = rng.standard_normal((200, 2))
-        window, state = init_basis(op, c, storage="stored")
+        basis = init_basis(op, c, storage="stored")
         for _ in range(10):
-            lanczos_step(op, window, state)
-        m = state.n_t_blocks
-        v = _full_basis(window, m)
+            lanczos_step(op, basis)
+        m = basis.n_t_blocks
+        v = _full_basis(basis, m)
         assert np.linalg.norm(v.T @ v - np.eye(v.shape[1])) <= 1e-10
-        t = state.projected_matrix().to_dense()
+        t = basis.projected_matrix().to_dense()
         proj = v.T @ (op.apply(v))
         assert np.linalg.norm(proj - t) <= 1e-10 * np.linalg.norm(proj)
         assert np.linalg.eigvalsh(t)[-1] < 0.0
         # the coupling block continues the projection into the next block
-        v_next = window.stored[m]
-        coupling = v_next.T @ op.apply(window.stored[m - 1])
-        assert np.allclose(coupling, state.coupling_block(), atol=1e-10)
+        v_next = basis.stored[m]
+        coupling = v_next.T @ op.apply(basis.stored[m - 1])
+        assert np.allclose(coupling, basis.coupling_block(), atol=1e-10)
 
     def test_windowed_mode_peak_storage(self):
         op = SparseOperator(laplacian1d(100))
         rng = np.random.default_rng(5)
         c = rng.standard_normal((100, 3))
-        window, state = init_basis(op, c, storage="windowed")
+        basis = init_basis(op, c, storage="windowed")
         for _ in range(8):
-            lanczos_step(op, window, state)
-        assert window.peak_vectors == 3 * 3
+            lanczos_step(op, basis)
+        assert basis.peak_vectors == 3 * 3
 
     def test_determinism(self):
         op = SparseOperator(laplacian1d(50))
@@ -152,10 +152,10 @@ class TestLanczosStep:
         c = rng.standard_normal((50, 2))
         runs = []
         for _ in range(2):
-            window, state = init_basis(op, c.copy(), storage="stored")
+            basis = init_basis(op, c.copy(), storage="stored")
             for _ in range(6):
-                lanczos_step(op, window, state)
-            runs.append(np.concatenate(window.stored, axis=1))
+                lanczos_step(op, basis)
+            runs.append(np.concatenate(basis.stored, axis=1))
         assert np.array_equal(runs[0], runs[1])
 
 
@@ -164,11 +164,11 @@ class TestExtendedStep:
         op = _diag_op([-1.0, -2.0, -4.0, -8.0])
         rng = np.random.default_rng(2)
         c = rng.standard_normal((4, 1))
-        window, state = init_basis(op, c, space="extended", storage="stored")
-        extended_step(op, window, state)
-        v1 = window.stored[0]
+        basis = init_basis(op, c, space="extended", storage="stored")
+        extended_step(op, basis)
+        v1 = basis.stored[0]
         explicit = v1.T @ op.apply(v1)
-        assert np.allclose(state.projected_matrix().to_dense(), explicit, atol=1e-12)
+        assert np.allclose(basis.projected_matrix().to_dense(), explicit, atol=1e-12)
 
     def test_identity_direction_collision(self):
         op = _diag_op([-1.0] * 6)
@@ -182,56 +182,56 @@ class TestExtendedStep:
         op = SparseOperator(gen_fd2d("laplacian2d", 20))
         rng = np.random.default_rng(7)
         c = rng.standard_normal((400, 1))
-        window, state = init_basis(op, c, space="extended", storage="stored")
+        basis = init_basis(op, c, space="extended", storage="stored")
         for _ in range(5):
-            extended_step(op, window, state)
-        m = state.n_t_blocks
-        v = _full_basis(window, m)
-        t = state.projected_matrix().to_dense()
+            extended_step(op, basis)
+        m = basis.n_t_blocks
+        v = _full_basis(basis, m)
+        t = basis.projected_matrix().to_dense()
         proj = v.T @ op.apply(v)
         assert np.linalg.norm(proj - t) <= 1e-9 * np.linalg.norm(proj)
         # structural invariant: recovered couplings have zero lower part
-        assert state.structure_defect <= 1e-12
+        assert basis.structure_defect <= 1e-12
 
     def test_coupling_block_against_explicit(self):
         op = SparseOperator(laplacian1d(120))
         rng = np.random.default_rng(8)
         c = rng.standard_normal((120, 2))
-        window, state = init_basis(op, c, space="extended", storage="stored")
+        basis = init_basis(op, c, space="extended", storage="stored")
         for _ in range(4):
-            extended_step(op, window, state)
-        m = state.n_t_blocks
-        v_next = window.stored[m]
-        explicit = v_next.T @ op.apply(window.stored[m - 1])
-        assert np.allclose(explicit, state.coupling_block(), atol=1e-9)
+            extended_step(op, basis)
+        m = basis.n_t_blocks
+        v_next = basis.stored[m]
+        explicit = v_next.T @ op.apply(basis.stored[m - 1])
+        assert np.allclose(explicit, basis.coupling_block(), atol=1e-9)
         # the nonzero part is the upper s x 2s slice
-        assert np.allclose(state.coupling_block()[2:, :], 0.0)
-        assert np.allclose(state.coupling_upper(), state.coupling_block()[:2, :])
+        assert np.allclose(basis.coupling_block()[2:, :], 0.0)
+        assert np.allclose(basis.coupling_upper(), basis.coupling_block()[:2, :])
 
     def test_invariant_space_is_exhausted(self):
         # order 6 and block size 2: the third step spans the whole space
         op = SparseOperator(laplacian1d(6))
         c = np.random.default_rng(12).standard_normal((6, 1))
-        window, state = init_basis(op, c, space="extended", storage="stored")
+        basis = init_basis(op, c, space="extended", storage="stored")
         for _ in range(3):
-            extended_step(op, window, state)
-        assert state.exhausted
-        assert np.array_equal(state.coupling_block(), np.zeros((2, 2)))
-        v = _full_basis(window, 3)
+            extended_step(op, basis)
+        assert basis.exhausted
+        assert np.array_equal(basis.coupling_block(), np.zeros((2, 2)))
+        v = _full_basis(basis, 3)
         proj = v.T @ op.apply(v)
-        t = state.projected_matrix().to_dense()
+        t = basis.projected_matrix().to_dense()
         assert np.linalg.norm(proj - t) <= 1e-12 * np.linalg.norm(proj)
         with pytest.raises(DeflationUnsupportedError):
-            extended_step(op, window, state)
+            extended_step(op, basis)
 
     def test_local_orthogonality_windowed(self):
         op = SparseOperator(gen_fd2d("laplacian2d", 12))
         rng = np.random.default_rng(9)
         c = rng.standard_normal((144, 2))
-        window, state = init_basis(op, c, space="extended", storage="windowed")
+        basis = init_basis(op, c, space="extended", storage="windowed")
         for _ in range(5):
-            extended_step(op, window, state)
-        older, current = window.last_two()
+            extended_step(op, basis)
+        older, current = basis.last_two()
         gram = np.hstack([older, current])
         gram = gram.T @ gram
         assert np.linalg.norm(gram - np.eye(gram.shape[0])) <= 1e-10
@@ -241,8 +241,8 @@ def test_global_orthogonality_moderate_run():
     op = SparseOperator(gen_fd2d("laplacian2d", 16))
     rng = np.random.default_rng(10)
     c = rng.standard_normal((256, 2))
-    window, state = init_basis(op, c, storage="stored")
+    basis = init_basis(op, c, storage="stored")
     for _ in range(40):
-        lanczos_step(op, window, state)
-    v = _full_basis(window, 40)
+        lanczos_step(op, basis)
+    v = _full_basis(basis, 40)
     assert np.linalg.norm(v.T @ v - np.eye(80)) <= 1e-8

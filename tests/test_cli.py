@@ -177,9 +177,10 @@ class TestBenchResidual:
     (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--s", -1], None),
     (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--s", 0], None),
     (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--trunc-eps", -1], None),
+    (["solve-lyap"], "problem = laplacian2d\nn = 4\ntlo = 1e-3\nstorrage = windowed\n"),
 ], ids=["missing-matrix", "missing-config", "negative-tol", "zero-check-period",
         "non-integer-n", "unknown-space", "zero-n-solve", "zero-n-gen",
-        "negative-s", "zero-s", "negative-trunc-eps"])
+        "negative-s", "zero-s", "negative-trunc-eps", "misspelled-config-key"])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:
@@ -187,6 +188,22 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config)
         argv = argv + ["--config", "run.cfg"]
     assert run(argv + ["--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_key_of_another_command_is_accepted(tmp_path):
+    # one config file can serve several commands: solve-lyap ignores reps
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = laplacian2d\nn = 4\nreps = 5\none-sided = true\n")
+    assert run(["solve-lyap", "--config", cfg, "--out", tmp_path]) == 0
+
+
+@pytest.mark.parametrize("flag", [
+    ["--storage", "stored"], ["--trunc-eps", "5"], ["--verify"],
+], ids=["storage", "trunc-eps", "verify"])
+def test_bench_residual_has_no_solve_only_flags(tmp_path, flag):
+    with pytest.raises(SystemExit):
+        run(["bench-residual", "--problem", "laplacian2d", "--n", 4,
+             "--out", tmp_path] + flag)
 
 
 def test_zero_block_width_names_the_flag(tmp_path, capsys):

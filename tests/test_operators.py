@@ -10,7 +10,6 @@ from krymat import (
     cholesky_transform,
     validate_symmetric,
 )
-from krymat.operators import estimate_max_eigenvalue
 from krymat.problems import gen_fd2d, laplacian1d
 
 from conftest import random_sparse_negdef
@@ -136,9 +135,3 @@ class TestCholeskyTransform:
         assert np.allclose(op.untransform_factor(op._l.T @ c), c)
         assert np.allclose(op._l @ lc, c)
 
-
-def test_negative_definiteness_diagnostic():
-    rng = np.random.default_rng(11)
-    a = random_sparse_negdef(rng, 120)
-    op = SparseOperator(a)
-    assert estimate_max_eigenvalue(op) < 0.0

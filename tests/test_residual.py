@@ -228,14 +228,14 @@ def _projection(case):
         assert np.min(np.diff(lam) / np.abs(lam[1:])) < 1e-12
         return t, rng.standard_normal((s, s)), tau, s
     op = SparseOperator(gen_fd2d("fd2d-exp", 12))
-    window, state = init_basis(op, gen_rhs(144, s, seed=s), space="extended")
+    basis = init_basis(op, gen_rhs(144, s, seed=s), space="extended")
     # five steps keep the residual (~3e-5) well above the cancellation
     # floor of the dense reference
     for _ in range(5):
-        extended_step(op, window, state)
-    t = state.projected_matrix()
+        extended_step(op, basis)
+    t = basis.projected_matrix()
     assert t.block_size == 2 * s
-    return t, state.gamma, state.coupling_upper(), 2 * s
+    return t, basis.gamma, basis.coupling_upper(), 2 * s
 
 
 class TestBandedPath:

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from krymat import (
     ConvergenceError,
+    KrymatError,
     RecurrenceMismatchError,
     SolveOptions,
     SparseOperator,
@@ -47,23 +48,24 @@ class _DriftingOperator(SparseOperator):
 
 def _first_pass(op, c, space, storage, m):
     step = lanczos_step if space == "standard" else extended_step
-    window, state = init_basis(op, c, space=space, storage=storage)
+    basis = init_basis(op, c, space=space, storage=storage)
     for _ in range(m):
-        step(op, window, state)
-    return window, state
+        step(op, basis)
+    return basis
 
 
-def _stored_and_two_pass(op, c, space, m):
-    """Z after m steps from the stored basis and from a second pass, and
-    the window of the second."""
-    win_s, st_s = _first_pass(op, c, space, "stored", m)
-    win_w, st_w = _first_pass(op, c, space, "windowed", m)
-    lam, q = np.linalg.eigh(st_s.projected_matrix().to_dense())
-    u = q[:st_s.ell, :].T @ st_s.gamma
+def _stored_and_two_pass(op, c, space, m, storage="windowed"):
+    """V Q Ycheck after m steps as one product with the stored basis, Z
+    recovered by the library from a basis built with ``storage``, and that
+    basis."""
+    stored = _first_pass(op, c, space, "stored", m)
+    basis = _first_pass(op, c, space, storage, m)
+    lam, q = np.linalg.eigh(stored.projected_matrix().to_dense())
+    u = q[:stored.ell, :].T @ stored.gamma
     ytilde = -(u @ u.T) / (lam[:, None] + lam[None, :])
     qy = q @ truncated_spd_factor(0.5 * (ytilde + ytilde.T)).factor
-    z_stored = np.concatenate(win_s.basis_blocks(m), axis=1) @ qy
-    return z_stored, two_pass_recover(op, st_w, qy, win_w), win_w
+    z_stored = np.concatenate(stored.stored[:m], axis=1) @ qy
+    return z_stored, two_pass_recover(op, basis, qy), basis
 
 
 class TestSolveLyapunov:
@@ -99,27 +101,41 @@ class TestSolveLyapunov:
         c = gen_rhs(64, 1, seed=2)
         sol = solve_lyapunov(op, c, SolveOptions(tol=1e-7, max_m=64))
         ad = a.toarray()
-        window, state = init_basis(op, c, storage="stored")
+        basis = init_basis(op, c, storage="stored")
         recorded = dict((m, rel) for m, _, rel, _, _ in sol.history)
         beta2 = float(np.linalg.norm(c) ** 2)
         for m in range(1, sol.iterations + 1):
-            lanczos_step(op, window, state)
+            lanczos_step(op, basis)
             if m not in recorded:
                 continue
-            y = refined_reduced_lyapunov(state.projected_matrix(), state.gamma)
-            v = np.concatenate(window.basis_blocks(m), axis=1)
+            y = refined_reduced_lyapunov(basis.projected_matrix(), basis.gamma)
+            v = np.concatenate(basis.stored[:m], axis=1)
             truth = explicit_lyapunov_residual_ld(ad, v, y, c) / beta2
             assert abs(recorded[m] - truth) <= 1e-8 * truth
 
     def test_verify_flag_reports_true_residual(self):
-        # audit-grade agreement: the Gram-based check carries an absolute
-        # noise floor of about eps * ||A|| ||X||, so use a modest tolerance
+        # audit-grade agreement at a modest tolerance; the QR-based check
+        # also holds far below it (next test)
         op = SparseOperator(gen_fd2d("laplacian2d", 8))
         c = gen_rhs(64, 2, seed=3)
         sol = solve_lyapunov(op, c, SolveOptions(tol=1e-4, max_m=80, verify=True))
         assert sol.verified_residual is not None
         assert abs(sol.verified_residual - sol.final_residual) \
             <= 1e-4 * sol.final_residual + 1e-10
+
+    # the Gram-matrix form this replaced floored near sqrt(eps): at 1e-10
+    # and 1e-12 it read 0
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_verified_residual_matches_dense(self, tol):
+        a = gen_fd2d("fd2d-exp", 8)
+        c = gen_rhs(64, 2, seed=8)
+        sol = solve_lyapunov(SparseOperator(a), c,
+                             SolveOptions(tol=tol, max_m=64, verify=True))
+        al, zl, cl = (m.astype(np.longdouble) for m in (a.toarray(), sol.z, c))
+        x = zl @ zl.T
+        dense = float(np.linalg.norm(al @ x + x @ al + cl @ cl.T)) \
+            / np.linalg.norm(c) ** 2
+        assert abs(sol.verified_residual - dense) <= 1e-3 * dense
 
     def test_check_period_controls_history(self):
         op = SparseOperator(gen_fd2d("laplacian2d", 8))
@@ -167,20 +183,25 @@ class TestTwoPass:
     @pytest.mark.parametrize("s", [1, 3])
     def test_windowed_equals_stored_at_fixed_depth(self, s):
         op = SparseOperator(gen_fd2d("laplacian2d", 20))  # order 400
-        z_stored, z_two_pass, win_w = _stored_and_two_pass(
+        z_stored, z_two_pass, windowed = _stored_and_two_pass(
             op, gen_rhs(400, s, seed=10 + s), "standard", 20)
         rel = np.linalg.norm(z_two_pass - z_stored) / np.linalg.norm(z_stored)
         assert rel <= 1e-12
-        assert win_w.peak_vectors == 3 * s
+        assert windowed.peak_vectors == 3 * s
 
-    # m blocks fill the recovery workspace twice and end partway through it
-    @pytest.mark.parametrize("space, s, m", [("standard", 1, 70), ("extended", 2, 21)])
-    def test_windowed_equals_stored_across_flushes(self, space, s, m):
+    # m blocks fill the recovery workspace twice and end partway through it;
+    # both storages recover through that workspace
+    @pytest.mark.parametrize("storage, space, s, m", [
+        ("windowed", "standard", 1, 70), ("windowed", "extended", 2, 21),
+        ("stored", "standard", 1, 70), ("stored", "extended", 2, 21),
+    ], ids=["standard-1-70", "extended-2-21",
+            "stored-standard-1-70", "stored-extended-2-21"])
+    def test_windowed_equals_stored_across_flushes(self, storage, space, s, m):
         per_flush = RECOVERY_COLUMNS // (s if space == "standard" else 2 * s)
         assert 2 * per_flush < m < 3 * per_flush
         op = SparseOperator(gen_fd2d("fd2d-exp", 20))  # order 400
         z_stored, z_two_pass, _ = _stored_and_two_pass(
-            op, gen_rhs(400, s, seed=20 + s), space, m)
+            op, gen_rhs(400, s, seed=20 + s), space, m, storage)
         rel = np.linalg.norm(z_two_pass - z_stored) / np.linalg.norm(z_stored)
         assert rel <= 1e-12
 
@@ -191,13 +212,12 @@ class TestTwoPass:
     def test_replay_mismatch_inside_a_later_flush(self, space, s, m, drift_step):
         op = _DriftingOperator(gen_fd2d("fd2d-exp", 20))
         op.exact_calls = 10 ** 9
-        window, state = _first_pass(op, gen_rhs(400, s, seed=30 + s), space,
-                                    "windowed", m)
+        basis = _first_pass(op, gen_rhs(400, s, seed=30 + s), space, "windowed", m)
         # the second pass multiplies once per regenerated block, from step 2
         op.exact_calls = op.calls + drift_step - 2
-        qy = np.ones((state.n_t_blocks * state.ell, 1))
+        qy = np.ones((basis.n_t_blocks * basis.ell, 1))
         with pytest.raises(RecurrenceMismatchError, match="at step %d;" % drift_step):
-            two_pass_recover(op, state, qy, window)
+            two_pass_recover(op, basis, qy)
 
     def test_full_solve_windowed_matches_stored(self):
         op = SparseOperator(gen_fd2d("fd2d-exp", 10))
@@ -429,6 +449,13 @@ def test_truncation_changes_residual_within_bound():
     a_norm = np.abs(np.linalg.eigvalsh(a.toarray())).max()
     assert abs(exact_residual(tight.z) - exact_residual(loose.z)) \
         <= 2.0 * a_norm * x_diff + 1e-13
+
+
+def test_extended_space_needs_an_operator_that_solves():
+    # the congruence transform applies L^{-1} A L^{-T} but cannot solve with it
+    op = cholesky_transform(sp.identity(20, format="csr"), laplacian1d(20))
+    with pytest.raises(KrymatError, match="extended Krylov space needs solves"):
+        solve_lyapunov(op, gen_rhs(20, 1, seed=32), SolveOptions(space="extended"))
 
 
 def test_generalized_equation_via_cholesky_transform():

@@ -12,8 +12,8 @@ period in {1, 3} x max_m in {500, 4} (the last one ends in
 ConvergenceError), all with verify, plus 20 cases whose Krylov space
 becomes invariant.  Each line gives the iterations, rank, the repr of the
 final and verified residuals, SHA-256 digests of the factors and of the
-history (without its timing columns), or the type and message of the error
-raised.  BLAS runs on one thread so that sums are taken in a fixed order.
+history (without its timing columns) and the peak basis vectors, or the
+type and message of the error raised.  BLAS runs on one thread so that sums are taken in a fixed order.
 
 A change that moves rounding on purpose (another QR, a reordered sum) cannot
 give an empty diff; the digests and the last digits of the residuals move.
@@ -75,9 +75,9 @@ def _outcome(solve):
                                       _history_digest(exc.history))
     except KrymatError as exc:
         return "%s: %s" % (type(exc).__name__, exc)
-    return "it=%d rank=%d final=%r verified=%r z=%s history=%s" % (
+    return "it=%d rank=%d final=%r verified=%r z=%s history=%s peak=%d" % (
         sol.iterations, sol.rank, sol.final_residual, sol.verified_residual,
-        _digest(sol.z1, sol.z2), _history_digest(sol.history),
+        _digest(sol.z1, sol.z2), _history_digest(sol.history), sol.peak_basis_vectors,
     )
 
 
