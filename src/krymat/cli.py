@@ -92,7 +92,7 @@ def _add_solve_options(parser):
     parser.add_argument("--storage", choices=("stored", "windowed"))
     parser.add_argument("--trunc-eps", dest="trunc_eps", type=float)
     parser.add_argument("--verify", action="store_const", const=True, default=None,
-                        help="recompute the true residual at the end (small n)")
+                        help="recompute the true residual at the end")
 
 
 def build_parser():
@@ -132,17 +132,24 @@ def build_parser():
     return parser
 
 
-def _solve_options(args, config):
-    try:
-        return SolveOptions(
-            tol=_resolve(args, config, "tol", 1e-6, float),
-            max_m=_resolve(args, config, "max_m", 500, int),
-            check_period=_resolve(args, config, "check_period", 1, int),
-            space=_resolve(args, config, "space", "standard", str),
+def _solve_options(args, config, iteration_only=False):
+    """SolveOptions from flags and config.  With ``iteration_only`` (for
+    bench-residual) only tol, max_m, check_period and space are read, so a
+    shared config's storage, trunc_eps or verify cannot fail the command."""
+    fields = dict(
+        tol=_resolve(args, config, "tol", 1e-6, float),
+        max_m=_resolve(args, config, "max_m", 500, int),
+        check_period=_resolve(args, config, "check_period", 1, int),
+        space=_resolve(args, config, "space", "standard", str),
+    )
+    if not iteration_only:
+        fields.update(
             storage=_resolve(args, config, "storage", "stored", str),
             trunc_eps=_resolve(args, config, "trunc_eps", 1e-12, float),
             verify=_resolve(args, config, "verify", False, bool),
         )
+    try:
+        return SolveOptions(**fields)
     except ValueError as exc:
         raise KrymatError(str(exc)) from exc
 
@@ -318,7 +325,7 @@ def _median_timing(fun, reps):
 
 
 def cmd_bench_residual(args, config):
-    opts = _solve_options(args, config)
+    opts = _solve_options(args, config, iteration_only=True)
     reps = max(_resolve(args, config, "reps", 3, int), 3)
     a, _, c, _ = _problem_inputs(args, config)
     out = _outdir(args, config)

@@ -33,9 +33,6 @@ from .kernels import (
 )
 from .residual import ctri_lyapunov, ctri_sylvester, residual_one_sided
 
-#: Largest operator order for which --verify recomputes the true residual.
-VERIFY_LIMIT = 20000
-
 #: Tolerance for the two-pass check that regenerated coupling blocks match
 #: the stored ones.
 REPLAY_TOL = 1e-8
@@ -260,7 +257,6 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
     tic = time.perf_counter()
     fac, z1, z2 = reduce(*bases)
     t_rec = time.perf_counter() - tic
-    verify = opts.verify and max(op.n for op in ops) <= VERIFY_LIMIT
     return LowRankSolution(
         z1=z1,
         z2=z2,
@@ -274,7 +270,7 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
         recovery_seconds=t_rec,
         peak_basis_vectors=sum(basis.peak_vectors for basis in bases),
         truncation_discarded=fac.discarded_mass,
-        verified_residual=true_residual(z1, z2) if verify else None,
+        verified_residual=true_residual(z1, z2) if opts.verify else None,
     )
 
 

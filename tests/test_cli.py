@@ -178,9 +178,13 @@ class TestBenchResidual:
     (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--s", 0], None),
     (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--trunc-eps", -1], None),
     (["solve-lyap"], "problem = laplacian2d\nn = 4\ntlo = 1e-3\nstorrage = windowed\n"),
+    (["bench-residual", "--problem", "laplacian2d", "--n", 4, "--tol", 0], None),
+    (["bench-residual"], "problem = laplacian2d\nn = 4\ncheck-period = 0\n"),
+    (["bench-residual"], "problem = laplacian2d\nn = 4\nspace = krylov\n"),
 ], ids=["missing-matrix", "missing-config", "negative-tol", "zero-check-period",
         "non-integer-n", "unknown-space", "zero-n-solve", "zero-n-gen",
-        "negative-s", "zero-s", "negative-trunc-eps", "misspelled-config-key"])
+        "negative-s", "zero-s", "negative-trunc-eps", "misspelled-config-key",
+        "bench-zero-tol", "bench-zero-check-period", "bench-unknown-space"])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:
@@ -195,6 +199,16 @@ def test_config_key_of_another_command_is_accepted(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = laplacian2d\nn = 4\nreps = 5\none-sided = true\n")
     assert run(["solve-lyap", "--config", cfg, "--out", tmp_path]) == 0
+
+
+def test_bench_residual_ignores_solve_only_config_values(tmp_path):
+    # a config shared with solve-lyap: bench-residual reads neither storage,
+    # trunc-eps nor verify, so values that solve-lyap rejects cannot fail it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = laplacian2d\nn = 4\nmax-m = 3\n"
+                   "trunc-eps = -1\nstorage = bogus\nverify = yes\n")
+    assert run(["bench-residual", "--config", cfg, "--out", tmp_path]) == 0
+    assert run(["solve-lyap", "--config", cfg, "--out", tmp_path]) == 1
 
 
 @pytest.mark.parametrize("flag", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from krymat import (
     AsymmetricMatrixError,
@@ -91,8 +92,38 @@ class TestBlockSolve:
 
     def test_singular_matrix_errors_at_factorization(self):
         singular = sp.csr_matrix((3, 3))
-        with pytest.raises(FactorizationError):
+        with pytest.raises(FactorizationError) as err:
             SparseFactorization(singular)
+        assert isinstance(err.value.__cause__, RuntimeError)
+
+
+def _indefinite_zero_diagonal(k, seed):
+    """The symmetric saddle matrix [[0, B], [B^T, 0]]: indefinite, and every
+    diagonal entry is zero, so the factorization must pivot off the diagonal."""
+    b = sp.random(k, k, density=0.2, random_state=seed) + sp.eye(k)
+    return sp.bmat([[None, b], [b.T, None]]).tocsr()
+
+
+class TestSymmetricOrdering:
+    @pytest.mark.parametrize("make", [
+        lambda: gen_fd2d("fd2d-exp", 64),
+        lambda: _indefinite_zero_diagonal(40, 1),
+    ], ids=["fd2d-exp-64", "indefinite-zero-diagonal"])
+    def test_solves_to_roundoff(self, make):
+        a = make()
+        assert a.shape[0] > 1 and (a - a.T).nnz == 0
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal((a.shape[0], 3))
+        y = SparseFactorization(a).solve(v)
+        assert np.linalg.norm(a @ y - v) <= 1e-12 * np.linalg.norm(v)
+
+    def test_fill_well_below_default_column_ordering(self):
+        # pins the symmetric minimum-degree ordering, not a timing: on this
+        # grid the ratio is about 0.57
+        a = gen_fd2d("fd2d-exp", 64)
+        lu = SparseFactorization(a)._lu
+        default = spla.splu(sp.csc_matrix(a))
+        assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
 
 
 class TestCholeskyTransform:

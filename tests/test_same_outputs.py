@@ -1,0 +1,56 @@
+import importlib.util
+import os
+from unittest import mock
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "same_outputs.py")
+_spec = importlib.util.spec_from_file_location("same_outputs", _PATH)
+same_outputs = importlib.util.module_from_spec(_spec)
+with mock.patch.dict(os.environ):  # the script pins BLAS threads at import
+    _spec.loader.exec_module(same_outputs)
+
+SOLVED = "it=9 rank=10 final=%r verified=1.9e-09 z=%s history=%s peak=18"
+RAISED = ("ConvergenceError: no convergence to 1.0e-08 within 4 iterations "
+          "(last residual %s) history=%s")
+
+
+def _check(before, after):
+    return same_outputs.compare([("case", before)], [("case", after)])
+
+
+@pytest.mark.parametrize("before, after", [
+    (SOLVED % (1.8555475608243611e-09, "aa", "bb"),
+     SOLVED % (1.855547419462588e-09, "cc", "dd")),
+    (SOLVED % (3e-16, "aa", "bb"), SOLVED % (9e-16, "aa", "bb")),
+    (RAISED % ("1.464e-03", "aa"), RAISED % ("1.464e-03", "bb")),
+    ("IndefiniteMatrixError: T is indefinite", "IndefiniteMatrixError: T is indefinite"),
+], ids=["rounding", "both-below-floor", "history-digest", "same-error"])
+def test_compare_accepts(before, after):
+    broken, _ = _check(before, after)
+    assert broken == []
+
+
+@pytest.mark.parametrize("before, after", [
+    (SOLVED % (1e-9, "aa", "bb"), SOLVED % (1.002e-9, "aa", "bb")),
+    (SOLVED % (1e-9, "aa", "bb"), SOLVED.replace("rank=10", "rank=11") % (1e-9, "aa", "bb")),
+    (SOLVED % (0.0, "aa", "bb"), SOLVED % (2e-15, "aa", "bb")),
+    (RAISED % ("1.464e-03", "aa"), RAISED % ("1.465e-03", "aa")),
+    (SOLVED % (1e-9, "aa", "bb"), RAISED % ("1.464e-03", "aa")),
+], ids=["final-moved", "rank-moved", "zero-to-nonzero", "error-message", "solved-to-error"])
+def test_compare_rejects(before, after):
+    broken, _ = _check(before, after)
+    assert len(broken) == 1
+
+
+def test_compare_rejects_different_case_lists():
+    broken, _ = same_outputs.compare([("a", "x")], [("b", "x")])
+    assert broken
+
+
+def test_compare_mode_exit_code(tmp_path):
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("case | %s\n" % (SOLVED % (1e-9, "aa", "bb")))
+    new.write_text("case | %s\n" % (SOLVED % (1.1e-9, "aa", "bb")))
+    assert same_outputs.main(["--compare", str(old), str(old)]) == 0
+    assert same_outputs.main(["--compare", str(old), str(new)]) == 1

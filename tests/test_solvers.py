@@ -123,6 +123,16 @@ class TestSolveLyapunov:
         assert abs(sol.verified_residual - sol.final_residual) \
             <= 1e-4 * sol.final_residual + 1e-10
 
+    def test_verify_holds_above_order_20000(self):
+        # the QR form's memory is linear in n, so no order is left unverified
+        n = 20001
+        op = SparseOperator(-sp.diags(np.linspace(1.0, 2.0, n)).tocsr())
+        c = gen_rhs(n, 1, seed=5)
+        sol = solve_lyapunov(op, c, SolveOptions(tol=1e-8, max_m=40, verify=True))
+        assert sol.verified_residual is not None
+        assert abs(sol.verified_residual - sol.final_residual) \
+            <= 1e-3 * sol.final_residual
+
     # the Gram-matrix form this replaced floored near sqrt(eps): at 1e-10
     # and 1e-12 it read 0
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])

@@ -22,11 +22,17 @@ cases the iterations, the rank and, where a case raises, the error type and
 message must be equal, and the final residual may differ by at most 1e-3
 relative to the old value, except where both values are below 1e-15, which
 is roundoff of an exact projection.  The digests and the verified residual
-are not compared.
+are not compared.  ``--compare`` applies that rule, prints each case that
+breaks it and the largest relative change of a final residual, and exits 1
+on a violation:
+
+    python tools/same_outputs.py --compare old.txt new.txt
 """
 
+import argparse
 import hashlib
 import os
+import sys
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -149,10 +155,71 @@ def invariant_cases():
         yield "%s %s %s" % (name, space, storage), solve, opts
 
 
-def main():
+#: Largest relative change of a final residual that ``--compare`` accepts,
+#: and the level below which both values count as roundoff of an exact
+#: projection.
+FINAL_RTOL = 1e-3
+FINAL_FLOOR = 1e-15
+
+
+def _read_outcomes(path):
+    """(case name, outcome) per line of a file this script printed."""
+    with open(path) as fh:
+        return [tuple(line.rstrip("\n").split(" | ", 1)) for line in fh if line.strip()]
+
+
+def _solved(outcome):
+    """(iterations, rank, final residual) of a solved case, None for an error."""
+    if not outcome.startswith("it="):
+        return None
+    fields = dict(item.split("=", 1) for item in outcome.split())
+    return int(fields["it"]), int(fields["rank"]), float(fields["final"])
+
+
+def compare(old, new):
+    """Cases of ``new`` that break the line-by-line rule against ``old``
+    (lists of (name, outcome)), and the largest relative change of a final
+    residual that the rule compares."""
+    if [name for name, _ in old] != [name for name, _ in new]:
+        return ["the two files do not list the same cases in the same order"], 0.0
+    broken, worst = [], 0.0
+    for (name, before), (_, after) in zip(old, new):
+        a, b = _solved(before), _solved(after)
+        if a is None or b is None:
+            # error type and message; a ConvergenceError's history digest moves
+            if a is not None or b is not None or \
+                    before.split(" history=")[0] != after.split(" history=")[0]:
+                broken.append("%s: %s -> %s" % (name, before, after))
+            continue
+        if a[:2] != b[:2]:
+            broken.append("%s: it, rank %s -> %s" % (name, a[:2], b[:2]))
+            continue
+        if max(a[2], b[2]) < FINAL_FLOOR:
+            continue
+        change = abs(b[2] - a[2]) / a[2] if a[2] else float("inf")
+        worst = max(worst, change)
+        if change > FINAL_RTOL:
+            broken.append("%s: final %r -> %r" % (name, a[2], b[2]))
+    return broken, worst
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="check two outputs of this script line by line")
+    args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (_read_outcomes(path) for path in args.compare)
+        broken, worst = compare(old, new)
+        for line in broken:
+            print(line)
+        print("%d of %d cases break the rule; largest final-residual change %.2g"
+              % (len(broken), len(new), worst))
+        return 1 if broken else 0
     for name, solve, opts in list(grid_cases()) + list(invariant_cases()):
         print("%s | %s" % (name, _outcome(lambda: solve(opts))))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
