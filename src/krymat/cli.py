@@ -54,14 +54,19 @@ def _read_config(path):
     return values
 
 
+def _flag(raw):
+    """A boolean config value: 1/0, true/false, yes/no or on/off, in any case."""
+    if raw.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError("expected 1/0, true/false, yes/no or on/off")
+    return raw.lower() in ("1", "true", "yes", "on")
+
+
 def _resolve(args, config, key, default, cast):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
     if key in config:
         raw = config[key]
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         try:
             return cast(raw)
         except ValueError as exc:
@@ -146,7 +151,7 @@ def _solve_options(args, config, iteration_only=False):
         fields.update(
             storage=_resolve(args, config, "storage", "stored", str),
             trunc_eps=_resolve(args, config, "trunc_eps", 1e-12, float),
-            verify=_resolve(args, config, "verify", False, bool),
+            verify=_resolve(args, config, "verify", False, _flag),
         )
     try:
         return SolveOptions(**fields)
@@ -301,7 +306,7 @@ def cmd_solve_sylv(args, config):
     a, b, c1, c2 = _problem_inputs(args, config, need_pair=True)
     if c2 is None:
         raise KrymatError("solve-sylv needs C2 (file or generated)")
-    one_sided = _resolve(args, config, "one_sided", None, bool)
+    one_sided = _resolve(args, config, "one_sided", None, _flag)
     if one_sided is None:
         one_sided = b.shape[0] <= 1000 and b.shape[0] < a.shape[0]
     out = _outdir(args, config)

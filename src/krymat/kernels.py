@@ -1,9 +1,9 @@
 """Dense small-matrix kernels.
 
 Everything here operates on the projected (small) matrices of the outer
-iteration: economy QR, the partial eigendecomposition (eigenvalues plus the
-first/last block row of the eigenvectors) of symmetric block tridiagonal
-matrices, tridiagonal eigensolution, and truncated low-rank factorizations.
+iteration: economy QR, the eigendecomposition of symmetric block
+tridiagonal matrices that the residual check and the solution factor share,
+tridiagonal eigensolution, and truncated low-rank factorizations.
 """
 
 from dataclasses import dataclass
@@ -94,12 +94,20 @@ class BlockTridiagonal:
 
 @dataclass
 class PartialSpectral:
-    """Eigenvalues of a block tridiagonal matrix plus the first and last
-    ``block_size`` rows of its (orthogonal) eigenvector matrix."""
+    """Eigenvalues and orthogonal eigenvectors of a block tridiagonal matrix;
+    the residual formula reads only their first and last block rows."""
 
     eigenvalues: np.ndarray
-    first_rows: np.ndarray
-    last_rows: np.ndarray
+    eigenvectors: np.ndarray
+    block_size: int
+
+    @property
+    def first_rows(self):
+        return self.eigenvectors[: self.block_size]
+
+    @property
+    def last_rows(self):
+        return self.eigenvectors[-self.block_size:]
 
 
 @dataclass
@@ -280,14 +288,14 @@ def _fix_signs(g):
 
 
 def partial_eig_blocktridiag(t):
-    """Eigenvalues of a block tridiagonal matrix together with the first and
-    last ``block_size`` rows of its (sign-fixed) eigenvector matrix.
+    """Eigenvalues and sign-fixed eigenvectors of a block tridiagonal matrix.
 
     The matrix goes in LAPACK lower band storage.  At effective bandwidth 1
     it is tridiagonal already and goes to the tridiagonal eigensolver (MRRR,
     O(k^2)); wider bands go to one symmetric banded eigensolve (``dsbevd``,
-    O(k^3) with a small constant).  Of the eigenvectors only the first and
-    last block rows are kept.
+    O(k^3) with a small constant).  Both form every eigenvector: the check
+    reads the first and last block rows, and at convergence the solvers map
+    the reduced solution back through all of them, with no second eigensolve.
     """
     bw = _effective_bandwidth(t)
     a = t.to_dense()
@@ -302,8 +310,7 @@ def partial_eig_blocktridiag(t):
         except np.linalg.LinAlgError as exc:
             raise FactorizationError("banded eigensolver did not converge") from exc
         _fix_signs(q)
-    ell = t.block_size
-    return PartialSpectral(lam, q[:ell], q[-ell:])
+    return PartialSpectral(lam, q, t.block_size)
 
 
 def truncated_spd_factor(y, eps=TRUNC_EPS):

@@ -1,11 +1,11 @@
 """Residual norms from projected data alone.
 
-The Frobenius norm of the residual matrix is evaluated from the partial
+The Frobenius norm of the residual matrix is evaluated from the
 eigendecomposition of the projected block tridiagonal matrix, without
 solving the reduced equation.  For s = 1 the projection is tridiagonal and
-the evaluation costs O(k^2); for s >= 2 the banded eigensolve still forms
-every eigenvector, which is O(k^3) with a small constant, although only the
-first and last block rows are read.  Writing T = Q diag(lam) Q^T and
+the evaluation costs O(k^2); for s >= 2 the banded eigensolve forms every
+eigenvector, which is O(k^3) with a small constant, although the formula
+reads only the first and last block rows.  Writing T = Q diag(lam) Q^T and
 splitting the reduced solution along eigencomponents, each row of the
 relevant product picks up a diagonal scaling 1/(lam_i + lam_j), applied as
 an elementwise division, never a matrix inverse.
@@ -18,7 +18,9 @@ For the Lyapunov equation the norm is
 which needs only the first and last block row of Q.  The Sylvester variants
 replace S by the mixed product of the two eigenbases and sum one term per
 side (no factor 2); the one-sided variant runs over the eigenvalues of the
-small coefficient matrix instead.
+small coefficient matrix instead.  The rows e_i^T S D_i^{-1} form -Ytilde,
+the reduced solution in eigen coordinates; each check returns it with Q, and
+the solvers factor the converged check's copy with no further eigensolve.
 """
 
 from dataclasses import dataclass
@@ -30,14 +32,25 @@ from .kernels import guarded_denominators, partial_eig_blocktridiag
 
 @dataclass
 class ResidualValue:
-    """Absolute residual norm and its normalized value.
+    """Absolute residual norm, its normalized value and the check's eigen-data.
 
     For Lyapunov problems the normalization is beta^2 = ||C||_F^2; Sylvester
-    problems use ||C1||_F * ||C2||_F.
+    problems use ||C1||_F * ||C2||_F.  ``spectra`` holds the PartialSpectral
+    of T (and of J, two-sided); ``neg_ytilde`` is -Ytilde, the reduced
+    solution in eigen coordinates (transposed one-sided: rows over B's).
     """
 
     res: float
     relative: float
+    spectra: tuple
+    neg_ytilde: np.ndarray
+
+
+def _eigen_side(t, gamma, tau_next):
+    """The PartialSpectral of a projected matrix T, Q1^T gamma and Qm^T tau^T."""
+    spectral = partial_eig_blocktridiag(t)
+    tau = np.atleast_2d(np.asarray(tau_next, dtype=float))
+    return spectral, spectral.first_rows.T @ gamma, spectral.last_rows.T @ tau.T
 
 
 def ctri_lyapunov(t, gamma, tau_next, rhs_norm=None):
@@ -50,16 +63,12 @@ def ctri_lyapunov(t, gamma, tau_next, rhs_norm=None):
     beta^2, which defaults to ||gamma||_F^2 = ||C||_F^2.
     """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
-    tau = np.atleast_2d(np.asarray(tau_next, dtype=float))
-    spectral = partial_eig_blocktridiag(t)
+    spectral, u, w = _eigen_side(t, gamma, tau_next)
     lam = spectral.eigenvalues
-    denom = guarded_denominators(lam, lam)
-    u = spectral.first_rows.T @ gamma
-    w = spectral.last_rows.T @ tau.T
-    m = ((u @ u.T) / denom) @ w
-    res = float(np.sqrt(2.0) * np.linalg.norm(m))
+    neg_ytilde = (u @ u.T) / guarded_denominators(lam, lam)
+    res = float(np.sqrt(2.0) * np.linalg.norm(neg_ytilde @ w))
     beta2 = float(rhs_norm) if rhs_norm is not None else float(np.sum(gamma * gamma))
-    return ResidualValue(res, res / beta2)
+    return ResidualValue(res, res / beta2, (spectral,), neg_ytilde)
 
 
 def ctri_sylvester(t, j, gamma1, gamma2, tau_next, iota_next, rhs_norm=None):
@@ -70,21 +79,14 @@ def ctri_sylvester(t, j, gamma1, gamma2, tau_next, iota_next, rhs_norm=None):
     """
     gamma1 = np.atleast_2d(np.asarray(gamma1, dtype=float))
     gamma2 = np.atleast_2d(np.asarray(gamma2, dtype=float))
-    tau = np.atleast_2d(np.asarray(tau_next, dtype=float))
-    iota = np.atleast_2d(np.asarray(iota_next, dtype=float))
-    spectral_t = partial_eig_blocktridiag(t)
-    spectral_j = partial_eig_blocktridiag(j)
+    spectral_t, u, f = _eigen_side(t, gamma1, tau_next)
+    spectral_j, v, g = _eigen_side(j, gamma2, iota_next)
     lam, ups = spectral_t.eigenvalues, spectral_j.eigenvalues
-    denom = guarded_denominators(lam, ups)
-    u = spectral_t.first_rows.T @ gamma1
-    v = spectral_j.first_rows.T @ gamma2
-    f = spectral_t.last_rows.T @ tau.T
-    g = spectral_j.last_rows.T @ iota.T
-    sd = (u @ v.T) / denom
+    sd = (u @ v.T) / guarded_denominators(lam, ups)
     res = float(np.sqrt(np.linalg.norm(sd.T @ f) ** 2 + np.linalg.norm(sd @ g) ** 2))
     if rhs_norm is None:
         rhs_norm = np.linalg.norm(gamma1) * np.linalg.norm(gamma2)
-    return ResidualValue(res, res / float(rhs_norm))
+    return ResidualValue(res, res / float(rhs_norm), (spectral_t, spectral_j), sd)
 
 
 def residual_one_sided(t, tau_next, s_input, upsilon, rhs_norm=None):
@@ -93,15 +95,10 @@ def residual_one_sided(t, tau_next, s_input, upsilon, rhs_norm=None):
     ``s_input`` is P^T C2 g1^T (eigenvectors of B against the right-hand
     side) and ``upsilon`` the eigenvalues of B, both computed once per solve.
     """
-    tau = np.atleast_2d(np.asarray(tau_next, dtype=float))
     s_input = np.asarray(s_input, dtype=float)
     upsilon = np.asarray(upsilon, dtype=float)
-    spectral = partial_eig_blocktridiag(t)
-    lam = spectral.eigenvalues
-    denom = guarded_denominators(upsilon, lam)
-    s = s_input @ spectral.first_rows
-    w = spectral.last_rows.T @ tau.T
-    m = (s / denom) @ w
-    res = float(np.linalg.norm(m))
+    spectral, u, w = _eigen_side(t, s_input.T, tau_next)
+    neg_ytilde_t = u.T / guarded_denominators(upsilon, spectral.eigenvalues)
+    res = float(np.linalg.norm(neg_ytilde_t @ w))
     relative = res / float(rhs_norm) if rhs_norm is not None else res
-    return ResidualValue(res, relative)
+    return ResidualValue(res, relative, (spectral,), neg_ytilde_t)

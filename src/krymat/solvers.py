@@ -2,13 +2,13 @@
 
 All three solvers run one loop that grows a block Krylov basis per large
 coefficient matrix and, every ``check_period`` iterations, evaluates the
-relative residual norm with the solver's cheap projected formula.  At
-convergence the solver factors its reduced solution once in diagonalized
-coordinates and maps it back through the basis, one workspace of blocks
-at a time.  The blocks come from the stored basis, or, with ``windowed``
-storage, where the basis is never kept in memory, from a second Lanczos
-pass that regenerates it block by block while the solution factor
-accumulates.
+relative residual norm with the solver's cheap projected formula, which
+forms the reduced solution in eigen coordinates.  At convergence the solver
+truncates that check's copy, with no further eigensolve, and maps it back
+through the basis, one workspace of blocks at a time.  The blocks come from
+the stored basis, or, with ``windowed`` storage, where the basis is never
+kept in memory, from a second Lanczos pass that regenerates it block by
+block while the solution factor accumulates.
 """
 
 import time
@@ -24,13 +24,8 @@ from .errors import (
     IndefiniteMatrixError,
     RecurrenceMismatchError,
 )
-from .kernels import (
-    TRUNC_EPS,
-    economy_qr,
-    guarded_denominators,
-    truncated_spd_factor,
-    truncated_svd_factor,
-)
+from .kernels import TRUNC_EPS, economy_qr, truncated_spd_factor, truncated_svd_factor
+from .operators import validate_symmetric
 from .residual import ctri_lyapunov, ctri_sylvester, residual_one_sided
 
 #: Tolerance for the two-pass check that regenerated coupling blocks match
@@ -70,6 +65,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if self.max_m < 1:
+            raise ValueError("max_m must be >= 1")
         if self.check_period < 1:
             raise ValueError("check_period must be >= 1")
         if self.trunc_eps < 0.0:
@@ -213,8 +210,8 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
     side) pair, each stepped until it alone becomes invariant.  Every
     ``check_period`` iterations, and once all are invariant, ``residual``
     gets the projection (T, gamma, tau) of each basis; at convergence
-    ``reduce`` gets each basis and returns the truncated factor, Z1 and Z2
-    (None for Lyapunov), and with ``opts.verify``
+    ``reduce`` gets that check's ResidualValue and each basis and returns the
+    truncated factor, Z1 and Z2 (None for Lyapunov), and with ``opts.verify``
     ``true_residual(z1, z2)`` gives the verified relative residual.
     """
     step = lanczos_step if opts.space == "standard" else extended_step
@@ -234,6 +231,7 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
         exhausted = all(basis.exhausted for basis in bases)
         if it % opts.check_period == 0 or exhausted:
             tic = time.perf_counter()
+            rv = None  # frees the last check's k x k eigen-data before the next
             rv = residual(*[(b.projected_matrix(), b.gamma, b.coupling_upper())
                             for b in bases])
             t_res += time.perf_counter() - tic
@@ -255,7 +253,7 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
         )
 
     tic = time.perf_counter()
-    fac, z1, z2 = reduce(*bases)
+    fac, z1, z2 = reduce(rv, *bases)
     t_rec = time.perf_counter() - tic
     return LowRankSolution(
         z1=z1,
@@ -274,13 +272,11 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
     )
 
 
-def _diagonalize(basis, message):
-    """Eigenpairs of the projected matrix, which must be negative definite,
-    and gamma in its eigenbasis."""
-    lam, q = np.linalg.eigh(basis.projected_matrix().to_dense())
-    if lam[-1] >= 0.0:
+def _eigenvectors(rv, message="projected matrix is not negative definite"):
+    """Eigenvectors of the converged check's (negative definite) projections."""
+    if any(spectral.eigenvalues[-1] >= 0.0 for spectral in rv.spectra):
         raise IndefiniteMatrixError(message)
-    return lam, q, q[: basis.gamma.shape[0], :].T @ basis.gamma
+    return [spectral.eigenvectors for spectral in rv.spectra]
 
 
 def _sylvester_rhs(c1, c2):
@@ -307,11 +303,10 @@ def solve_lyapunov(op, c, options=None):
     c = np.atleast_2d(np.asarray(c, dtype=float))
     beta2 = float(np.linalg.norm(c) ** 2)
 
-    def reduce(basis):
-        lam, q, u = _diagonalize(basis, "projected matrix is not negative definite")
-        ytilde = -(u @ u.T) / guarded_denominators(lam, lam)
-        ytilde = 0.5 * (ytilde + ytilde.T)
-        fac = truncated_spd_factor(ytilde, opts.trunc_eps)
+    def reduce(rv, basis):
+        (q,) = _eigenvectors(rv)
+        y = rv.neg_ytilde
+        fac = truncated_spd_factor(-0.5 * (y + y.T), opts.trunc_eps)
         return fac, two_pass_recover(op, basis, q @ fac.factor), None
 
     return _galerkin(
@@ -334,12 +329,9 @@ def solve_sylvester_two_sided(op_a, op_b, c1, c2, options=None):
         (t, gamma1, tau), (j, gamma2, iota) = proj_a, proj_b
         return ctri_sylvester(t, j, gamma1, gamma2, tau, iota, rhs_norm=rhs_norm)
 
-    def reduce(basis_a, basis_b):
-        message = "a projected matrix is not negative definite"
-        lam, q, u = _diagonalize(basis_a, message)
-        ups, p, v = _diagonalize(basis_b, message)
-        ytilde = -(u @ v.T) / guarded_denominators(lam, ups)
-        fac1, fac2 = truncated_svd_factor(ytilde, opts.trunc_eps)
+    def reduce(rv, basis_a, basis_b):
+        q, p = _eigenvectors(rv, "a projected matrix is not negative definite")
+        fac1, fac2 = truncated_svd_factor(-rv.neg_ytilde, opts.trunc_eps)
         z1 = two_pass_recover(op_a, basis_a, q @ fac1.factor)
         return fac1, z1, two_pass_recover(op_b, basis_b, p @ fac2.factor)
 
@@ -357,9 +349,8 @@ def solve_sylvester_one_sided(op_a, b, c1, c2, options=None):
     right factor is recovered directly in the eigenbasis of B.
     """
     opts = options if options is not None else SolveOptions()
-    b = np.asarray(b, dtype=float)
-    if not np.array_equal(b, b.T):
-        raise DimensionMismatchError("small coefficient matrix B must be symmetric")
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    validate_symmetric(b)
     c1, c2, rhs_norm = _sylvester_rhs(c1, c2)
     if c2.shape[0] != b.shape[0]:
         raise DimensionMismatchError("C2 does not conform with B")
@@ -372,10 +363,9 @@ def solve_sylvester_one_sided(op_a, b, c1, c2, options=None):
         t, gamma, tau = proj
         return residual_one_sided(t, tau, p_c2 @ gamma.T, ups, rhs_norm=rhs_norm)
 
-    def reduce(basis):
-        lam, q, u = _diagonalize(basis, "projected matrix is not negative definite")
-        ytilde = -(u @ (c2.T @ p)) / guarded_denominators(lam, ups)
-        fac1, fac2 = truncated_svd_factor(ytilde, opts.trunc_eps)
+    def reduce(rv, basis):
+        (q,) = _eigenvectors(rv)
+        fac1, fac2 = truncated_svd_factor(-rv.neg_ytilde.T, opts.trunc_eps)
         return fac1, two_pass_recover(op_a, basis, q @ fac1.factor), p @ fac2.factor
 
     return _galerkin(

@@ -181,10 +181,12 @@ class TestBenchResidual:
     (["bench-residual", "--problem", "laplacian2d", "--n", 4, "--tol", 0], None),
     (["bench-residual"], "problem = laplacian2d\nn = 4\ncheck-period = 0\n"),
     (["bench-residual"], "problem = laplacian2d\nn = 4\nspace = krylov\n"),
+    (["solve-lyap"], "problem = laplacian2d\nn = 4\nverify = ture\n"),
 ], ids=["missing-matrix", "missing-config", "negative-tol", "zero-check-period",
         "non-integer-n", "unknown-space", "zero-n-solve", "zero-n-gen",
         "negative-s", "zero-s", "negative-trunc-eps", "misspelled-config-key",
-        "bench-zero-tol", "bench-zero-check-period", "bench-unknown-space"])
+        "bench-zero-tol", "bench-zero-check-period", "bench-unknown-space",
+        "misspelled-boolean"])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:
@@ -192,6 +194,36 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config)
         argv = argv + ["--config", "run.cfg"]
     assert run(argv + ["--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["solve-lyap", "--max-m", 0], None, "max_m must be >= 1"),
+    (["solve-lyap", "--max-m", -3], None, "max_m must be >= 1"),
+    (["bench-residual", "--max-m", 0], None, "max_m must be >= 1"),
+    (["solve-lyap"], "verify = ture\n",
+     "config value verify = 'ture': expected 1/0, true/false, yes/no or on/off"),
+], ids=["zero-max-m", "negative-max-m", "bench-zero-max-m", "misspelled-boolean"])
+def test_rejected_value_is_named(tmp_path, capsys, argv, config, message):
+    # unchecked, max_m < 1 ran no iteration and wrote an empty history or
+    # bench.csv, and a misspelled boolean read as false
+    argv = argv + ["--problem", "laplacian2d", "--n", 4, "--out", tmp_path]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", tmp_path / "run.cfg"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("value, verified", [
+    ("TRUE", True), ("On", True), ("1", True), ("no", False), ("Off", False),
+])
+def test_boolean_config_spellings(tmp_path, value, verified):
+    (tmp_path / "run.cfg").write_text("problem = laplacian2d\nn = 4\nverify = %s\n"
+                                      % value)
+    assert run(["solve-lyap", "--config", tmp_path / "run.cfg", "--out", tmp_path]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["verified_relative_residual"] is not None) == verified
 
 
 def test_config_key_of_another_command_is_accepted(tmp_path):

@@ -173,8 +173,13 @@ class TestPartialEig:
         spec = partial_eig_blocktridiag(t)
         lam, q = np.linalg.eigh(t.to_dense())
         assert np.allclose(spec.eigenvalues, lam, atol=1e-11 * np.abs(lam).max())
+        # the row blocks are views of the whole eigenvector matrix, which the
+        # solvers map the reduced solution back through
+        assert np.shares_memory(spec.first_rows, spec.eigenvectors)
+        assert np.shares_memory(spec.last_rows, spec.eigenvectors)
         # agreement up to a per-column sign
-        for rows, ref in ((spec.first_rows, q[:3]), (spec.last_rows, q[-3:])):
+        for rows, ref in ((spec.first_rows, q[:3]), (spec.last_rows, q[-3:]),
+                          (spec.eigenvectors, q)):
             signs = np.ones(t.dim)
             piv = np.argmax(np.abs(ref), axis=0)
             for j in range(t.dim):

@@ -193,9 +193,9 @@ def test_extended_shortcut_zero_lower_block():
 def _givens_partial_eig(t):
     """Partial eigendecomposition through the Givens chase and the
     tridiagonal eigensolver, the reference for the LAPACK banded path."""
-    d, e, p_first, p_last = band_tridiagonalize(t)
+    d, e, _, _, p = band_tridiagonalize(t, full_p=True)
     lam, g = sym_tridiag_eig(d, e)
-    return PartialSpectral(lam, p_first @ g, p_last @ g)
+    return PartialSpectral(lam, p @ g, t.block_size)
 
 
 def _banded_and_givens(monkeypatch, evaluate):

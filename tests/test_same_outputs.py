@@ -11,6 +11,7 @@ with mock.patch.dict(os.environ):  # the script pins BLAS threads at import
     _spec.loader.exec_module(same_outputs)
 
 SOLVED = "it=9 rank=10 final=%r verified=1.9e-09 z=%s history=%s peak=18"
+VERIFIED = "it=9 rank=10 final=1.8e-09 verified=%r z=aa history=bb peak=18"
 RAISED = ("ConvergenceError: no convergence to 1.0e-08 within 4 iterations "
           "(last residual %s) history=%s")
 
@@ -54,3 +55,24 @@ def test_compare_mode_exit_code(tmp_path):
     new.write_text("case | %s\n" % (SOLVED % (1.1e-9, "aa", "bb")))
     assert same_outputs.main(["--compare", str(old), str(old)]) == 0
     assert same_outputs.main(["--compare", str(old), str(new)]) == 1
+
+
+@pytest.mark.parametrize("before, after, breaks", [
+    (1.9e-09, 1.9000095e-09, False),
+    (3e-13, 9e-13, False),
+    (1.9e-09, 1.9020001e-09, True),
+    (0.0, 2e-12, True),
+], ids=["rounding", "both-below-floor", "moved", "zero-to-above-floor"])
+def test_compare_checks_the_verified_residual(before, after, breaks):
+    broken, worst = _check(VERIFIED % before, VERIFIED % after)
+    assert len(broken) == breaks
+    assert worst["final"] == 0.0
+
+
+def test_compare_reports_one_line_per_case():
+    broken, worst = _check(SOLVED % (1e-9, "aa", "bb"),
+                           SOLVED.replace("verified=1.9e-09", "verified=2e-09")
+                           % (1.1e-9, "aa", "bb"))
+    assert len(broken) == 1 and "final" in broken[0] and "verified" in broken[0]
+    assert worst["final"] == pytest.approx(0.1)
+    assert worst["verified"] == pytest.approx(0.1 / 1.9)

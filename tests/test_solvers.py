@@ -3,7 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from krymat import (
+    AsymmetricMatrixError,
     ConvergenceError,
+    DimensionMismatchError,
+    IndefiniteMatrixError,
+    KrylovBasis,
     KrymatError,
     RecurrenceMismatchError,
     SolveOptions,
@@ -427,6 +431,15 @@ class TestSylvesterOneSided:
             <= 1e-12 * np.linalg.norm(stored.z1)
         assert np.array_equal(stored.z2, windowed.z2)
 
+    @pytest.mark.parametrize("b, error", [
+        (-np.eye(3) + np.diag([0.5, 0.0], 1), AsymmetricMatrixError),
+        (-np.ones(3), DimensionMismatchError),
+    ], ids=["asymmetric", "one-dimensional"])
+    def test_malformed_b_is_a_typed_error(self, b, error):
+        with pytest.raises(error):
+            solve_sylvester_one_sided(SparseOperator(laplacian1d(10)), b,
+                                      gen_rhs(10, 1, seed=1), gen_rhs(3, 1, seed=2))
+
 
 def test_history_deterministic_across_runs():
     op = SparseOperator(gen_fd2d("fd2d-exp", 9))
@@ -485,3 +498,54 @@ def test_generalized_equation_via_cholesky_transform():
     ad, ed = a.toarray(), e.toarray()
     res = np.linalg.norm(ad @ x @ ed + ed @ x @ ad + c @ c.T)
     assert res <= 1e-7 * np.linalg.norm(c @ c.T)
+
+
+@pytest.mark.parametrize("max_m", [0, -3])
+def test_max_m_below_one_is_rejected(max_m):
+    with pytest.raises(ValueError, match="^max_m must be >= 1$"):
+        SolveOptions(max_m=max_m)
+
+
+def _solve(solver, sign, opts):
+    """One small solve of each kind on A = sign * fd2d-exp (order 64, negative
+    definite for sign 1), with B = sign * fd2d-trig two-sided and a small
+    negative definite B one-sided."""
+    a, b = sign * gen_fd2d("fd2d-exp", 8), sign * gen_fd2d("fd2d-trig", 8)
+    c1, c2 = gen_rhs(64, 2, seed=61), gen_rhs(64, 2, seed=62)
+    if solver == "lyapunov":
+        return solve_lyapunov(SparseOperator(a), c1, opts)
+    if solver == "two-sided":
+        return solve_sylvester_two_sided(SparseOperator(a), SparseOperator(b), c1, c2,
+                                         opts)
+    return solve_sylvester_one_sided(SparseOperator(a), -np.diag([1.0, 4.0, 9.0]), c1,
+                                     c2[:3], opts)
+
+
+@pytest.mark.parametrize("space", ["standard", "extended"])
+@pytest.mark.parametrize("solver", ["lyapunov", "two-sided", "one-sided"])
+def test_no_projection_after_the_converged_check(monkeypatch, solver, space):
+    # the factor comes from the converged check's eigen-data: T is taken once
+    # per basis per check and never again for the reduction
+    calls = []
+    projected_matrix = KrylovBasis.projected_matrix
+
+    def counted(basis):
+        calls.append(basis)
+        return projected_matrix(basis)
+
+    monkeypatch.setattr(KrylovBasis, "projected_matrix", counted)
+    sol = _solve(solver, 1.0, SolveOptions(tol=1e-8, max_m=64, check_period=2,
+                                            space=space))
+    assert len(calls) == (2 if solver == "two-sided" else 1) * len(sol.history)
+
+
+@pytest.mark.parametrize("solver, message", [
+    ("lyapunov", "projected matrix is not negative definite"),
+    ("two-sided", "a projected matrix is not negative definite"),
+    ("one-sided", "projected matrix is not negative definite"),
+])
+def test_positive_definite_projection_is_rejected(solver, message):
+    # with A (and B) positive definite no eigenvalue sum vanishes, so the
+    # check converges, and the reduction refuses the projection
+    with pytest.raises(IndefiniteMatrixError, match="^%s$" % message):
+        _solve(solver, -1.0, SolveOptions(tol=1e-8, max_m=64))

@@ -21,10 +21,13 @@ For such a change compare the two outputs line by line instead: on all 164
 cases the iterations, the rank and, where a case raises, the error type and
 message must be equal, and the final residual may differ by at most 1e-3
 relative to the old value, except where both values are below 1e-15, which
-is roundoff of an exact projection.  The digests and the verified residual
-are not compared.  ``--compare`` applies that rule, prints each case that
-breaks it and the largest relative change of a final residual, and exits 1
-on a violation:
+is roundoff of an exact projection.  The verified residual, the true
+residual of the returned factor, may differ by at most 1e-3 relative too,
+except where both values are below 1e-12, the roundoff level of its QR, so
+a change that moves only the factor's rounding must still return a factor
+that verifies.  The digests are not compared.  ``--compare`` applies that
+rule, prints each case that breaks it and the largest relative changes of a
+final and of a verified residual, and exits 1 on a violation:
 
     python tools/same_outputs.py --compare old.txt new.txt
 """
@@ -155,11 +158,12 @@ def invariant_cases():
         yield "%s %s %s" % (name, space, storage), solve, opts
 
 
-#: Largest relative change of a final residual that ``--compare`` accepts,
-#: and the level below which both values count as roundoff of an exact
-#: projection.
-FINAL_RTOL = 1e-3
+#: Largest relative change of a final or verified residual that ``--compare``
+#: accepts, and the levels below which both values count as roundoff: of an
+#: exact projection (final) and of the QR behind the true residual (verified).
+RTOL = 1e-3
 FINAL_FLOOR = 1e-15
+VERIFIED_FLOOR = 1e-12
 
 
 def _read_outcomes(path):
@@ -169,20 +173,23 @@ def _read_outcomes(path):
 
 
 def _solved(outcome):
-    """(iterations, rank, final residual) of a solved case, None for an error."""
+    """(iterations, rank, final residual, verified residual) of a solved
+    case, None for an error."""
     if not outcome.startswith("it="):
         return None
     fields = dict(item.split("=", 1) for item in outcome.split())
-    return int(fields["it"]), int(fields["rank"]), float(fields["final"])
+    return (int(fields["it"]), int(fields["rank"]), float(fields["final"]),
+            float(fields["verified"]))
 
 
 def compare(old, new):
     """Cases of ``new`` that break the line-by-line rule against ``old``
-    (lists of (name, outcome)), and the largest relative change of a final
-    residual that the rule compares."""
+    (lists of (name, outcome)), and the largest relative changes of a final
+    and of a verified residual that the rule compares, keyed by field."""
+    worst = {"final": 0.0, "verified": 0.0}
     if [name for name, _ in old] != [name for name, _ in new]:
-        return ["the two files do not list the same cases in the same order"], 0.0
-    broken, worst = [], 0.0
+        return ["the two files do not list the same cases in the same order"], worst
+    broken = []
     for (name, before), (_, after) in zip(old, new):
         a, b = _solved(before), _solved(after)
         if a is None or b is None:
@@ -194,12 +201,17 @@ def compare(old, new):
         if a[:2] != b[:2]:
             broken.append("%s: it, rank %s -> %s" % (name, a[:2], b[:2]))
             continue
-        if max(a[2], b[2]) < FINAL_FLOOR:
-            continue
-        change = abs(b[2] - a[2]) / a[2] if a[2] else float("inf")
-        worst = max(worst, change)
-        if change > FINAL_RTOL:
-            broken.append("%s: final %r -> %r" % (name, a[2], b[2]))
+        moved = []
+        for field, floor, x, y in (("final", FINAL_FLOOR, a[2], b[2]),
+                                   ("verified", VERIFIED_FLOOR, a[3], b[3])):
+            if max(x, y) < floor:
+                continue
+            change = abs(y - x) / x if x else float("inf")
+            worst[field] = max(worst[field], change)
+            if change > RTOL:
+                moved.append("%s %r -> %r" % (field, x, y))
+        if moved:
+            broken.append("%s: %s" % (name, ", ".join(moved)))
     return broken, worst
 
 
@@ -213,8 +225,9 @@ def main(argv=None):
         broken, worst = compare(old, new)
         for line in broken:
             print(line)
-        print("%d of %d cases break the rule; largest final-residual change %.2g"
-              % (len(broken), len(new), worst))
+        print("%d of %d cases break the rule; largest final-residual change %.2g, "
+              "largest verified-residual change %.2g"
+              % (len(broken), len(new), worst["final"], worst["verified"]))
         return 1 if broken else 0
     for name, solve, opts in list(grid_cases()) + list(invariant_cases()):
         print("%s | %s" % (name, _outcome(lambda: solve(opts))))
