@@ -5,12 +5,18 @@ Subcommands: ``gen`` (write benchmark problems as Matrix Market files),
 or file-based problems), and ``bench-residual`` (time the cheap residual
 evaluation against the classical one along one basis construction).
 
-Options may also come from a flat ``key = value`` config file; command-line
-flags take precedence over the file, and a key that no subcommand knows is
-an error.
+Each subcommand's argparse parser is the one table of its options: name,
+type, choices and default.  Options may also come from a flat
+``key = value`` config file, whose values are converted and checked by the
+same actions as the flags and installed as the subcommand's defaults, so
+flags take precedence.  A key may be the option of any subcommand, so that
+one file can serve several commands (a command skips the others' keys);
+``c`` is an alias of ``c1``, and any other key is an error.  Solver options
+left unset take their defaults from ``SolveOptions``.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,29 +35,8 @@ from .solvers import HISTORY_COLUMNS, SolveOptions, solve_lyapunov, \
 
 _FLOAT_FMT = "%.17g"
 
-#: Keys a config file may set: the options of every subcommand, so that one
-#: file can serve several commands.  Matrix files are keyed a, b, c, c1, c2.
-_CONFIG_KEYS = frozenset((
-    "problem", "n", "s", "seed", "out", "tol", "max_m", "check_period", "space",
-    "storage", "trunc_eps", "verify", "one_sided", "reps", "a", "b", "c", "c1", "c2",
-))
-
-
-def _read_config(path):
-    values = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise KrymatError("config line %r is not 'key = value'" % raw.strip())
-            key, val = (part.strip() for part in line.split("=", 1))
-            name = key.replace("-", "_")
-            if name not in _CONFIG_KEYS:
-                raise KrymatError("unknown config key %r" % key)
-            values[name] = val
-    return values
+_BENCH_COLUMNS = ("m", "space_dim", "res_fast", "res_naive", "secs_fast",
+                  "secs_naive", "gain_pct")
 
 
 def _flag(raw):
@@ -61,28 +46,13 @@ def _flag(raw):
     return raw.lower() in ("1", "true", "yes", "on")
 
 
-def _resolve(args, config, key, default, cast):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        raw = config[key]
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise KrymatError("config value %s = %r: %s" % (key, raw, exc)) from exc
-    return default
-
-
 def _add_common_options(parser):
     parser.add_argument("--config", help="flat key = value option file")
-    parser.add_argument("--problem", choices=(
-        "fd2d-exp", "fd2d-trig", "laplacian2d", "laplacian1d",
-        "fd2d-pair", "fd3d-split"))
+    parser.add_argument("--problem", choices=problems.PROBLEM_KINDS)
     parser.add_argument("--n", type=int, help="interior grid points per direction")
-    parser.add_argument("--s", type=int, help="right-hand side block width")
-    parser.add_argument("--seed", type=int, help="right-hand side RNG seed")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--s", type=int, default=1, help="right-hand side block width")
+    parser.add_argument("--seed", type=int, default=0, help="right-hand side RNG seed")
+    parser.add_argument("--out", default=".", help="output directory")
 
 
 def _add_iteration_options(parser):
@@ -96,8 +66,13 @@ def _add_solve_options(parser):
     _add_iteration_options(parser)
     parser.add_argument("--storage", choices=("stored", "windowed"))
     parser.add_argument("--trunc-eps", dest="trunc_eps", type=float)
-    parser.add_argument("--verify", action="store_const", const=True, default=None,
+    parser.add_argument("--verify", action="store_const", const=True,
                         help="recompute the true residual at the end")
+
+
+def _add_lyapunov_inputs(parser):
+    parser.add_argument("--A", dest="a", help="Matrix Market coordinate file")
+    parser.add_argument("--C", dest="c1", metavar="C", help="Matrix Market array file")
 
 
 def build_parser():
@@ -113,18 +88,15 @@ def build_parser():
     p_lyap = sub.add_parser("solve-lyap", help="solve A X + X A + C C' = 0")
     _add_common_options(p_lyap)
     _add_solve_options(p_lyap)
-    p_lyap.add_argument("--A", dest="a_path", help="Matrix Market coordinate file")
-    p_lyap.add_argument("--C", dest="c_path", help="Matrix Market array file")
+    _add_lyapunov_inputs(p_lyap)
 
     p_sylv = sub.add_parser("solve-sylv", help="solve A X + X B + C1 C2' = 0")
     _add_common_options(p_sylv)
     _add_solve_options(p_sylv)
-    p_sylv.add_argument("--A", dest="a_path")
-    p_sylv.add_argument("--B", dest="b_path")
-    p_sylv.add_argument("--C1", dest="c1_path")
-    p_sylv.add_argument("--C2", dest="c2_path")
+    for name in ("A", "B", "C1", "C2"):
+        p_sylv.add_argument("--" + name, dest=name.lower())
     p_sylv.add_argument("--one-sided", dest="one_sided", action="store_const",
-                        const=True, default=None,
+                        const=True,
                         help="treat B as small and dense (eigendecomposed once)")
 
     p_bench = sub.add_parser(
@@ -133,102 +105,124 @@ def build_parser():
     )
     _add_common_options(p_bench)
     _add_iteration_options(p_bench)
-    p_bench.add_argument("--reps", type=int, help="timing repetitions (median)")
+    _add_lyapunov_inputs(p_bench)
+    p_bench.add_argument("--reps", type=int, default=3,
+                         help="timing repetitions (median of at least 3)")
     return parser
 
 
-def _solve_options(args, config, iteration_only=False):
-    """SolveOptions from flags and config.  With ``iteration_only`` (for
-    bench-residual) only tol, max_m, check_period and space are read, so a
-    shared config's storage, trunc_eps or verify cannot fail the command."""
-    fields = dict(
-        tol=_resolve(args, config, "tol", 1e-6, float),
-        max_m=_resolve(args, config, "max_m", 500, int),
-        check_period=_resolve(args, config, "check_period", 1, int),
-        space=_resolve(args, config, "space", "standard", str),
-    )
-    if not iteration_only:
-        fields.update(
-            storage=_resolve(args, config, "storage", "stored", str),
-            trunc_eps=_resolve(args, config, "trunc_eps", 1e-12, float),
-            verify=_resolve(args, config, "verify", False, _flag),
-        )
+def _command_parsers(parser):
+    """Subcommand name -> its parser."""
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _read_config(path, keys):
+    """Raw values of a flat ``key = value`` file by option dest (``-`` reads
+    as ``_``).  ``c`` is an alias of ``c1``, which wins when both are set."""
+    values, aliased = {}, {}
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise KrymatError("config line %r is not 'key = value'" % raw.strip())
+            key, val = (part.strip() for part in line.split("=", 1))
+            name = key.replace("-", "_")
+            if name == "c":
+                aliased["c1"] = val
+            elif name in keys:
+                values[name] = val
+            else:
+                raise KrymatError("unknown config key %r" % key)
+    return dict(aliased, **values)
+
+
+def _set_config_defaults(parser, command, path):
+    """Install the values of config file ``path`` that subcommand ``command``
+    takes as its defaults, each converted and checked by its own action."""
+    commands = _command_parsers(parser)
+    actions = {action.dest: action for action in commands[command]._actions}
+    keys = {a.dest for p in commands.values() for a in p._actions} - {"config", "help"}
+    values = {}
+    for key, raw in _read_config(path, keys).items():
+        action = actions.get(key)
+        if action is None:
+            continue  # another subcommand's option
+        try:
+            value = _flag(raw) if action.nargs == 0 else (action.type or str)(raw)
+        except ValueError as exc:
+            raise KrymatError("config value %s = %r: %s" % (key, raw, exc)) from exc
+        if action.choices is not None and value not in action.choices:
+            raise KrymatError("config value %s = %r: expected one of %s"
+                              % (key, raw, ", ".join(action.choices)))
+        values[key] = value
+    commands[command].set_defaults(**values)
+
+
+def parse_args(argv=None):
+    """The options of one command line: flags over config values over the
+    parser's defaults.  Only with ``--config`` is argv parsed twice."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        _set_config_defaults(parser, args.command, args.config)
+        args = parser.parse_args(argv)
+    return args
+
+
+def _solve_options(args):
+    """SolveOptions of the fields that were set; the rest keep their defaults."""
+    given = {f.name: getattr(args, f.name, None)
+             for f in dataclasses.fields(SolveOptions)}
     try:
-        return SolveOptions(**fields)
+        return SolveOptions(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise KrymatError(str(exc)) from exc
 
 
-def _rhs_width(args, config):
-    s = _resolve(args, config, "s", 1, int)
-    if s < 1:
-        raise KrymatError("--s must be >= 1")
-    return s
-
-
-def _generate(kind, n, s, seed):
-    """A, B-or-None, C1 and C2-or-None of a generated problem kind."""
-    if n < 1:
-        raise KrymatError("--n must be >= 1")
-    if kind == "fd2d-pair":
-        a, b = problems.gen_fd2d("fd2d-exp", n), problems.gen_fd2d("fd2d-trig", n)
-    elif kind == "fd3d-split":
-        a, b = problems.gen_fd3d_split(n)
-    else:
-        a, b = problems.gen_operator(kind, n), None
-    c1 = problems.gen_rhs(a.shape[0], s, seed)
-    c2 = problems.gen_rhs(b.shape[0], s, seed + 1) if b is not None else None
-    return a, b, c1, c2
-
-
-def _problem_inputs(args, config, need_pair=False):
-    """Build (A, B-or-None, C1, C2-or-None) from flags: either Matrix Market
-    paths or a generated problem."""
-    kind = _resolve(args, config, "problem", None, str)
-    a_path = getattr(args, "a_path", None) or config.get("a")
-    if (kind is None) == (a_path is None):
+def _problem_inputs(args):
+    """(A, B-or-None, C1, C2-or-None): a generated problem or Matrix Market
+    files, the right-hand side generated when no C file is given."""
+    a_path = getattr(args, "a", None)
+    if args.problem is None and a_path is None:
+        raise KrymatError("give --problem or explicit matrix files")
+    if args.problem is not None and a_path is not None:
         raise KrymatError("give either --problem or explicit matrix files, not both")
-    s = _rhs_width(args, config)
-    seed = _resolve(args, config, "seed", 0, int)
-    if kind is not None:
-        n = _resolve(args, config, "n", None, int)
-        if n is None:
+    if args.s < 1:
+        raise KrymatError("--s must be >= 1")
+    if args.seed < 0:
+        raise KrymatError("--seed must be >= 0")
+    if args.problem is not None:
+        if args.n is None:
             raise KrymatError("--problem needs --n")
-        a, b, c1, c2 = _generate(kind, n, s, seed)
-        if need_pair and b is None:
-            raise KrymatError("problem kind %r does not define a B matrix" % kind)
+        if args.n < 1:
+            raise KrymatError("--n must be >= 1")
+        a, b = problems.gen_operator(args.problem, args.n)
+        c1 = problems.gen_rhs(a.shape[0], args.s, args.seed)
+        c2 = None if b is None else problems.gen_rhs(b.shape[0], args.s, args.seed + 1)
         return a, b, c1, c2
     a = mmio.read_coordinate(a_path)
-    b_path = getattr(args, "b_path", None) or config.get("b")
-    b = mmio.read_coordinate(b_path) if b_path else None
-    c1_path = getattr(args, "c_path", None) or getattr(args, "c1_path", None) \
-        or config.get("c1") or config.get("c")
-    c1 = mmio.read_array(c1_path) if c1_path else problems.gen_rhs(a.shape[0], s, seed)
-    c2_path = getattr(args, "c2_path", None) or config.get("c2")
-    c2 = mmio.read_array(c2_path) if c2_path else None
-    if need_pair and b is None:
-        raise KrymatError("solve-sylv needs a B matrix (--B or a pair problem)")
+    b = mmio.read_coordinate(args.b) if getattr(args, "b", None) else None
+    c1 = mmio.read_array(args.c1) if args.c1 else \
+        problems.gen_rhs(a.shape[0], args.s, args.seed)
+    c2 = mmio.read_array(args.c2) if getattr(args, "c2", None) else None
     return a, b, c1, c2
 
 
-def _outdir(args, config):
-    out = _resolve(args, config, "out", ".", str)
-    os.makedirs(out, exist_ok=True)
-    return out
+def _outdir(args):
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
-def _write_history(path, history):
+def _write_csv(path, columns, rows):
+    """Rows of two integer columns followed by floats at 17 digits."""
     with open(path, "w") as fh:
-        fh.write(",".join(HISTORY_COLUMNS) + "\n")
-        for row in history:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
             fh.write("%d,%d," % row[:2])
             fh.write(",".join(_FLOAT_FMT % v for v in row[2:]) + "\n")
-
-
-def _write_summary(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _summary_payload(sol, opts):
@@ -250,15 +244,11 @@ def _summary_payload(sol, opts):
     }
 
 
-def cmd_gen(args, config):
-    kind = _resolve(args, config, "problem", None, str)
-    n = _resolve(args, config, "n", None, int)
-    if kind is None or n is None:
+def cmd_gen(args):
+    if args.problem is None or args.n is None:
         raise KrymatError("gen needs --problem and --n")
-    s = _rhs_width(args, config)
-    seed = _resolve(args, config, "seed", 0, int)
-    out = _outdir(args, config)
-    a, b, c1, c2 = _generate(kind, n, s, seed)
+    a, b, c1, c2 = _problem_inputs(args)
+    out = _outdir(args)
     mmio.write_coordinate(os.path.join(out, "A.mtx"), a)
     mmio.write_array(os.path.join(out, "C1.mtx"), c1)
     written = ["A.mtx", "C1.mtx"]
@@ -276,16 +266,18 @@ def _solve_and_write(out, opts, solve, **summary_extra):
     try:
         sol = solve()
     except ConvergenceError as exc:
-        _write_history(os.path.join(out, "history.csv"), exc.history)
+        _write_csv(os.path.join(out, "history.csv"), HISTORY_COLUMNS, exc.history)
         raise
     if sol.z2 is None:
         mmio.write_array(os.path.join(out, "Z.mtx"), sol.z)
     else:
         mmio.write_array(os.path.join(out, "Z1.mtx"), sol.z1)
         mmio.write_array(os.path.join(out, "Z2.mtx"), sol.z2)
-    _write_history(os.path.join(out, "history.csv"), sol.history)
-    payload = dict(_summary_payload(sol, opts), **summary_extra)
-    _write_summary(os.path.join(out, "summary.json"), payload)
+    _write_csv(os.path.join(out, "history.csv"), HISTORY_COLUMNS, sol.history)
+    with open(os.path.join(out, "summary.json"), "w") as fh:
+        json.dump(dict(_summary_payload(sol, opts), **summary_extra), fh, indent=2,
+                  sort_keys=True)
+        fh.write("\n")
     print(
         "converged: m=%d dim=%d rank=%d residual=%.3e"
         % (sol.iterations, sol.space_dim, sol.rank, sol.final_residual)
@@ -293,23 +285,25 @@ def _solve_and_write(out, opts, solve, **summary_extra):
     return 0
 
 
-def cmd_solve_lyap(args, config):
-    opts = _solve_options(args, config)
-    a, _, c, _ = _problem_inputs(args, config)
-    out = _outdir(args, config)
+def cmd_solve_lyap(args):
+    opts = _solve_options(args)
+    a, _, c, _ = _problem_inputs(args)
+    out = _outdir(args)
     op = SparseOperator(a)
     return _solve_and_write(out, opts, lambda: solve_lyapunov(op, c, opts))
 
 
-def cmd_solve_sylv(args, config):
-    opts = _solve_options(args, config)
-    a, b, c1, c2 = _problem_inputs(args, config, need_pair=True)
+def cmd_solve_sylv(args):
+    opts = _solve_options(args)
+    a, b, c1, c2 = _problem_inputs(args)
+    if b is None:
+        raise KrymatError("solve-sylv needs a B matrix (--B or a pair problem)")
     if c2 is None:
         raise KrymatError("solve-sylv needs C2 (file or generated)")
-    one_sided = _resolve(args, config, "one_sided", None, _flag)
+    one_sided = args.one_sided
     if one_sided is None:
         one_sided = b.shape[0] <= 1000 and b.shape[0] < a.shape[0]
-    out = _outdir(args, config)
+    out = _outdir(args)
     op_a = SparseOperator(a)
 
     def solve():
@@ -329,11 +323,11 @@ def _median_timing(fun, reps):
     return result, float(np.median(times))
 
 
-def cmd_bench_residual(args, config):
-    opts = _solve_options(args, config, iteration_only=True)
-    reps = max(_resolve(args, config, "reps", 3, int), 3)
-    a, _, c, _ = _problem_inputs(args, config)
-    out = _outdir(args, config)
+def cmd_bench_residual(args):
+    opts = _solve_options(args)
+    reps = max(args.reps, 3)
+    a, _, c, _ = _problem_inputs(args)
+    out = _outdir(args)
     op = SparseOperator(a)
     beta2 = float(np.linalg.norm(c) ** 2)
     step = lanczos_step if opts.space == "standard" else extended_step
@@ -349,48 +343,29 @@ def cmd_bench_residual(args, config):
             lambda: ctri_lyapunov(t, basis.gamma, tau, rhs_norm=beta2), reps
         )
         naive, secs_naive = _median_timing(
-            lambda: naive_residual(
-                solve_reduced_lyapunov(t, basis.gamma), tau
-            ), reps
-        )
+            lambda: naive_residual(solve_reduced_lyapunov(t, basis.gamma), tau), reps)
         gain = 100.0 * (secs_naive - secs_fast) / secs_naive if secs_naive else 0.0
         rows.append((it, it * basis.ell, fast.res, naive, secs_fast, secs_naive, gain))
         if fast.relative <= opts.tol or basis.exhausted:
             break
     path = os.path.join(out, "bench.csv")
-    with open(path, "w") as fh:
-        fh.write("m,space_dim,res_fast,res_naive,secs_fast,secs_naive,gain_pct\n")
-        for row in rows:
-            fh.write("%d,%d," % row[:2])
-            fh.write(",".join(_FLOAT_FMT % v for v in row[2:]) + "\n")
+    _write_csv(path, _BENCH_COLUMNS, rows)
     total_fast = sum(r[4] for r in rows)
     total_naive = sum(r[5] for r in rows)
-    print(
-        "checks=%d  time res fast=%.3fs  naive=%.3fs  gain=%.1f%%  (%s)"
-        % (
-            len(rows),
-            total_fast,
-            total_naive,
-            100.0 * (total_naive - total_fast) / total_naive if total_naive else 0.0,
-            path,
-        )
-    )
+    gain = 100.0 * (total_naive - total_fast) / total_naive if total_naive else 0.0
+    print("checks=%d  time res fast=%.3fs  naive=%.3fs  gain=%.1f%%  (%s)"
+          % (len(rows), total_fast, total_naive, gain, path))
     return 0
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "solve-lyap": cmd_solve_lyap,
-    "solve-sylv": cmd_solve_sylv,
-    "bench-residual": cmd_bench_residual,
-}
+_COMMANDS = {"gen": cmd_gen, "solve-lyap": cmd_solve_lyap, "solve-sylv": cmd_solve_sylv,
+             "bench-residual": cmd_bench_residual}
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        config = _read_config(args.config) if args.config else {}
-        return _COMMANDS[args.command](args, config)
+        args = parse_args(argv)
+        return _COMMANDS[args.command](args)
     except (KrymatError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -12,7 +12,8 @@ import scipy.sparse as sp
 
 FD2D_KINDS = ("fd2d-exp", "fd2d-trig", "laplacian2d")
 
-PROBLEM_KINDS = FD2D_KINDS + ("fd3d-split", "laplacian1d")
+#: Every kind ``gen_operator`` builds; the last two are Sylvester pairs.
+PROBLEM_KINDS = FD2D_KINDS + ("laplacian1d", "fd2d-pair", "fd3d-split")
 
 
 def _coefficients(kind):
@@ -99,11 +100,15 @@ def gen_rhs(n, s, seed, normalize=True):
 
 
 def gen_operator(kind, n):
-    """Build the matrix (or matrix pair) for a named problem kind."""
+    """(A, B) of a named problem kind.  B is None except for the Sylvester
+    pairs: ``fd2d-pair`` (A from ``fd2d-exp``, B from ``fd2d-trig``, both of
+    order n^2) and ``fd3d-split`` (see ``gen_fd3d_split``)."""
     if kind in FD2D_KINDS:
-        return gen_fd2d(kind, n)
+        return gen_fd2d(kind, n), None
     if kind == "laplacian1d":
-        return laplacian1d(n)
+        return laplacian1d(n), None
+    if kind == "fd2d-pair":
+        return gen_fd2d("fd2d-exp", n), gen_fd2d("fd2d-trig", n)
     if kind == "fd3d-split":
         return gen_fd3d_split(n)
     raise ValueError("unknown problem kind %r" % kind)

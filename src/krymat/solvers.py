@@ -52,6 +52,7 @@ class SolveOptions:
 
     ``check_period`` is the d of the papers' experiments: the residual is
     evaluated every d iterations, accepting up to d-1 overshoot iterations.
+    It may not exceed ``max_m``, or the solve would end without a check.
     """
 
     tol: float = 1e-6
@@ -69,6 +70,8 @@ class SolveOptions:
             raise ValueError("max_m must be >= 1")
         if self.check_period < 1:
             raise ValueError("check_period must be >= 1")
+        if self.check_period > self.max_m:
+            raise ValueError("check_period must be <= max_m")
         if self.trunc_eps < 0.0:
             raise ValueError("trunc_eps must be >= 0")
         if self.space not in ("standard", "extended"):

@@ -1,11 +1,12 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from krymat import mmio
-from krymat.cli import main
+from krymat import cli, mmio
+from krymat.cli import build_parser, main
 
 
 def run(argv):
@@ -182,11 +183,18 @@ class TestBenchResidual:
     (["bench-residual"], "problem = laplacian2d\nn = 4\ncheck-period = 0\n"),
     (["bench-residual"], "problem = laplacian2d\nn = 4\nspace = krylov\n"),
     (["solve-lyap"], "problem = laplacian2d\nn = 4\nverify = ture\n"),
+    (["solve-lyap"], "problem = nonsense\nn = 4\n"),
+    (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--seed", -1], None),
+    (["gen", "--problem", "laplacian2d", "--n", 4, "--seed", -1], None),
+    (["solve-lyap"], "problem = laplacian2d\nn = 4\nseed = -1\n"),
+    (["solve-lyap", "--problem", "laplacian2d", "--n", 8, "--max-m", 4,
+      "--check-period", 5], None),
 ], ids=["missing-matrix", "missing-config", "negative-tol", "zero-check-period",
         "non-integer-n", "unknown-space", "zero-n-solve", "zero-n-gen",
         "negative-s", "zero-s", "negative-trunc-eps", "misspelled-config-key",
         "bench-zero-tol", "bench-zero-check-period", "bench-unknown-space",
-        "misspelled-boolean"])
+        "misspelled-boolean", "unknown-problem-in-config", "negative-seed",
+        "gen-negative-seed", "negative-seed-in-config", "check-period-above-max-m"])
 def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:
@@ -202,10 +210,26 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config)
     (["bench-residual", "--max-m", 0], None, "max_m must be >= 1"),
     (["solve-lyap"], "verify = ture\n",
      "config value verify = 'ture': expected 1/0, true/false, yes/no or on/off"),
-], ids=["zero-max-m", "negative-max-m", "bench-zero-max-m", "misspelled-boolean"])
+    (["solve-lyap", "--max-m", 4, "--check-period", 5], None,
+     "check_period must be <= max_m"),
+    (["bench-residual", "--max-m", 2, "--check-period", 3], None,
+     "check_period must be <= max_m"),
+    (["solve-lyap", "--seed", -1], None, "--seed must be >= 0"),
+    (["gen", "--seed", -1], None, "--seed must be >= 0"),
+    (["solve-lyap"], "seed = -1\n", "--seed must be >= 0"),
+    (["solve-lyap"], "problem = nonsense\n",
+     "config value problem = 'nonsense': expected one of fd2d-exp, fd2d-trig, "
+     "laplacian2d, laplacian1d, fd2d-pair, fd3d-split"),
+], ids=["zero-max-m", "negative-max-m", "bench-zero-max-m", "misspelled-boolean",
+        "check-period-above-max-m", "bench-check-period-above-max-m",
+        "negative-seed", "gen-negative-seed", "negative-seed-in-config",
+        "unknown-problem-in-config"])
 def test_rejected_value_is_named(tmp_path, capsys, argv, config, message):
     # unchecked, max_m < 1 ran no iteration and wrote an empty history or
-    # bench.csv, and a misspelled boolean read as false
+    # bench.csv, and a misspelled boolean read as false; check_period > max_m
+    # ran max_m steps without a check, a negative seed failed inside numpy,
+    # and a config value outside the choices failed as an untyped ValueError
+    # (or went unread under the flag that overrides it)
     argv = argv + ["--problem", "laplacian2d", "--n", 4, "--out", tmp_path]
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
@@ -262,3 +286,83 @@ def test_zero_block_width_names_the_flag(tmp_path, capsys):
 def test_unknown_problem_kind_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit):
         run(["solve-lyap", "--problem", "nonsense", "--n", 4, "--out", tmp_path])
+
+
+@pytest.mark.parametrize("command", ["solve-lyap", "solve-sylv", "bench-residual"])
+def test_missing_inputs_are_named(tmp_path, capsys, command):
+    assert run([command, "--out", tmp_path]) == 1
+    assert capsys.readouterr().err == "error: give --problem or explicit matrix files\n"
+
+
+def test_bench_residual_reads_matrix_files(tmp_path):
+    assert run(["gen", "--problem", "laplacian2d", "--n", 6, "--s", 2, "--seed", 3,
+                "--out", tmp_path]) == 0
+    common = ["bench-residual", "--tol", "1e-8", "--max-m", 12]
+    assert run(common + ["--A", tmp_path / "A.mtx", "--C", tmp_path / "C1.mtx",
+                         "--out", tmp_path / "files"]) == 0
+    assert run(common + ["--problem", "laplacian2d", "--n", 6, "--s", 2, "--seed", 3,
+                         "--out", tmp_path / "generated"]) == 0
+
+    def values(out):  # m, space_dim, res_fast and res_naive; the rest are timings
+        lines = (out / "bench.csv").read_text().splitlines()
+        return [line.split(",")[:4] for line in lines]
+
+    assert values(tmp_path / "files") == values(tmp_path / "generated")
+
+
+def _options():
+    """(command, action) of every option of every subcommand but --config and
+    --help: the keys a config file may set."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action) for command, p in sub.choices.items()
+            for action in p._actions if action.dest not in ("config", "help")]
+
+
+def _ids(options):
+    return ["%s-%s" % (command, action.dest) for command, action in options]
+
+
+_OPTIONS = _options()
+_CHOICE_OPTIONS = [(command, action) for command, action in _OPTIONS if action.choices]
+
+
+@pytest.mark.parametrize("command, action", _OPTIONS, ids=_ids(_OPTIONS))
+def test_flag_and_config_key_resolve_alike(tmp_path, command, action):
+    # a value other than the default, spelled as on the command line
+    if action.nargs == 0:
+        value, flag = "yes", [action.option_strings[0]]
+    else:
+        if action.choices:
+            value = action.choices[-1]
+        elif action.type in (int, float):
+            value = "0.007" if action.type is float else "7"
+        else:
+            value = str(tmp_path / action.dest)
+        flag = [action.option_strings[0], value]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s = %s\n" % (action.dest.replace("_", "-"), value))
+    by_flag = vars(cli.parse_args([command] + flag))
+    by_config = vars(cli.parse_args([command, "--config", str(cfg)]))
+    assert by_flag.pop("config") is None and by_config.pop("config") == str(cfg)
+    assert by_config == by_flag
+    assert by_flag[action.dest] != vars(cli.parse_args([command]))[action.dest]
+
+
+@pytest.mark.parametrize("command, action", _CHOICE_OPTIONS, ids=_ids(_CHOICE_OPTIONS))
+def test_config_value_outside_choices_is_rejected(tmp_path, capsys, command, action):
+    (tmp_path / "run.cfg").write_text("%s = nonsense\n" % action.dest)
+    assert run([command, "--config", tmp_path / "run.cfg", "--out", tmp_path]) == 1
+    assert capsys.readouterr().err == "error: config value %s = 'nonsense': " \
+        "expected one of %s\n" % (action.dest, ", ".join(action.choices))
+
+
+@pytest.mark.parametrize("lines, c1", [
+    ("c = x.mtx\n", "x.mtx"),
+    ("c1 = y.mtx\nc = x.mtx\n", "y.mtx"),
+    ("c = x.mtx\nc1 = y.mtx\n", "y.mtx"),
+], ids=["alias", "c1-first", "c1-last"])
+def test_config_key_c_is_an_alias_of_c1(tmp_path, lines, c1):
+    (tmp_path / "run.cfg").write_text(lines)
+    for command in ("solve-lyap", "solve-sylv", "bench-residual"):
+        assert cli.parse_args([command, "--config", str(tmp_path / "run.cfg")]).c1 == c1

@@ -1,10 +1,13 @@
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 from scipy.stats import kstest
 
 from krymat.operators import validate_symmetric
-from krymat.problems import gen_fd2d, gen_fd3d_split, gen_rhs, laplacian1d
+from krymat.problems import (
+    PROBLEM_KINDS, gen_fd2d, gen_fd3d_split, gen_operator, gen_rhs, laplacian1d,
+)
 
 
 class TestFd2d:
@@ -112,3 +115,15 @@ def test_laplacian1d_matches_stencil():
     h = 1.0 / 4.0
     assert np.allclose(b, (np.diag([-2.0] * 3) + np.diag([1.0] * 2, 1)
                            + np.diag([1.0] * 2, -1)) / h**2)
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_gen_operator_returns_a_and_b_of_every_kind(kind):
+    a, b = gen_operator(kind, 3)
+    assert a.shape == ((3, 3) if kind == "laplacian1d" else (9, 9))
+    if kind == "fd2d-pair":
+        assert (b != gen_fd2d("fd2d-trig", 3)).nnz == 0
+    elif kind == "fd3d-split":
+        assert b.shape == (3, 3)
+    else:
+        assert b is None

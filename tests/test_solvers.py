@@ -506,6 +506,14 @@ def test_max_m_below_one_is_rejected(max_m):
         SolveOptions(max_m=max_m)
 
 
+@pytest.mark.parametrize("max_m, check_period", [(4, 5), (1, 2)])
+def test_check_period_above_max_m_is_rejected(max_m, check_period):
+    # unchecked, the solve ran all max_m steps without a single residual check
+    with pytest.raises(ValueError, match="^check_period must be <= max_m$"):
+        SolveOptions(max_m=max_m, check_period=check_period)
+    SolveOptions(max_m=max_m, check_period=max_m)
+
+
 def _solve(solver, sign, opts):
     """One small solve of each kind on A = sign * fd2d-exp (order 64, negative
     definite for sign 1), with B = sign * fd2d-trig two-sided and a small

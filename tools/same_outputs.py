@@ -13,11 +13,22 @@ ConvergenceError), all with verify, plus 20 cases whose Krylov space
 becomes invariant.  Each line gives the iterations, rank, the repr of the
 final and verified residuals, SHA-256 digests of the factors and of the
 history (without its timing columns) and the peak basis vectors, or the
-type and message of the error raised.  BLAS runs on one thread so that sums are taken in a fixed order.
+type and message of the error raised.  BLAS runs on one thread so that
+sums are taken in a fixed order.
+
+Eight more cases run the command line in a temporary directory: ``krymat
+gen`` followed by ``solve-lyap`` on its files in both spaces and storages,
+``solve-lyap`` from a config file, one-sided and two-sided ``solve-sylv``,
+and ``bench-residual``.  A solve's line gives the iterations, rank and the
+repr of the final and verified residuals from ``summary.json``, and digests
+of the ``Z*.mtx`` files and of ``history.csv`` without its timing columns
+(or the exit status and the error printed).  ``bench-residual``'s line
+gives the number of checks, the last m and a digest of the m, space_dim,
+res_fast and res_naive columns of ``bench.csv``.
 
 A change that moves rounding on purpose (another QR, a reordered sum) cannot
 give an empty diff; the digests and the last digits of the residuals move.
-For such a change compare the two outputs line by line instead: on all 164
+For such a change compare the two outputs line by line instead: on all 172
 cases the iterations, the rank and, where a case raises, the error type and
 message must be equal, and the final residual may differ by at most 1e-3
 relative to the old value, except where both values are below 1e-15, which
@@ -25,7 +36,8 @@ is roundoff of an exact projection.  The verified residual, the true
 residual of the returned factor, may differ by at most 1e-3 relative too,
 except where both values are below 1e-12, the roundoff level of its QR, so
 a change that moves only the factor's rounding must still return a factor
-that verifies.  The digests are not compared.  ``--compare`` applies that
+that verifies.  The digests are not compared, so ``bench-residual``'s
+line is compared by its counts alone.  ``--compare`` applies that
 rule, prints each case that breaks it and the largest relative changes of a
 final and of a verified residual, and exits 1 on a violation:
 
@@ -33,9 +45,14 @@ final and of a verified residual, and exits 1 on a violation:
 """
 
 import argparse
+import contextlib
+import glob
 import hashlib
+import io
+import json
 import os
 import sys
+import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -52,6 +69,7 @@ from krymat import (  # noqa: E402
     solve_sylvester_one_sided,
     solve_sylvester_two_sided,
 )
+from krymat import cli  # noqa: E402
 from krymat.problems import gen_fd2d, gen_rhs, laplacian1d  # noqa: E402
 
 SPACES = ("standard", "extended")
@@ -158,6 +176,80 @@ def invariant_cases():
         yield "%s %s %s" % (name, space, storage), solve, opts
 
 
+def _file_digest(paths):
+    h = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()[:16]
+
+
+def _csv_digest(path, columns):
+    """Rows of a CSV file that the command line wrote, cut to its first
+    ``columns`` columns, and the SHA-256 digest of that text."""
+    with open(path) as fh:
+        rows = [line.rstrip("\n").split(",")[:columns] for line in fh][1:]
+    return rows, hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def _cli(argv, out):
+    """Run ``krymat argv --out out``: None on success, else the exit status
+    and the error printed."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        status = cli.main(argv + ["--out", out])
+    return None if status == 0 else "exit %d: %s" % (status, stderr.getvalue().strip())
+
+
+def _cli_solve(argv, out):
+    failed = _cli(argv, out)
+    if failed:
+        return failed
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    return "it=%d rank=%d final=%r verified=%r z=%s history=%s" % (
+        summary["iterations"], summary["rank"], summary["final_relative_residual"],
+        summary["verified_relative_residual"],
+        _file_digest(sorted(glob.glob(os.path.join(out, "Z*.mtx")))),
+        _csv_digest(os.path.join(out, "history.csv"), 3)[1],
+    )
+
+
+def _cli_bench(argv, out):
+    failed = _cli(argv, out)
+    if failed:
+        return failed
+    rows, digest = _csv_digest(os.path.join(out, "bench.csv"), 4)
+    return "checks=%d m=%s history=%s" % (len(rows), rows[-1][0], digest)
+
+
+def cli_cases(tmp):
+    """(name, outcome) of 8 command lines run in directory ``tmp``."""
+    prob = os.path.join(tmp, "prob")
+    failed = _cli(["gen", "--problem", "fd2d-exp", "--n", "10", "--s", "2",
+                   "--seed", "1"], prob)
+    solve = ["--tol", "1e-8", "--verify"]
+    for space in SPACES:
+        for storage in STORAGES:
+            argv = ["solve-lyap", "--A", os.path.join(prob, "A.mtx"),
+                    "--C", os.path.join(prob, "C1.mtx"), "--space", space,
+                    "--storage", storage] + solve
+            yield ("cli gen fd2d-exp + solve-lyap files %s %s" % (space, storage),
+                   failed or _cli_solve(argv, os.path.join(tmp, space + storage)))
+    config = os.path.join(tmp, "run.cfg")
+    with open(config, "w") as fh:
+        fh.write("problem = fd2d-trig\nn = 9\ns = 2\nseed = 4\ntol = 1e-8\n"
+                 "check-period = 3\nstorage = windowed\nverify = yes\n")
+    yield ("cli solve-lyap config fd2d-trig",
+           _cli_solve(["solve-lyap", "--config", config], os.path.join(tmp, "config")))
+    for kind in ("fd3d-split", "fd2d-pair"):
+        argv = ["solve-sylv", "--problem", kind, "--n", "6", "--s", "2", "--seed", "2"]
+        yield "cli solve-sylv %s" % kind, _cli_solve(argv + solve, os.path.join(tmp, kind))
+    argv = ["bench-residual", "--problem", "laplacian2d", "--n", "7", "--s", "2",
+            "--seed", "4", "--tol", "1e-8", "--max-m", "30", "--check-period", "2"]
+    yield "cli bench-residual laplacian2d", _cli_bench(argv, os.path.join(tmp, "bench"))
+
+
 #: Largest relative change of a final or verified residual that ``--compare``
 #: accepts, and the levels below which both values count as roundoff: of an
 #: exact projection (final) and of the QR behind the true residual (verified).
@@ -231,6 +323,9 @@ def main(argv=None):
         return 1 if broken else 0
     for name, solve, opts in list(grid_cases()) + list(invariant_cases()):
         print("%s | %s" % (name, _outcome(lambda: solve(opts))))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, outcome in cli_cases(tmp):
+            print("%s | %s" % (name, outcome))
     return 0
 
 
