@@ -39,16 +39,7 @@ from .operators import (
 )
 from .basis import KrylovBasis, extended_step, init_basis, lanczos_step
 from .residual import ResidualValue, ctri_lyapunov, ctri_sylvester, residual_one_sided
-from .reduced import (
-    ReducedSolution,
-    kronecker_solve,
-    naive_one_sided_residual,
-    naive_residual,
-    naive_sylvester_residual,
-    solve_reduced_lyapunov,
-    solve_reduced_one_sided,
-    solve_reduced_sylvester,
-)
+from .reduced import naive_residual, solve_reduced_lyapunov
 from .solvers import (
     LowRankSolution,
     SolveOptions,
@@ -77,7 +68,6 @@ __all__ = [
     "LowRankSolution",
     "PartialSpectral",
     "RecurrenceMismatchError",
-    "ReducedSolution",
     "ResidualValue",
     "SolveOptions",
     "SparseFactorization",
@@ -95,18 +85,13 @@ __all__ = [
     "gen_operator",
     "gen_rhs",
     "init_basis",
-    "kronecker_solve",
     "lanczos_step",
     "laplacian1d",
-    "naive_one_sided_residual",
     "naive_residual",
-    "naive_sylvester_residual",
     "partial_eig_blocktridiag",
     "residual_one_sided",
     "solve_lyapunov",
     "solve_reduced_lyapunov",
-    "solve_reduced_one_sided",
-    "solve_reduced_sylvester",
     "solve_sylvester_one_sided",
     "solve_sylvester_two_sided",
     "sym_tridiag_eig",

@@ -136,10 +136,6 @@ class KrylovBasis:
             raise DimensionMismatchError("no completed projection blocks yet")
         return BlockTridiagonal(self.ell, list(self.t_diag), self.t_sub[:-1])
 
-    def coupling_block(self):
-        """tau_{m+1,m}: the block linking the projection to the next basis block."""
-        return self.t_sub[-1]
-
     def coupling_upper(self):
         """The nonzero upper s rows of the coupling block (all of it in
         standard mode, where s == ell)."""

@@ -1,135 +1,35 @@
-"""Dense reference path for the projected equations.
+"""Classical path for the projected Lyapunov equation.
 
 These routines form the full reduced solution Y the classical way
 (eigendecomposition plus substitution, O(k^3)) and evaluate the residual
-norm from it.  They exist to validate the cheap residual evaluation and to
-serve as the "expensive" side of benchmarks, so the eigensolver is the
-classic QL driver rather than the fastest available one.
+norm from it.  They are the "expensive" side that ``bench-residual``
+measures the cheap evaluation against, so the eigensolver is the classic QL
+driver rather than the fastest available one.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError, FactorizationError
-from .kernels import BlockTridiagonal, guarded_denominators
-
-#: Size cap for the brute-force Kronecker solver.
-KRON_LIMIT = 40000
-
-
-@dataclass
-class ReducedSolution:
-    """Solution of a projected equation plus the eigendecompositions used to
-    form it (left factor always, right factor for two-sided problems)."""
-
-    y: np.ndarray
-    eig_left: tuple
-    eig_right: tuple = None
-
-
-def _as_dense(t):
-    if isinstance(t, BlockTridiagonal):
-        return t.to_dense()
-    return np.asarray(t, dtype=float)
-
-
-def _baseline_eigh(a):
-    # classic QL ('ev') keeps the reference path honestly cubic
-    return scipy.linalg.eigh(a, driver="ev")
+from .kernels import guarded_denominators
 
 
 def solve_reduced_lyapunov(t, gamma):
-    """Solve T Y + Y T + E1 g g^T E1^T = 0 by eigendecomposition substitution."""
-    td = _as_dense(t)
+    """Solve T Y + Y T + E1 g g^T E1^T = 0 by eigendecomposition substitution.
+
+    ``t`` is a ``BlockTridiagonal``; returns Y as a dense array.
+    """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
-    lam, q = _baseline_eigh(td)
+    # classic QL ('ev') keeps the classical path honestly cubic
+    lam, q = scipy.linalg.eigh(t.to_dense(), driver="ev")
     denom = guarded_denominators(lam, lam)
     u = q[: gamma.shape[0], :].T @ gamma
     ytilde = -(u @ u.T) / denom
     y = q @ ytilde @ q.T
-    y = 0.5 * (y + y.T)
-    return ReducedSolution(y, (lam, q))
-
-
-def solve_reduced_sylvester(t, j, gamma1, gamma2):
-    """Solve T Y + Y J + E1 g1 g2^T E1^T = 0 by double diagonalization."""
-    td, jd = _as_dense(t), _as_dense(j)
-    gamma1 = np.atleast_2d(np.asarray(gamma1, dtype=float))
-    gamma2 = np.atleast_2d(np.asarray(gamma2, dtype=float))
-    lam, q = _baseline_eigh(td)
-    ups, p = _baseline_eigh(jd)
-    denom = guarded_denominators(lam, ups)
-    u = q[: gamma1.shape[0], :].T @ gamma1
-    v = p[: gamma2.shape[0], :].T @ gamma2
-    ytilde = -(u @ v.T) / denom
-    y = q @ ytilde @ p.T
-    return ReducedSolution(y, (lam, q), (ups, p))
-
-
-def solve_reduced_one_sided(t, upsilon, p, gamma1, c2):
-    """Solve T Y + Y B + E1 g1 C2^T = 0 given the eigendecomposition of B."""
-    td = _as_dense(t)
-    gamma1 = np.atleast_2d(np.asarray(gamma1, dtype=float))
-    upsilon = np.asarray(upsilon, dtype=float)
-    lam, q = _baseline_eigh(td)
-    denom = guarded_denominators(lam, upsilon)
-    u = q[: gamma1.shape[0], :].T @ gamma1
-    ytilde = -(u @ (c2.T @ p)) / denom
-    y = q @ ytilde @ p.T
-    return ReducedSolution(y, (lam, q), (upsilon, p))
-
-
-def _solution_array(y):
-    return y.y if isinstance(y, ReducedSolution) else np.asarray(y, dtype=float)
+    return 0.5 * (y + y.T)
 
 
 def naive_residual(y, tau_next):
     """Residual norm sqrt(2) ||Y E_m tau^T||_F from the full reduced solution."""
-    y = _solution_array(y)
     tau = np.atleast_2d(np.asarray(tau_next, dtype=float))
     ell = tau.shape[1]
     return np.sqrt(2.0) * np.linalg.norm(y[:, -ell:] @ tau.T)
-
-
-def naive_sylvester_residual(y, tau_next, iota_next):
-    """Two-term residual norm for the two-sided Sylvester equation."""
-    y = _solution_array(y)
-    tau = np.atleast_2d(np.asarray(tau_next, dtype=float))
-    iota = np.atleast_2d(np.asarray(iota_next, dtype=float))
-    term_a = np.linalg.norm(tau @ y[-tau.shape[1]:, :]) ** 2
-    term_b = np.linalg.norm(y[:, -iota.shape[1]:] @ iota.T) ** 2
-    return np.sqrt(term_a + term_b)
-
-
-def naive_one_sided_residual(y, tau_next):
-    """Residual norm ||tau E_m^T Y||_F for the one-sided Sylvester equation."""
-    y = _solution_array(y)
-    tau = np.atleast_2d(np.asarray(tau_next, dtype=float))
-    return float(np.linalg.norm(tau @ y[-tau.shape[1]:, :]))
-
-
-def kronecker_solve(a, b, c1, c2):
-    """Brute-force dense solve of A X + X B + C1 C2^T = 0 via vectorization.
-
-    Test oracle only: builds the n1*n2 Kronecker system explicitly.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c1 = np.atleast_2d(np.asarray(c1, dtype=float))
-    c2 = np.atleast_2d(np.asarray(c2, dtype=float))
-    n1, n2 = a.shape[0], b.shape[0]
-    if n1 * n2 > KRON_LIMIT:
-        raise DimensionMismatchError(
-            "Kronecker system of order %d exceeds the limit %d" % (n1 * n2, KRON_LIMIT)
-        )
-    if c1.shape[0] != n1 or c2.shape[0] != n2 or c1.shape[1] != c2.shape[1]:
-        raise DimensionMismatchError("right-hand side factors do not conform")
-    kron = np.kron(np.eye(n2), a) + np.kron(b.T, np.eye(n1))
-    rhs = -(c1 @ c2.T).reshape(-1, order="F")
-    try:
-        x = np.linalg.solve(kron, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("Kronecker system is singular: %s" % exc)
-    return x.reshape((n1, n2), order="F")

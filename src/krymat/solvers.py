@@ -64,6 +64,9 @@ class SolveOptions:
     verify: bool = False
 
     def __post_init__(self):
+        for name in ("tol", "trunc_eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
         if self.max_m < 1:

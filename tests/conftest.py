@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
-from krymat import BlockTridiagonal, solve_reduced_lyapunov
+from krymat import BlockTridiagonal
 
 
 def pytest_addoption(parser):
@@ -121,6 +122,41 @@ def dense_lyapunov_residual(a, z, c):
     return np.linalg.norm(a @ x + x @ a + c @ c.T)
 
 
+def _bartels_stewart(a, b, rhs, rtol):
+    """X with A X + X B + rhs = 0 from scipy's Schur-based solver, which
+    shares no code with krymat; the plug-back residual is asserted so a
+    reference that is off cannot pass silently."""
+    x = scipy.linalg.solve_sylvester(a, b, -rhs)
+    assert np.linalg.norm(a @ x + x @ b + rhs) <= rtol * np.linalg.norm(rhs)
+    return x
+
+
+def reduced_solve(t, j, g1, g2):
+    """Y with T Y + Y J + E1 g1 g2^T E1^T = 0; Lyapunov passes J = T, and the
+    one-sided equation passes the dense B as J and C2 as g2."""
+    td = t.to_dense()
+    jd = j.to_dense() if isinstance(j, BlockTridiagonal) else j
+    rhs = np.zeros((td.shape[0], jd.shape[0]))
+    rhs[:g1.shape[0], :g2.shape[0]] = g1 @ g2.T
+    return _bartels_stewart(td, jd, rhs, 1e-10)
+
+
+def full_solve(a, b, c1, c2):
+    """Dense X with A X + X B + C1 C2^T = 0."""
+    return _bartels_stewart(a, b, c1 @ c2.T, 1e-9)
+
+
+def naive_residual_norm(y, tau, iota=None):
+    """Residual norm of a projected equation from its full solution Y:
+    ||tau E_m^T Y||_F one-sided; two-sided, hypot of that and
+    ||Y E_m iota^T||_F.  Lyapunov passes iota = tau, which gives
+    sqrt(2) ||Y E_m tau^T||_F for symmetric Y."""
+    left = np.linalg.norm(tau @ y[-tau.shape[1]:, :])
+    if iota is None:
+        return left
+    return np.hypot(left, np.linalg.norm(y[:, -iota.shape[1]:] @ iota.T))
+
+
 def refined_reduced_lyapunov(t, gamma):
     """Reduced Lyapunov solution with one step of extended-precision
     iterative refinement.
@@ -130,18 +166,16 @@ def refined_reduced_lyapunov(t, gamma):
     1e-8 relative must carry the reduced solve beyond double precision.
     Returns a longdouble matrix.
     """
-    sol = solve_reduced_lyapunov(t, gamma)
     gamma = np.atleast_2d(gamma)
     ell = gamma.shape[0]
-    tl = t.to_dense().astype(np.longdouble)
+    y0 = reduced_solve(t, t, gamma, gamma).astype(np.longdouble)
+    td = t.to_dense()
+    tl = td.astype(np.longdouble)
     rhs = np.zeros_like(tl)
     rhs[:ell, :ell] = (gamma @ gamma.T).astype(np.longdouble)
-    y0 = sol.y.astype(np.longdouble)
     residual = tl @ y0 + y0 @ tl + rhs
-    lam, q = sol.eig_left
-    u = q.T @ residual.astype(float) @ q
-    correction = -(u / (lam[:, None] + lam[None, :]))
-    return y0 + (q @ correction @ q.T).astype(np.longdouble)
+    correction = _bartels_stewart(td, td, residual.astype(float), 1e-10)
+    return y0 + correction.astype(np.longdouble)
 
 
 def explicit_lyapunov_residual_ld(a_dense, v, y, c):

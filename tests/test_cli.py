@@ -220,16 +220,25 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config)
     (["solve-lyap"], "problem = nonsense\n",
      "config value problem = 'nonsense': expected one of fd2d-exp, fd2d-trig, "
      "laplacian2d, laplacian1d, fd2d-pair, fd3d-split"),
+    (["solve-lyap", "--tol", "nan"], None, "tol must be finite"),
+    (["solve-lyap", "--tol", "inf"], None, "tol must be finite"),
+    (["bench-residual", "--tol", "nan"], None, "tol must be finite"),
+    (["solve-lyap", "--trunc-eps", "nan", "--verify"], None, "trunc_eps must be finite"),
+    (["solve-lyap", "--trunc-eps", "inf"], None, "trunc_eps must be finite"),
+    (["solve-lyap"], "trunc-eps = nan\n", "trunc_eps must be finite"),
 ], ids=["zero-max-m", "negative-max-m", "bench-zero-max-m", "misspelled-boolean",
         "check-period-above-max-m", "bench-check-period-above-max-m",
         "negative-seed", "gen-negative-seed", "negative-seed-in-config",
-        "unknown-problem-in-config"])
+        "unknown-problem-in-config", "nan-tol", "infinite-tol", "bench-nan-tol",
+        "nan-trunc-eps", "infinite-trunc-eps", "nan-trunc-eps-in-config"])
 def test_rejected_value_is_named(tmp_path, capsys, argv, config, message):
     # unchecked, max_m < 1 ran no iteration and wrote an empty history or
     # bench.csv, and a misspelled boolean read as false; check_period > max_m
     # ran max_m steps without a check, a negative seed failed inside numpy,
     # and a config value outside the choices failed as an untyped ValueError
-    # (or went unread under the flag that overrides it)
+    # (or went unread under the flag that overrides it); a NaN or infinite
+    # trunc_eps kept rank 0 and reported convergence, and a NaN tol ran all
+    # max_m steps
     argv = argv + ["--problem", "laplacian2d", "--n", 4, "--out", tmp_path]
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)

@@ -1,17 +1,6 @@
 import numpy as np
-import pytest
 
-from krymat import (
-    BlockTridiagonal,
-    FactorizationError,
-    kronecker_solve,
-    naive_one_sided_residual,
-    naive_residual,
-    naive_sylvester_residual,
-    solve_reduced_lyapunov,
-    solve_reduced_one_sided,
-    solve_reduced_sylvester,
-)
+from krymat import BlockTridiagonal, naive_residual, solve_reduced_lyapunov
 
 from conftest import random_block_tridiagonal
 
@@ -22,130 +11,39 @@ def _scalar_bt(value):
 
 class TestSolveReducedLyapunov:
     def test_scalar(self):
-        sol = solve_reduced_lyapunov(_scalar_bt(-1.0), np.array([[1.0]]))
-        assert np.allclose(sol.y, [[0.5]])
+        y = solve_reduced_lyapunov(_scalar_bt(-1.0), np.array([[1.0]]))
+        assert np.allclose(y, [[0.5]])
 
     def test_diagonal_two(self):
         t = BlockTridiagonal(
             1, [np.array([[-1.0]]), np.array([[-2.0]])], [np.array([[0.0]])]
         )
-        sol = solve_reduced_lyapunov(t, np.array([[1.0]]))
-        assert np.allclose(sol.y, np.diag([0.5, 0.0]), atol=1e-14)
+        y = solve_reduced_lyapunov(t, np.array([[1.0]]))
+        assert np.allclose(y, np.diag([0.5, 0.0]), atol=1e-14)
 
     def test_plug_back_random(self):
         rng = np.random.default_rng(13)
         t = random_block_tridiagonal(rng, 2, 8)
         gamma = rng.standard_normal((2, 2))
-        sol = solve_reduced_lyapunov(t, gamma)
+        y = solve_reduced_lyapunov(t, gamma)
         td = t.to_dense()
         rhs = np.zeros_like(td)
         rhs[:2, :2] = gamma @ gamma.T
-        res = td @ sol.y + sol.y @ td + rhs
+        res = td @ y + y @ td + rhs
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
         # symmetric positive semidefinite, as the projection theory requires
-        assert np.linalg.norm(sol.y - sol.y.T) <= 1e-12 * np.linalg.norm(sol.y)
-        assert np.linalg.eigvalsh(sol.y).min() >= -1e-10 * np.linalg.norm(sol.y)
-
-
-class TestSolveReducedSylvester:
-    def test_scalar(self):
-        sol = solve_reduced_sylvester(
-            _scalar_bt(-1.0), _scalar_bt(-2.0), np.array([[1.0]]), np.array([[1.0]])
-        )
-        assert np.allclose(sol.y, [[1.0 / 3.0]])
-
-    def test_one_sided_scalar_consistency(self):
-        ups = np.array([-2.0])
-        p = np.eye(1)
-        sol = solve_reduced_one_sided(
-            _scalar_bt(-1.0), ups, p, np.array([[1.0]]), np.array([[1.0]])
-        )
-        assert np.allclose(sol.y, [[1.0 / 3.0]])
-
-    def test_plug_back_random(self):
-        rng = np.random.default_rng(17)
-        t = random_block_tridiagonal(rng, 2, 6)
-        j = random_block_tridiagonal(rng, 2, 6)
-        g1 = rng.standard_normal((2, 2))
-        g2 = rng.standard_normal((2, 2))
-        sol = solve_reduced_sylvester(t, j, g1, g2)
-        td, jd = t.to_dense(), j.to_dense()
-        rhs = np.zeros_like(td)
-        rhs[:2, :2] = g1 @ g2.T
-        res = td @ sol.y + sol.y @ jd + rhs
-        assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
-
-    def test_one_sided_plug_back(self):
-        rng = np.random.default_rng(19)
-        t = random_block_tridiagonal(rng, 2, 6)
-        n2 = 9
-        w = rng.standard_normal((n2, n2))
-        b = -(w @ w.T) - np.eye(n2)
-        ups, p = np.linalg.eigh(b)
-        g1 = rng.standard_normal((2, 2))
-        c2 = rng.standard_normal((n2, 2))
-        sol = solve_reduced_one_sided(t, ups, p, g1, c2)
-        td = t.to_dense()
-        rhs = np.zeros((td.shape[0], n2))
-        rhs[:2, :] = g1 @ c2.T
-        res = td @ sol.y + sol.y @ b + rhs
-        assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+        assert np.linalg.norm(y - y.T) <= 1e-12 * np.linalg.norm(y)
+        assert np.linalg.eigvalsh(y).min() >= -1e-10 * np.linalg.norm(y)
 
 
 class TestNaiveResiduals:
     def test_scalar_lyapunov(self):
-        sol = solve_reduced_lyapunov(_scalar_bt(-1.0), np.array([[1.0]]))
+        y = solve_reduced_lyapunov(_scalar_bt(-1.0), np.array([[1.0]]))
         for t in (0.3, 1.7):
             assert np.isclose(
-                naive_residual(sol, np.array([[t]])), np.sqrt(2.0) * t / 2.0
+                naive_residual(y, np.array([[t]])), np.sqrt(2.0) * t / 2.0
             )
 
     def test_zero_coupling(self):
-        sol = solve_reduced_lyapunov(_scalar_bt(-1.0), np.array([[1.0]]))
-        assert naive_residual(sol, np.zeros((1, 1))) == 0.0
-
-    def test_scalar_sylvester(self):
-        sol = solve_reduced_sylvester(
-            _scalar_bt(-1.0), _scalar_bt(-2.0), np.array([[1.0]]), np.array([[1.0]])
-        )
-        a, b = 0.4, 0.9
-        assert np.isclose(
-            naive_sylvester_residual(sol, np.array([[a]]), np.array([[b]])),
-            np.hypot(a, b) / 3.0,
-        )
-
-    def test_scalar_one_sided(self):
-        sol = solve_reduced_one_sided(
-            _scalar_bt(-1.0), np.array([-2.0]), np.eye(1),
-            np.array([[1.0]]), np.array([[1.0]]),
-        )
-        assert np.isclose(naive_one_sided_residual(sol, np.array([[0.5]])), 0.5 / 3.0)
-
-
-class TestKroneckerSolve:
-    def test_scalar(self):
-        x = kronecker_solve(
-            np.array([[-1.0]]), np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]])
-        )
-        assert np.allclose(x, [[0.5]])
-
-    def test_identity_pair(self):
-        # A = B = -I, C1 C2^T = I  =>  X = I / 2
-        x = kronecker_solve(-np.eye(2), -np.eye(2), np.eye(2), np.eye(2))
-        assert np.allclose(x, np.eye(2) / 2.0)
-
-    def test_plug_back_random(self):
-        rng = np.random.default_rng(23)
-        w = rng.standard_normal((20, 20))
-        a = -(w @ w.T) / 20.0 - np.eye(20)
-        c = rng.standard_normal((20, 2))
-        x = kronecker_solve(a, a, c, c)
-        rhs = c @ c.T
-        assert np.linalg.norm(a @ x + x @ a + rhs) <= 1e-9 * np.linalg.norm(rhs)
-
-    def test_singular_rejected(self):
-        with pytest.raises(FactorizationError):
-            kronecker_solve(
-                np.array([[1.0]]), np.array([[-1.0]]),
-                np.array([[1.0]]), np.array([[1.0]]),
-            )
+        y = solve_reduced_lyapunov(_scalar_bt(-1.0), np.array([[1.0]]))
+        assert naive_residual(y, np.zeros((1, 1))) == 0.0

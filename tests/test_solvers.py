@@ -15,7 +15,6 @@ from krymat import (
     cholesky_transform,
     extended_step,
     init_basis,
-    kronecker_solve,
     lanczos_step,
     solve_lyapunov,
     solve_sylvester_one_sided,
@@ -30,6 +29,7 @@ from krymat.solvers import RECOVERY_COLUMNS
 from conftest import (
     dense_sylvester_residual,
     explicit_lyapunov_residual_ld,
+    full_solve,
     refined_reduced_lyapunov,
 )
 
@@ -92,7 +92,7 @@ class TestSolveLyapunov:
         c = gen_rhs(60, 1, seed=1)
         tol = 1e-8
         sol = solve_lyapunov(op, c, SolveOptions(tol=tol, max_m=60))
-        x_ref = kronecker_solve(np.diag(vals), np.diag(vals), c, c)
+        x_ref = full_solve(np.diag(vals), np.diag(vals), c, c)
         err = np.linalg.norm(sol.z @ sol.z.T - x_ref)
         assert err <= 10.0 * tol * np.linalg.norm(c @ c.T)
 
@@ -294,7 +294,7 @@ class TestSylvesterTwoSided:
             SparseOperator(sp.csr_matrix(a)), SparseOperator(sp.csr_matrix(b)),
             c1, c2, SolveOptions(tol=tol, max_m=60),
         )
-        x_ref = kronecker_solve(a, b, c1, c2)
+        x_ref = full_solve(a, b, c1, c2)
         err = np.linalg.norm(sol.z1 @ sol.z2.T - x_ref)
         assert err <= 10.0 * tol * np.linalg.norm(c1 @ c2.T)
 
@@ -311,7 +311,7 @@ class TestSylvesterTwoSided:
             SparseOperator(sp.csr_matrix(a)), SparseOperator(sp.csr_matrix(b)),
             c1, c2, SolveOptions(tol=tol, max_m=25, space="extended"),
         )
-        x_ref = kronecker_solve(a, b, c1, c2)
+        x_ref = full_solve(a, b, c1, c2)
         err = np.linalg.norm(sol.z1 @ sol.z2.T - x_ref)
         assert err <= 10.0 * tol * np.linalg.norm(c1 @ c2.T)
 
@@ -350,7 +350,7 @@ class TestSylvesterTwoSided:
             SolveOptions(tol=1e-10, max_m=40, storage=storage),
         )
         assert sol.iterations > 1
-        x_ref = kronecker_solve(a, b.toarray(), c1, c2)
+        x_ref = full_solve(a, b.toarray(), c1, c2)
         err = np.linalg.norm(sol.z1 @ sol.z2.T - x_ref)
         assert err <= 1e-12 * np.linalg.norm(x_ref)
 
@@ -395,7 +395,7 @@ class TestSylvesterOneSided:
         sol = solve_sylvester_one_sided(
             SparseOperator(a), b, c1, c2, SolveOptions(tol=tol, max_m=200)
         )
-        x_ref = kronecker_solve(a.toarray(), b, c1, c2)
+        x_ref = full_solve(a.toarray(), b, c1, c2)
         err = np.linalg.norm(sol.z1 @ sol.z2.T - x_ref)
         assert err <= 10.0 * tol * np.linalg.norm(c1 @ c2.T)
 
@@ -409,7 +409,7 @@ class TestSylvesterOneSided:
             SparseOperator(a), w, c1, c2,
             SolveOptions(tol=tol, max_m=40, space="extended"),
         )
-        x_ref = kronecker_solve(a.toarray(), w, c1, c2)
+        x_ref = full_solve(a.toarray(), w, c1, c2)
         err = np.linalg.norm(sol.z1 @ sol.z2.T - x_ref)
         assert err <= 10.0 * tol * np.linalg.norm(c1 @ c2.T)
 
@@ -512,6 +512,15 @@ def test_check_period_above_max_m_is_rejected(max_m, check_period):
     with pytest.raises(ValueError, match="^check_period must be <= max_m$"):
         SolveOptions(max_m=max_m, check_period=check_period)
     SolveOptions(max_m=max_m, check_period=max_m)
+
+
+@pytest.mark.parametrize("field", ["tol", "trunc_eps"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_tolerance_is_rejected(field, value):
+    # unchecked, a NaN or infinite trunc_eps truncated the factor to rank 0
+    # and the solve still reported convergence
+    with pytest.raises(ValueError, match="^%s must be finite$" % field):
+        SolveOptions(**{field: value})
 
 
 def _solve(solver, sign, opts):
