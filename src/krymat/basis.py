@@ -142,28 +142,35 @@ class KrylovBasis:
         return self.t_sub[-1][: self.s]
 
 
-def _times(block, alpha):
-    """block @ alpha; for a one-column block the broadcast product, whose
-    entries are the same single products without a matmul call."""
-    return block * alpha if block.shape[1] == 1 else block @ alpha
+def _times(block, alpha, out):
+    """block @ alpha into ``out``; for a one-column block the broadcast
+    product, whose entries are the same single products without a matmul
+    call."""
+    if block.shape[1] == 1:
+        return np.multiply(block, alpha, out=out)
+    return np.matmul(block, alpha, out=out)
 
 
 def mgs_twice(w, older, current):
     """Orthogonalize w against the window blocks, MGS performed twice.
 
     Returns the updated w and the summed coefficients (older-block sum is
-    None when there is no older block).
+    None when there is no older block).  Every block product goes into one
+    scratch block; the first subtraction makes the new w, which the later
+    ones update in place, so the caller's w is left as it was.
     """
     off_sum = None if older is None else np.zeros((older.shape[1], w.shape[1]))
     diag_sum = np.zeros((current.shape[1], w.shape[1]))
+    prod = np.empty(w.shape)
+    out = None
     for _ in range(2):
-        if older is not None:
-            alpha = older.T @ w
-            off_sum += alpha
-            w = w - _times(older, alpha)
-        alpha = current.T @ w
-        diag_sum += alpha
-        w = w - _times(current, alpha)
+        for block, sums in ((older, off_sum), (current, diag_sum)):
+            if block is None:
+                continue
+            alpha = block.T @ w
+            sums += alpha
+            w = np.subtract(w, _times(block, alpha, prod), out=out)
+            out = w
     return w, off_sum, diag_sum
 
 

@@ -252,6 +252,8 @@ def band_tridiagonalize(t, full_p=False):
 def sym_tridiag_eig(d, e):
     """Full eigendecomposition of a symmetric tridiagonal matrix.
 
+    One call to LAPACK's divide-and-conquer ``dstevd``, which stays
+    orthogonal on the tight eigenvalue clusters of long Lanczos runs.
     Returns ascending eigenvalues and an orthogonal eigenvector matrix whose
     columns are sign-fixed (largest-magnitude entry positive) so results are
     deterministic.
@@ -262,19 +264,10 @@ def sym_tridiag_eig(d, e):
         raise DimensionMismatchError("tridiagonal bands have inconsistent lengths")
     if d.shape[0] == 1:
         return d.copy(), np.ones((1, 1))
-    # stemr (MRRR) is the fast path but can fail on the near-machine-identical
-    # eigenvalue clusters that long Lanczos runs produce; bisection plus
-    # inverse iteration with cluster reorthogonalization is the robust
-    # fallback, plain QL the last resort
-    lam = g = None
-    for driver in ("stemr", "stebz", "stev"):
-        try:
-            lam, g = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver=driver)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if lam is None:
-        raise FactorizationError("tridiagonal eigensolver did not converge")
+    lam, g, info = scipy.linalg.lapack.dstevd(d, e)
+    if info != 0:
+        cause = np.linalg.LinAlgError("LAPACK dstevd returned info=%d" % info)
+        raise FactorizationError("tridiagonal eigensolver did not converge") from cause
     return lam, _fix_signs(g)
 
 
@@ -287,21 +280,37 @@ def _fix_signs(g):
     return g
 
 
+def _lower_band(t, bw):
+    """T in LAPACK lower band storage with ``bw + 1`` rows, read straight off
+    its blocks: ``band[i, c] = T[c + i, c]``, zero past the last row.
+
+    Block column j of the lower triangle is the strip [D_j; O_j] (O_j zero
+    for the last block), padded with zero rows, so entry (c + i, c), c = j
+    ell + q, is row q + i, column q of strip j.
+    """
+    ell, nb = t.block_size, t.n_blocks
+    strips = np.zeros((nb, 3 * ell, ell))
+    strips[:, :ell] = t.diag
+    if t.offdiag:
+        strips[:-1, ell: 2 * ell] = t.offdiag
+    q = np.arange(ell)
+    band = strips[:, q[None, :] + np.arange(bw + 1)[:, None], q]
+    return band.transpose(1, 0, 2).reshape(bw + 1, t.dim)
+
+
 def partial_eig_blocktridiag(t):
     """Eigenvalues and sign-fixed eigenvectors of a block tridiagonal matrix.
 
-    The matrix goes in LAPACK lower band storage.  At effective bandwidth 1
-    it is tridiagonal already and goes to the tridiagonal eigensolver (MRRR,
-    O(k^2)); wider bands go to one symmetric banded eigensolve (``dsbevd``,
-    O(k^3) with a small constant).  Both form every eigenvector: the check
-    reads the first and last block rows, and at convergence the solvers map
-    the reduced solution back through all of them, with no second eigensolve.
+    The matrix goes in LAPACK lower band storage, built from its blocks with
+    no dense k x k copy.  At effective bandwidth 1 it is tridiagonal already
+    and goes to the divide-and-conquer tridiagonal eigensolver (``dstevd``);
+    wider bands go to one symmetric banded eigensolve (``dsbevd``, O(k^3)
+    with a small constant).  Both form every eigenvector: the check reads
+    the first and last block rows, and at convergence the solvers map the
+    reduced solution back through all of them, with no second eigensolve.
     """
     bw = _effective_bandwidth(t)
-    a = t.to_dense()
-    band = np.zeros((bw + 1, t.dim))
-    for i in range(bw + 1):
-        band[i, :t.dim - i] = np.diagonal(a, -i)
+    band = _lower_band(t, bw)
     if bw == 1:
         lam, q = sym_tridiag_eig(band[0], band[1, :-1])
     else:

@@ -190,24 +190,35 @@ def two_pass_recover(op, basis, qy):
     The blocks V_i come from ``basis.stored`` in stored mode and from a
     second Lanczos pass in windowed mode, which never holds more than the
     three-block window (see ``_regenerated``).  Either way they are copied
-    into one workspace of n x (b ell) columns, b = max(RECOVERY_COLUMNS //
-    ell, 1) blocks (fewer when the basis has fewer), which is added to Z by
-    one matrix product whenever it is full and once at the end, so no
-    n x (m ell) copy of the basis is made.  Like Z, the workspace is
-    recovery storage: ``peak_basis_vectors`` counts the basis window only.
+    into one column-major workspace of n x (b ell) columns, b =
+    max(RECOVERY_COLUMNS // ell, 1) blocks (fewer when the basis has fewer),
+    so each copy is a contiguous column write.  Whenever the workspace is
+    full, and once at the end, one GEMM adds it times its rows of Q Ycheck
+    into Z in place, so no n x (m ell) copy of the basis and no n x r
+    temporary is made.  Like Z, the workspace is recovery storage:
+    ``peak_basis_vectors`` counts the basis window only.
     """
     ell, m = basis.ell, basis.n_t_blocks
     blocks = basis.stored[:m] if basis.stored is not None else _regenerated(op, basis)
-    buf = np.empty((op.n, min(max(RECOVERY_COLUMNS // ell, 1), m) * ell))
+    buf = np.empty((op.n, min(max(RECOVERY_COLUMNS // ell, 1), m) * ell), order="F")
     z = np.zeros((op.n, qy.shape[1]))
+
+    def flush(used, first_row):
+        # Z^T += (rows of Q Ycheck)^T buf^T on the transposes, which are the
+        # Fortran-ordered arrays BLAS updates in place; BLAS rejects an empty Z
+        if z.size:
+            scipy.linalg.blas.dgemm(1.0, qy[first_row: first_row + used].T,
+                                    buf[:, :used], trans_b=1, beta=1.0, c=z.T,
+                                    overwrite_c=1)
+
     used = first_row = 0
     for block in blocks:
         if used == buf.shape[1]:
-            z += buf @ qy[first_row: first_row + used]
+            flush(used, first_row)
             used, first_row = 0, first_row + used
         buf[:, used: used + ell] = block
         used += ell
-    z += buf[:, :used] @ qy[first_row: first_row + used]
+    flush(used, first_row)
     return z
 
 

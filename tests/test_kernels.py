@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from krymat import (
     BlockTridiagonal,
@@ -11,7 +12,7 @@ from krymat import (
     truncated_spd_factor,
     truncated_svd_factor,
 )
-from krymat.kernels import rank_deficient
+from krymat.kernels import _effective_bandwidth, _fix_signs, rank_deficient
 
 from conftest import random_block_tridiagonal
 
@@ -198,6 +199,48 @@ class TestPartialEig:
             )
 
 
+def _dense_band_eig(t):
+    """The eigendecomposition through a band copied out of ``to_dense``."""
+    bw = _effective_bandwidth(t)
+    a = t.to_dense()
+    band = np.zeros((bw + 1, t.dim))
+    for i in range(bw + 1):
+        band[i, :t.dim - i] = np.diagonal(a, -i)
+    if bw == 1:
+        return sym_tridiag_eig(band[0], band[1, :-1])
+    lam, q = scipy.linalg.eig_banded(band, lower=True)
+    return lam, _fix_signs(q)
+
+
+def _tridiagonal_blocks():
+    """Block storage with ell = 2 whose global pattern is tridiagonal."""
+    d1 = np.array([[-2.0, 0.7], [0.7, -3.0]])
+    d2 = np.array([[-2.5, 0.4], [0.4, -4.0]])
+    off = np.array([[0.0, 0.9], [0.0, 0.0]])  # couples rows 2 and 1 only
+    return BlockTridiagonal(2, [d1, d2], [off])
+
+
+@pytest.mark.parametrize("make, bandwidth", [
+    (lambda rng: random_block_tridiagonal(rng, 1, 30), 1),
+    (lambda rng: _tridiagonal_blocks(), 1),
+    (lambda rng: random_block_tridiagonal(rng, 2, 12, triangular=True), 2),
+    (lambda rng: random_block_tridiagonal(rng, 3, 8), 5),
+    (lambda rng: random_block_tridiagonal(rng, 4, 1), 3),
+], ids=["scalar", "blocked-tridiagonal", "triangular", "general", "one-block"])
+def test_partial_eig_never_forms_the_dense_matrix(monkeypatch, make, bandwidth):
+    t = make(np.random.default_rng(31))
+    assert _effective_bandwidth(t) == bandwidth
+    lam, q = _dense_band_eig(t)
+
+    def refuse(self):
+        raise AssertionError("the check formed the dense projection")
+
+    monkeypatch.setattr(BlockTridiagonal, "to_dense", refuse)
+    spec = partial_eig_blocktridiag(t)
+    assert np.array_equal(spec.eigenvalues, lam)
+    assert np.array_equal(spec.eigenvectors, q)
+
+
 class TestTruncatedFactors:
     def test_identity_keeps_full_rank(self):
         fac = truncated_spd_factor(np.eye(3), 1e-12)
@@ -277,11 +320,7 @@ def test_sym_tridiag_eig_survives_tight_clusters():
 
 
 def test_band_tridiagonalize_blocked_but_already_tridiagonal():
-    # block storage with ell > 1 whose global pattern is already tridiagonal
-    d1 = np.array([[-2.0, 0.7], [0.7, -3.0]])
-    d2 = np.array([[-2.5, 0.4], [0.4, -4.0]])
-    off = np.array([[0.0, 0.9], [0.0, 0.0]])  # couples rows 2 and 1 only
-    t = BlockTridiagonal(2, [d1, d2], [off])
+    t = _tridiagonal_blocks()
     d, e, p_first, p_last = band_tridiagonalize(t)
     f = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     assert np.allclose(f, t.to_dense())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
 from krymat import AsymmetricMatrixError, mmio
@@ -95,6 +96,21 @@ def test_writing_twice_is_byte_identical(tmp_path):
         write(tmp_path / "one.mtx", m)
         write(tmp_path / "two.mtx", m)
         assert (tmp_path / "one.mtx").read_bytes() == (tmp_path / "two.mtx").read_bytes()
+
+
+def test_array_layout_does_not_change_the_bytes(tmp_path):
+    # C-ordered, Fortran-ordered and strided input, and scipy's own write of
+    # the C-ordered block, which write_array hands a column-major copy
+    c = gen_rhs(300, 5, seed=7)
+    c[0, 0], c[1, 1], c[2, 2] = -0.0, 5e-324, np.finfo(float).max
+    wide = np.hstack([c, c])
+    for name, m in (("c", c), ("f", np.asfortranarray(c)), ("view", wide[:, :5])):
+        mmio.write_array(tmp_path / (name + ".mtx"), m)
+    with open(tmp_path / "scipy.mtx", "wb") as fh:
+        scipy.io.mmwrite(fh, c, symmetry="general")
+    want = (tmp_path / "scipy.mtx").read_bytes()
+    for name in ("c", "f", "view"):
+        assert (tmp_path / (name + ".mtx")).read_bytes() == want
 
 
 def test_file_is_written_at_the_given_path(tmp_path):

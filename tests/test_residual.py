@@ -8,6 +8,7 @@ precision.
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import krymat.residual
 from krymat import (
@@ -21,6 +22,7 @@ from krymat import (
     ctri_sylvester,
     extended_step,
     init_basis,
+    lanczos_step,
     residual_one_sided,
     sym_tridiag_eig,
 )
@@ -32,6 +34,7 @@ from conftest import (
     naive_residual_norm,
     random_block_tridiagonal,
     reduced_solve,
+    refined_reduced_lyapunov,
 )
 
 
@@ -293,3 +296,44 @@ def test_banded_eigensolver_failure_is_typed(monkeypatch):
     # bandwidth 1 never reaches the banded solver
     t, tau = lanczos_block_tridiagonal(rng, 1, 12)
     assert ctri_lyapunov(t, np.array([[1.0]]), tau).res > 0.0
+
+
+def test_tridiagonal_eigensolver_failure_is_typed(monkeypatch):
+    def no_convergence(d, e, *args, **kwargs):
+        return d.copy(), np.zeros((d.size, d.size)), 3
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", no_convergence)
+    rng = np.random.default_rng(440)
+    t, tau = lanczos_block_tridiagonal(rng, 1, 12)
+    with pytest.raises(FactorizationError, match="tridiagonal eigensolver") as info:
+        ctri_lyapunov(t, np.array([[1.0]]), tau)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert "info=3" in str(info.value.__cause__)
+
+
+def test_long_lanczos_chain_with_ghost_clusters():
+    # 320 steps of the library's own Lanczos, which reorthogonalizes only
+    # against its window, on a geometric spectrum: converged extreme Ritz
+    # values come back as ghost copies, so T holds eigenvalue clusters down
+    # to zero separation, the hard case for tridiagonal eigensolvers
+    n, k = 1000, 320
+    op = SparseOperator(sp.diags(-np.geomspace(0.1, 1e3, n)).tocsr())
+    basis = init_basis(op, np.random.default_rng(1).standard_normal((n, 1)),
+                       storage="windowed")
+    for _ in range(k):
+        lanczos_step(op, basis)
+    t, tau = basis.projected_matrix(), basis.coupling_upper()
+    td = t.to_dense()
+    lam = np.linalg.eigvalsh(td)
+    assert np.min(np.diff(lam) / np.abs(lam[1:])) < 1e-14
+    rv = ctri_lyapunov(t, basis.gamma, tau)
+    # the reference carries the reduced solve beyond double precision: plain
+    # Bartels-Stewart is off by about 1e-9 here, eps times the conditioning
+    # over the residual's decay
+    ref = float(naive_residual_norm(refined_reduced_lyapunov(t, basis.gamma), tau, tau))
+    assert abs(rv.res - ref) <= 1e-10 * ref
+    (spectral,) = rv.spectra
+    q = spectral.eigenvectors
+    assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-12 * np.sqrt(k)
+    lam = spectral.eigenvalues
+    assert np.linalg.norm(td @ q - q * lam) <= 1e-12 * np.linalg.norm(td)

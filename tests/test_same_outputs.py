@@ -88,3 +88,12 @@ def test_cli_cases_run_and_compare_with_themselves(tmp_path):
     name, bench = cases[-1]
     moved = bench.rsplit("=", 1)[0] + "=0000000000000000"
     assert same_outputs.compare([(name, bench)], [(name, moved)])[0] == []
+
+
+def test_long_case_is_a_long_windowed_s1_solve():
+    ((name, solve, opts),) = same_outputs.long_case()
+    assert (opts.space, opts.storage, opts.check_period) == ("standard", "windowed", 20)
+    outcome = same_outputs._outcome(lambda: solve(opts))
+    # 380 steps: a dozen workspace fills in the recovery
+    assert outcome.startswith("it=380 ")
+    assert same_outputs.compare([(name, outcome)], [(name, outcome)])[0] == []

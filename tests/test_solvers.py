@@ -219,6 +219,26 @@ class TestTwoPass:
         rel = np.linalg.norm(z_two_pass - z_stored) / np.linalg.norm(z_stored)
         assert rel <= 1e-12
 
+    # the second pass reproduces a standard-space basis bit for bit, and both
+    # storages add the same blocks to Z through the same workspace
+    @pytest.mark.parametrize("s, m", [(1, 70), (2, 40), (3, 25)])
+    def test_standard_windowed_z_is_stored_z_exactly(self, s, m):
+        op = SparseOperator(gen_fd2d("fd2d-exp", 20))  # order 400
+        c = gen_rhs(400, s, seed=40 + s)
+        qy = np.random.default_rng(s).standard_normal((m * s, 7))
+        stored, windowed = (
+            two_pass_recover(op, _first_pass(op, c, "standard", storage, m), qy)
+            for storage in ("stored", "windowed"))
+        assert np.array_equal(windowed, stored)
+
+    @pytest.mark.parametrize("storage", ["stored", "windowed"])
+    def test_truncation_to_rank_zero(self, storage):
+        # a tail mass above ||Y||_F drops every eigenvalue: Z has no columns
+        op = SparseOperator(gen_fd2d("fd2d-exp", 20))
+        sol = solve_lyapunov(op, gen_rhs(400, 1, seed=5),
+                             SolveOptions(trunc_eps=1e300, storage=storage))
+        assert sol.rank == 0 and sol.z.shape == (400, 0)
+
     # the drift starts at a block in the middle of the second workspace fill
     @pytest.mark.parametrize("space, s, m, drift_step", [
         ("standard", 1, 70, 41), ("extended", 2, 21, 13),
@@ -241,8 +261,7 @@ class TestTwoPass:
             op, c, SolveOptions(tol=1e-7, max_m=60, storage="windowed")
         )
         assert stored.iterations == windowed.iterations
-        rel = np.linalg.norm(stored.z - windowed.z) / np.linalg.norm(stored.z)
-        assert rel <= 1e-12
+        assert np.array_equal(stored.z, windowed.z)
 
     def test_extended_windowed_two_pass(self):
         op = SparseOperator(gen_fd2d("laplacian2d", 12))
