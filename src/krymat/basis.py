@@ -8,9 +8,9 @@ block Gram-Schmidt performed twice, so only a three-block window of the
 basis is ever required; the ``stored`` mode additionally retains all blocks.
 
 In extended mode the orthogonalization coefficients form a block tridiagonal
-matrix H that differs from the projection T = V' A V; the columns of T are
-recovered during the iteration by a short recurrence that uses only the
-coefficients and the triangularity of the QR factors.
+matrix H that differs from the projection T = V' A V; each step recovers
+T's new diagonal and coupling blocks by a short recurrence that uses only
+the coefficients and the triangularity of the QR factors.
 
 One ``KrylovBasis`` object per space holds its basis blocks and T's blocks.
 Both step functions share one orthogonalize-and-factor skeleton, and every
@@ -28,14 +28,9 @@ import scipy.linalg
 from .errors import (
     DeflationUnsupportedError,
     DimensionMismatchError,
-    FactorizationError,
     KrymatError,
 )
 from .kernels import BlockTridiagonal, economy_qr, rank_deficient
-
-#: Tolerated relative size of the (theoretically zero) lower part of the
-#: coupling blocks recovered by the extended-mode recurrence.
-STRUCTURE_TOL = 1e-8
 
 #: Residual blocks below this size (relative to the unorthogonalized block)
 #: mean the Krylov space hit an invariant subspace: the projection is exact.
@@ -58,8 +53,9 @@ class KrylovBasis:
     which a second basis pass checks its recomputed coefficients against to
     detect nondeterministic operators.  In standard mode the coupling block
     is that R factor.  Extended mode also keeps what its T recurrence reads:
-    the recovered block columns of T of the last two steps and the
-    Gram-Schmidt sums of the last step.
+    ``last_diag_sum``, the Gram-Schmidt coefficients of the last step
+    against its current block, and ``kappa12`` and ``kappa22``, the second
+    half-columns of the initial QR factor, which start the recurrence.
     """
 
     def __init__(self, space, storage, v1, gamma):
@@ -76,11 +72,9 @@ class KrylovBasis:
         self.t_diag = []
         self.t_sub = []
         self.r_sub = []
-        self.t_cols = deque(maxlen=2)
-        self.last_mgs_sums = None
+        self.last_diag_sum = None
         self.kappa12 = None
         self.kappa22 = None
-        self.structure_defect = 0.0
         # set when the space became invariant: the projection is exact and
         # the coupling to any further block is zero
         self.exhausted = False
@@ -154,24 +148,24 @@ def _times(block, alpha, out):
 def mgs_twice(w, older, current):
     """Orthogonalize w against the window blocks, MGS performed twice.
 
-    Returns the updated w and the summed coefficients (older-block sum is
-    None when there is no older block).  Every block product goes into one
-    scratch block; the first subtraction makes the new w, which the later
-    ones update in place, so the caller's w is left as it was.
+    Returns the updated w and the summed coefficients against ``current``,
+    which give T's diagonal block; the coefficients against ``older`` (None
+    before the second step) only repeat earlier couplings and are not kept.
+    Every block product goes into one scratch block; the first subtraction
+    makes the new w, which the later ones update in place, so the caller's w
+    is left as it was.
     """
-    off_sum = None if older is None else np.zeros((older.shape[1], w.shape[1]))
+    blocks = (current,) if older is None else (older, current)
     diag_sum = np.zeros((current.shape[1], w.shape[1]))
     prod = np.empty(w.shape)
     out = None
     for _ in range(2):
-        for block, sums in ((older, off_sum), (current, diag_sum)):
-            if block is None:
-                continue
+        for block in blocks:
             alpha = block.T @ w
-            sums += alpha
             w = np.subtract(w, _times(block, alpha, prod), out=out)
             out = w
-    return w, off_sum, diag_sum
+        diag_sum += alpha  # the last alpha of a pass is current's
+    return w, diag_sum
 
 
 def _qr_new_block(w, context):
@@ -222,9 +216,9 @@ def _next_block(op, basis):
 
     The directions are A V_m in standard mode and [A V_m^(1), A^{-1} V_m^(2)]
     in extended mode.  Appends the R factor of the new block to
-    ``basis.r_sub`` and returns the new block with the (older, current)
-    Gram-Schmidt sums.  A numerically zero residual block means the space
-    became invariant: the new block is then None and its R factor zero.
+    ``basis.r_sub`` and returns the new block with the Gram-Schmidt sum
+    against the current block.  A numerically zero residual block means the
+    space became invariant: the new block is then None and its R factor zero.
     """
     if basis.exhausted:
         raise DeflationUnsupportedError("the Krylov space is already invariant")
@@ -236,13 +230,13 @@ def _next_block(op, basis):
         w = np.hstack([op.apply(current[:, :s]), op.solve(current[:, s:])])
         context = "extended step %d"
     scale = np.linalg.norm(w)
-    w, off_sum, diag_sum = mgs_twice(w, older, current)
+    w, diag_sum = mgs_twice(w, older, current)
     if np.linalg.norm(w) <= ZERO_BLOCK_TOL * scale:
         v_next, r = None, np.zeros((basis.ell, basis.ell))
     else:
         v_next, r = _qr_new_block(w, context % basis.m)
     basis.r_sub.append(r)
-    return v_next, off_sum, diag_sum
+    return v_next, diag_sum
 
 
 def lanczos_step(op, basis):
@@ -254,75 +248,45 @@ def lanczos_step(op, basis):
     completed with a zero coupling block, so the projected solution is
     exact, and the basis is marked exhausted.
     """
-    v_next, _, diag_sum = _next_block(op, basis)
+    v_next, diag_sum = _next_block(op, basis)
     basis._record(diag_sum, basis.r_sub[-1], v_next)
-
-
-def _right_triangular_solve(rhs, r):
-    """Solve X R = rhs for upper triangular R."""
-    return scipy.linalg.solve_triangular(r, rhs.T, lower=False, trans="T").T
 
 
 def extended_step(op, basis):
     """One step of the extended Krylov iteration.
 
-    The new directions are A V^{(1)} and A^{-1} V^{(2)}; the projection
-    column is recovered from the orthogonalization coefficients, the first
-    half directly, the second half through the three-term recurrence that
-    inverts the upper triangular QR factor of the previous step.  Zero
-    residual blocks behave as in ``lanczos_step``.
+    The new directions are A V_m^(1) and A^{-1} V_m^(2).  T's block column m
+    comes from the orthogonalization coefficients: its first s columns
+    directly, its last s by solving X R = rhs, with R the trailing s x s
+    block of the previous step's QR factor (of [C, A^{-1}C] at m = 1).
+    That solve works row by row, so only the rows of T's two new blocks are
+    formed, the 2 ell x ell strip [D; O]; their right-hand side reads only
+    the previous coupling block and Gram-Schmidt sum, so a step's work does
+    not grow with m.  The lower s rows of O come out exact zeros, products
+    of the zeros of upper triangular factors.  Zero residual blocks behave
+    as in ``lanczos_step``.
     """
     s, ell = basis.s, basis.ell
-    big_m = basis.m
-    v_next, off_sum, diag_sum = _next_block(op, basis)
-    theta_sub = basis.r_sub[-1]
-
-    # T block column big_m (rows 1 .. big_m+1)
-    rows = (big_m + 1) * ell
-    col = np.zeros((rows, ell))
-    col[(big_m - 1) * ell: big_m * ell, :s] = diag_sum[:, :s]
-    col[big_m * ell:, :s] = theta_sub[:, :s]
-    if off_sum is not None:
-        col[(big_m - 2) * ell: (big_m - 1) * ell, :s] = off_sum[:, :s]
-
-    if big_m == 1:
+    v_next, diag_sum = _next_block(op, basis)
+    strip = np.empty((2 * ell, ell))
+    strip[:ell, :s] = diag_sum[:, :s]
+    strip[ell:, :s] = basis.r_sub[-1][:, :s]
+    rhs = np.zeros((2 * ell, s))
+    if basis.m == 1:
         # base case from the initial QR: T(:,1) kappa2 = E1 kappa1
-        rhs = np.zeros((rows, s))
         rhs[:ell] = basis.gamma
-        rhs -= col[:, :s] @ basis.kappa12
-        col[:, s:] = _right_triangular_solve(rhs, basis.kappa22)
+        rhs -= strip[:, :s] @ basis.kappa12
+        r = basis.kappa22
     else:
-        # recurrence on the second half-columns of the previous step
-        off_prev, diag_prev = basis.last_mgs_sums
-        theta_sub2 = basis.r_sub[-2][:, s:]
-        rhs = np.zeros((rows, s))
-        rhs[(big_m - 2) * ell + s: (big_m - 1) * ell] = np.eye(s)
-        # earlier columns are shorter: their missing rows are zero
-        if big_m >= 3:
-            rhs[: (big_m - 1) * ell] -= basis.t_cols[-2] @ off_prev[:, s:]
-        rhs[: big_m * ell] -= basis.t_cols[-1] @ diag_prev[:, s:]
-        rhs -= col[:, :s] @ theta_sub2[:s, :]
-        col[:, s:] = _right_triangular_solve(rhs, theta_sub2[s:, :])
-
-    # the recovered coupling block must have a zero lower s x 2s part;
-    # measured against the whole column since the coupling itself shrinks
-    # as the iteration converges
-    lower = col[big_m * ell + s:, :]
-    scale = max(np.linalg.norm(col), 1e-300)
-    defect = np.linalg.norm(lower) / scale
-    basis.structure_defect = max(basis.structure_defect, defect)
-    if defect > STRUCTURE_TOL:
-        raise FactorizationError(
-            "extended-mode recurrence lost the block tridiagonal structure "
-            "(relative defect %.3e)" % defect
-        )
-    col[big_m * ell + s:, :] = 0.0
+        # recurrence: of the older blocks of column m - 1, only its coupling
+        # block shares rows with the strip
+        r_prev = basis.r_sub[-2]
+        rhs[:ell] -= basis.t_sub[-1] @ basis.last_diag_sum[:, s:]
+        rhs -= strip[:, :s] @ r_prev[:s, s:]
+        r = r_prev[s:, s:]
+    # X R = rhs as R^T X^T = rhs^T
+    strip[:, s:] = scipy.linalg.solve_triangular(r, rhs.T, lower=False, trans="T").T
     if v_next is None:
-        col[big_m * ell:, :] = 0.0
-
-    basis.last_mgs_sums = (off_sum, diag_sum)
-    basis.t_cols.append(col)
-    # the coupling block is copied out of the column, so the column is freed
-    # once the recurrence has read it two steps on
-    basis._record(col[(big_m - 1) * ell: big_m * ell], col[big_m * ell:].copy(),
-                  v_next)
+        strip[ell:] = 0.0
+    basis.last_diag_sum = diag_sum
+    basis._record(strip[:ell], strip[ell:], v_next)

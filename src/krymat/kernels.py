@@ -322,6 +322,15 @@ def partial_eig_blocktridiag(t):
     return PartialSpectral(lam, q, t.block_size)
 
 
+def _truncation_rank(values, eps):
+    """The smallest rank t at which the dropped tail values[t:] of the
+    non-increasing ``values`` has Frobenius mass at most ``eps``, and that
+    mass."""
+    tail = np.sqrt(np.cumsum(values[::-1] ** 2))[::-1]
+    rank = int(np.count_nonzero(tail > eps))
+    return rank, float(tail[rank]) if rank < values.size else 0.0
+
+
 def truncated_spd_factor(y, eps=TRUNC_EPS):
     """Truncated factorization Y ~ F F^T of a symmetric PSD matrix.
 
@@ -337,12 +346,9 @@ def truncated_spd_factor(y, eps=TRUNC_EPS):
         )
     lam = lam[::-1].copy()
     w = w[:, ::-1]
-    # largest t with || dropped eigenvalues ||_F <= eps, mass taken on the
-    # raw spectrum so roundoff-negative eigenvalues count as discarded
-    tail = np.sqrt(np.cumsum(lam[::-1] ** 2))[::-1]
-    keep = tail > eps
-    rank = int(np.count_nonzero(keep))
-    discarded = float(tail[rank]) if rank < lam.size else 0.0
+    # mass taken on the raw spectrum, so roundoff-negative eigenvalues
+    # count as discarded
+    rank, discarded = _truncation_rank(lam, eps)
     factor = w[:, :rank] * np.sqrt(np.clip(lam[:rank], 0.0, None))
     return TruncatedFactor(factor, discarded)
 
@@ -351,10 +357,7 @@ def truncated_svd_factor(y, eps=TRUNC_EPS):
     """Truncated factorization Y ~ F1 F2^T of a general matrix via the SVD."""
     y = np.asarray(y, dtype=float)
     u, sig, vt = np.linalg.svd(y, full_matrices=False)
-    tail = np.sqrt(np.cumsum(sig[::-1] ** 2))[::-1]
-    keep = tail > eps
-    rank = int(np.count_nonzero(keep))
-    discarded = float(tail[rank]) if rank < sig.size else 0.0
+    rank, discarded = _truncation_rank(sig, eps)
     root = np.sqrt(sig[:rank])
     f1 = u[:, :rank] * root
     f2 = vt[:rank].T * root

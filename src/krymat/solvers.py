@@ -168,7 +168,7 @@ def _regenerated(op, basis):
         # standard mode): MGS acts per column, and the leading s columns of
         # the joint QR factor equal the QR of the first half-block alone
         w = op.apply(v[:, :s])
-        w, _, _ = mgs_twice(w, older, v)
+        w, _ = mgs_twice(w, older, v)
         v_new, r_hat = economy_qr(w)
         stored = basis.r_sub[i - 2][:s, :s]
         scale = max(np.linalg.norm(stored), 1e-300)

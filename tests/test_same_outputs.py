@@ -97,3 +97,19 @@ def test_long_case_is_a_long_windowed_s1_solve():
     # 380 steps: a dozen workspace fills in the recovery
     assert outcome.startswith("it=380 ")
     assert same_outputs.compare([(name, outcome)], [(name, outcome)])[0] == []
+
+
+def test_long_extended_case_runs_past_lost_orthogonality():
+    ((name, solve, opts),) = same_outputs.long_extended_case()
+    assert (opts.space, opts.storage) == ("extended", "windowed")
+    outcome = same_outputs._outcome(lambda: solve(opts))
+    # the extended basis is far from orthogonal by m = 15
+    assert outcome.startswith("it=28 ")
+    assert same_outputs.compare([(name, outcome)], [(name, outcome)])[0] == []
+
+
+def test_library_case_count():
+    # with the 8 command lines, the 174 cases of the module docstring
+    cases = list(same_outputs.grid_cases()) + list(same_outputs.invariant_cases()) \
+        + list(same_outputs.long_case()) + list(same_outputs.long_extended_case())
+    assert len(cases) == 166

@@ -10,13 +10,16 @@ for a refactor that must not change any result is an empty diff:
 The grid is 3 solvers x 2 spaces x 2 storages x s in {1, 2, 3} x check
 period in {1, 3} x max_m in {500, 4} (the last one ends in
 ConvergenceError), all with verify, plus 20 cases whose Krylov space
-becomes invariant and one long s = 1 windowed Lyapunov solve (order 10000,
+becomes invariant, one long s = 1 windowed Lyapunov solve (order 10000,
 380 steps), whose checks see the eigenvalue clusters of a long Lanczos run
-and whose recovery fills its workspace a dozen times.  Each line gives the
-iterations, rank, the repr of the final and verified residuals, SHA-256
-digests of the factors and of the history (without its timing columns) and
-the peak basis vectors, or the type and message of the error raised.  BLAS
-runs on one thread so that sums are taken in a fixed order.
+and whose recovery fills its workspace a dozen times, and one long extended
+s = 2 windowed Lyapunov solve (order 10000, 28 steps), whose T recurrence
+runs on after the extended basis has lost orthogonality (by m = 15).  Each
+line gives the iterations, rank, the repr of the final and verified
+residuals, SHA-256 digests of the factors and of the history (without its
+timing columns) and the peak basis vectors, or the type and message of the
+error raised.  BLAS runs on one thread so that sums are taken in a fixed
+order.
 
 Eight more cases run the command line in a temporary directory: ``krymat
 gen`` followed by ``solve-lyap`` on its files in both spaces and storages,
@@ -30,7 +33,7 @@ res_fast and res_naive columns of ``bench.csv``.
 
 A change that moves rounding on purpose (another QR, a reordered sum) cannot
 give an empty diff; the digests and the last digits of the residuals move.
-For such a change compare the two outputs line by line instead: on all 173
+For such a change compare the two outputs line by line instead: on all 174
 cases the iterations, the rank and, where a case raises, the error type and
 message must be equal, and the final residual may differ by at most 1e-3
 relative to the old value, except where both values are below 1e-15, which
@@ -185,6 +188,14 @@ def long_case():
     yield "lyapunov fd2d-exp(100) standard windowed s=1 d=20", solve, opts
 
 
+def long_extended_case():
+    """(name, solve, options) of one long extended windowed solve, s = 2,
+    whose T recurrence runs on after the basis has lost orthogonality."""
+    solve = _lyapunov(gen_fd2d("fd2d-exp", 100), gen_rhs(10000, 2, seed=9))
+    opts = SolveOptions(tol=1e-10, space="extended", storage="windowed", verify=True)
+    yield "lyapunov fd2d-exp(100) extended windowed s=2", solve, opts
+
+
 def _file_digest(paths):
     h = hashlib.sha256()
     for path in paths:
@@ -331,7 +342,7 @@ def main(argv=None):
               % (len(broken), len(new), worst["final"], worst["verified"]))
         return 1 if broken else 0
     for name, solve, opts in list(grid_cases()) + list(invariant_cases()) + \
-            list(long_case()):
+            list(long_case()) + list(long_extended_case()):
         print("%s | %s" % (name, _outcome(lambda: solve(opts))))
     with tempfile.TemporaryDirectory() as tmp:
         for name, outcome in cli_cases(tmp):
