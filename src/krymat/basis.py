@@ -12,10 +12,10 @@ matrix H that differs from the projection T = V' A V; each step recovers
 T's new diagonal and coupling blocks by a short recurrence that uses only
 the coefficients and the triangularity of the QR factors.
 
-One ``KrylovBasis`` object per space holds its basis blocks and T's blocks.
-Both step functions share one orthogonalize-and-factor skeleton, and every
-step records the new diagonal and coupling blocks of T once, so T and its
-coupling block are read off the basis without rebuilding them.  A residual
+One ``KrylovBasis`` object per space holds its basis blocks and T in LAPACK
+band storage.  Both step functions share one orthogonalize-and-factor
+skeleton, and every step writes T's new blocks into the band once, so T and
+its coupling block are read off the basis without rebuilding them.  A residual
 block that is numerically zero means the space became invariant: the step
 completes T with a zero coupling block and marks the basis exhausted.
 """
@@ -47,15 +47,16 @@ class KrylovBasis:
     any inverse-applies.  ``v1``, the first block, is where a second pass
     starts.
 
-    Projection: every step appends three ell x ell blocks: ``t_diag``, the
-    symmetrized diagonal block of T; ``t_sub``, its coupling block to the
-    next basis block; and ``r_sub``, the R factor of the new basis block,
+    Projection: each step writes T's new block column [D; O], D symmetrized
+    and O the coupling block to the next basis block, as ell columns of
+    LAPACK lower band storage with ell + 1 rows, which hold all of T since
+    every coupling block is upper triangular.  ``last_coupling`` keeps the
+    last O whole; ``r_sub`` keeps the R factor of every new basis block,
     which a second basis pass checks its recomputed coefficients against to
-    detect nondeterministic operators.  In standard mode the coupling block
-    is that R factor.  Extended mode also keeps what its T recurrence reads:
-    ``last_diag_sum``, the Gram-Schmidt coefficients of the last step
-    against its current block, and ``kappa12`` and ``kappa22``, the second
-    half-columns of the initial QR factor, which start the recurrence.
+    detect nondeterministic operators.  Extended mode also keeps what its T
+    recurrence reads: ``last_diag_sum``, the Gram-Schmidt coefficients of
+    the last step against its current block, and ``kappa12`` and
+    ``kappa22``, the second half-columns of the initial QR factor.
     """
 
     def __init__(self, space, storage, v1, gamma):
@@ -69,8 +70,8 @@ class KrylovBasis:
         halves = space == "extended" and storage == "windowed"
         self.second_halves = [] if halves else None
         self.peak_vectors = 0
-        self.t_diag = []
-        self.t_sub = []
+        self._band_cols = []
+        self.last_coupling = None
         self.r_sub = []
         self.last_diag_sum = None
         self.kappa12 = None
@@ -98,11 +99,15 @@ class KrylovBasis:
             count += len(self.second_halves) * self.s
         return count
 
-    def _record(self, diag, sub, v_next):
-        """Append T's blocks of this step, then push the next basis block, or
-        mark the space exhausted when there is none."""
-        self.t_diag.append(0.5 * (diag + diag.T))
-        self.t_sub.append(sub)
+    def _record(self, strip, v_next):
+        """Write this step's strip [D; O], D symmetrized in place, into T's
+        band (row i of the step's column q is strip[q + i, q]) and keep O;
+        then push the next basis block, or mark the space exhausted."""
+        ell = self.ell
+        strip[:ell] = 0.5 * (strip[:ell] + strip[:ell].T)
+        q = np.arange(ell)
+        self._band_cols.append(strip[q + np.arange(ell + 1)[:, None], q])
+        self.last_coupling = strip[ell:]
         if v_next is None:
             self.exhausted = True
         else:
@@ -123,17 +128,21 @@ class KrylovBasis:
     def projected_matrix(self):
         """The symmetric block tridiagonal projection T accumulated so far.
 
-        The block lists are copies, so a T taken now does not grow with
-        later steps.
+        The band is a new array, so a T taken now does not grow with later
+        steps.  The last block column's entries past row k, the coupling to
+        the next block, are zeroed: T excludes them.
         """
         if self.n_t_blocks < 1:
             raise DimensionMismatchError("no completed projection blocks yet")
-        return BlockTridiagonal(self.ell, list(self.t_diag), self.t_sub[:-1])
+        band = np.concatenate(self._band_cols, axis=1)
+        for i in range(1, self.ell + 1):
+            band[i, -i:] = 0.0
+        return BlockTridiagonal(self.ell, band)
 
     def coupling_upper(self):
         """The nonzero upper s rows of the coupling block (all of it in
         standard mode, where s == ell)."""
-        return self.t_sub[-1][: self.s]
+        return self.last_coupling[: self.s]
 
 
 def _times(block, alpha, out):
@@ -190,6 +199,8 @@ def init_basis(op, c, space="standard", storage="stored"):
             "right-hand side block of shape %s does not match operator order %d"
             % (c.shape, op.n)
         )
+    if not np.isfinite(c).all():
+        raise KrymatError("right-hand side block C has a non-finite entry")
     if storage not in ("windowed", "stored"):
         raise ValueError("storage mode must be 'windowed' or 'stored'")
     s = c.shape[1]
@@ -249,7 +260,7 @@ def lanczos_step(op, basis):
     exact, and the basis is marked exhausted.
     """
     v_next, diag_sum = _next_block(op, basis)
-    basis._record(diag_sum, basis.r_sub[-1], v_next)
+    basis._record(np.vstack([diag_sum, basis.r_sub[-1]]), v_next)
 
 
 def extended_step(op, basis):
@@ -268,9 +279,7 @@ def extended_step(op, basis):
     """
     s, ell = basis.s, basis.ell
     v_next, diag_sum = _next_block(op, basis)
-    strip = np.empty((2 * ell, ell))
-    strip[:ell, :s] = diag_sum[:, :s]
-    strip[ell:, :s] = basis.r_sub[-1][:, :s]
+    strip = np.vstack([diag_sum, basis.r_sub[-1]])  # last s columns solved below
     rhs = np.zeros((2 * ell, s))
     if basis.m == 1:
         # base case from the initial QR: T(:,1) kappa2 = E1 kappa1
@@ -281,7 +290,7 @@ def extended_step(op, basis):
         # recurrence: of the older blocks of column m - 1, only its coupling
         # block shares rows with the strip
         r_prev = basis.r_sub[-2]
-        rhs[:ell] -= basis.t_sub[-1] @ basis.last_diag_sum[:, s:]
+        rhs[:ell] -= basis.last_coupling @ basis.last_diag_sum[:, s:]
         rhs -= strip[:, :s] @ r_prev[:s, s:]
         r = r_prev[s:, s:]
     # X R = rhs as R^T X^T = rhs^T
@@ -289,4 +298,4 @@ def extended_step(op, basis):
     if v_next is None:
         strip[ell:] = 0.0
     basis.last_diag_sum = diag_sum
-    basis._record(strip[:ell], strip[ell:], v_next)
+    basis._record(strip, v_next)

@@ -47,49 +47,36 @@ def guarded_denominators(left, right, tol=DENOM_TOL):
 
 @dataclass
 class BlockTridiagonal:
-    """Symmetric block tridiagonal matrix stored as its lower block bands.
+    """Symmetric block tridiagonal matrix in LAPACK lower band storage.
 
-    ``diag[i]`` is the i-th diagonal block (symmetric, ``block_size`` square),
-    ``offdiag[i]`` the subdiagonal block coupling block rows i+1 and i.  The
-    implied full matrix has ``offdiag[i].T`` in the corresponding upper
-    position.
+    ``band[i, c]`` is entry (c + i, c) of the matrix, for c + i below its
+    order; entries past the last row are zero.  With ``block_size`` ell the
+    band has at most 2 ell rows: ell + 1 when the coupling blocks are upper
+    triangular, as the Krylov bases make them, 2 ell for general blocks.
     """
 
     block_size: int
-    diag: list
-    offdiag: list
+    band: np.ndarray
 
     def __post_init__(self):
-        ell = self.block_size
-        if len(self.offdiag) != max(len(self.diag) - 1, 0):
-            raise DimensionMismatchError(
-                "expected %d off-diagonal blocks, got %d"
-                % (len(self.diag) - 1, len(self.offdiag))
-            )
-        for blk in list(self.diag) + list(self.offdiag):
-            if blk.shape != (ell, ell):
-                raise DimensionMismatchError(
-                    "block of shape %s does not match block size %d"
-                    % (blk.shape, ell)
-                )
+        band = self.band
+        if (band.ndim != 2 or not 2 <= band.shape[0] <= 2 * self.block_size
+                or band.shape[1] % self.block_size):
+            raise DimensionMismatchError("band of shape %s does not fit block size %d"
+                                         % (band.shape, self.block_size))
 
     @property
     def n_blocks(self):
-        return len(self.diag)
+        return self.dim // self.block_size
 
     @property
     def dim(self):
-        return self.block_size * len(self.diag)
+        return self.band.shape[1]
 
     def to_dense(self):
-        ell, nb = self.block_size, self.n_blocks
-        a = np.zeros((nb, ell, nb, ell))
-        idx = np.arange(nb)
-        off = np.reshape(self.offdiag, (-1, ell, ell))
-        a[idx, :, idx, :] = np.reshape(self.diag, (-1, ell, ell))
-        a[idx[1:], :, idx[:-1], :] = off
-        a[idx[:-1], :, idx[1:], :] = off.transpose(0, 2, 1)
-        return a.reshape(self.dim, self.dim)
+        k = self.dim
+        lower = sum(np.diag(row[: k - i], -i) for i, row in enumerate(self.band[:k]))
+        return lower + np.tril(lower, -1).T
 
 
 @dataclass
@@ -160,26 +147,6 @@ def rank_deficient(r, rank_tol=RANK_TOL):
     return bool(np.min(np.abs(np.diag(r))) < rank_tol * ref)
 
 
-def _effective_bandwidth(t):
-    """Largest subdiagonal distance carrying a nonzero entry.
-
-    Lanczos produces upper triangular coupling blocks (bandwidth ``ell``);
-    generic blocks can fill up to ``2*ell - 1``.
-    """
-    ell = t.block_size
-    if ell == 1:  # scalar blocks are tridiagonal by construction
-        return 1
-    lag = np.arange(ell)[:, None] - np.arange(ell)[None, :]
-    bw = 1
-    for blocks, dist in ((t.diag, np.abs(lag)), (t.offdiag, ell + lag)):
-        if blocks:
-            # union of the nonzero patterns of all blocks of one kind
-            nz = np.any(np.asarray(blocks) != 0.0, axis=0)
-            if nz.any():
-                bw = max(bw, int(dist[nz].max()))
-    return min(bw, max(t.dim - 1, 1))
-
-
 def band_tridiagonalize(t, full_p=False):
     """Reduce a symmetric block tridiagonal matrix to tridiagonal form.
 
@@ -187,11 +154,11 @@ def band_tridiagonalize(t, full_p=False):
     for an orthogonal P of which only the first and last ``block_size`` rows
     are accumulated.
 
-    The band is reduced by Givens rotations chasing the band bulge, O(s k^2)
-    arithmetic done one rotation at a time in Python; the row slices receive
-    each chase's rotations in one batched update (the planes within a chase
-    are disjoint, stride >= 2).  At effective bandwidth 1 (block size 1, or
-    blocked input that is already tridiagonal) no rotation is needed and
+    The band, of the bandwidth its row count gives, is reduced by Givens
+    rotations chasing the band bulge, O(s k^2) arithmetic done one rotation
+    at a time in Python; the row slices receive each chase's rotations in
+    one batched update (the planes within a chase are disjoint, stride >=
+    2).  A two-row band is tridiagonal already: no rotation is needed and
     P = I.  ``partial_eig_blocktridiag`` does not call this chase; followed
     by ``sym_tridiag_eig`` it is the independent reference that function is
     tested against.
@@ -201,7 +168,7 @@ def band_tridiagonalize(t, full_p=False):
     """
     ell = t.block_size
     k = t.dim
-    bw = _effective_bandwidth(t)
+    bw = t.band.shape[0] - 1
     a = t.to_dense()
     slices = np.zeros((2 * ell, k))
     slices[:ell, :ell] = np.eye(ell)
@@ -280,38 +247,20 @@ def _fix_signs(g):
     return g
 
 
-def _lower_band(t, bw):
-    """T in LAPACK lower band storage with ``bw + 1`` rows, read straight off
-    its blocks: ``band[i, c] = T[c + i, c]``, zero past the last row.
-
-    Block column j of the lower triangle is the strip [D_j; O_j] (O_j zero
-    for the last block), padded with zero rows, so entry (c + i, c), c = j
-    ell + q, is row q + i, column q of strip j.
-    """
-    ell, nb = t.block_size, t.n_blocks
-    strips = np.zeros((nb, 3 * ell, ell))
-    strips[:, :ell] = t.diag
-    if t.offdiag:
-        strips[:-1, ell: 2 * ell] = t.offdiag
-    q = np.arange(ell)
-    band = strips[:, q[None, :] + np.arange(bw + 1)[:, None], q]
-    return band.transpose(1, 0, 2).reshape(bw + 1, t.dim)
-
-
 def partial_eig_blocktridiag(t):
     """Eigenvalues and sign-fixed eigenvectors of a block tridiagonal matrix.
 
-    The matrix goes in LAPACK lower band storage, built from its blocks with
-    no dense k x k copy.  At effective bandwidth 1 it is tridiagonal already
-    and goes to the divide-and-conquer tridiagonal eigensolver (``dstevd``);
-    wider bands go to one symmetric banded eigensolve (``dsbevd``, O(k^3)
-    with a small constant).  Both form every eigenvector: the check reads
-    the first and last block rows, and at convergence the solvers map the
-    reduced solution back through all of them, with no second eigensolve.
+    The band goes to LAPACK as it is stored, with no dense k x k copy; rows
+    past the order k, which hold only zeros, are trimmed.  A two-row band is
+    tridiagonal and goes to the divide-and-conquer tridiagonal eigensolver
+    (``dstevd``); wider bands go to one symmetric banded eigensolve
+    (``dsbevd``, O(k^3) with a small constant).  Both form every
+    eigenvector: the check reads the first and last block rows, and at
+    convergence the solvers map the reduced solution back through all of
+    them, with no second eigensolve.
     """
-    bw = _effective_bandwidth(t)
-    band = _lower_band(t, bw)
-    if bw == 1:
+    band = t.band[: max(t.dim, 2)]
+    if band.shape[0] == 2:
         lam, q = sym_tridiag_eig(band[0], band[1, :-1])
     else:
         try:

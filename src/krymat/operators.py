@@ -14,6 +14,7 @@ from .errors import (
     AsymmetricMatrixError,
     DimensionMismatchError,
     FactorizationError,
+    KrymatError,
 )
 
 #: Dense Cholesky is used for the generalized-equation transform; refuse
@@ -22,14 +23,21 @@ DENSE_CHOLESKY_LIMIT = 4096
 
 
 def validate_symmetric(a):
-    """Return ``a`` as CSR after checking exact symmetry.
+    """Return ``a`` as CSR after checking that its entries are finite and
+    that it is exactly symmetric.
 
-    Asymmetric input is an error, never silently symmetrized; the message
-    names the first offending entry pair.
+    Bad input is an error, never silently mended; the message names the
+    first non-finite entry, or else the first asymmetric entry pair.
     """
     a = sp.csr_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("matrix is %dx%d, not square" % a.shape)
+    finite = np.isfinite(a.data)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        i = np.searchsorted(a.indptr, k, side="right") - 1
+        raise KrymatError("matrix entry (%d, %d) = %.17g is not finite"
+                          % (i, a.indices[k], a.data[k]))
     diff = (a - a.T).tocoo()
     bad = diff.data != 0.0
     if bad.any():
@@ -167,7 +175,7 @@ def cholesky_transform(e, a):
         )
     try:
         lower = scipy.linalg.cholesky(e.toarray(), lower=True)
-    except np.linalg.LinAlgError:
-        raise FactorizationError("mass matrix is not positive definite")
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError("mass matrix is not positive definite") from exc
     return TransformedOperator(lower, a)
 

@@ -1,15 +1,14 @@
 """Residual norms from projected data alone.
 
 The Frobenius norm of the residual matrix is evaluated from the
-eigendecomposition of the projected block tridiagonal matrix, without
-solving the reduced equation.  For s = 1 the projection is tridiagonal and
-goes to LAPACK's divide-and-conquer tridiagonal eigensolver (``dstevd``);
-for s >= 2 the banded eigensolve (``dsbevd``) is O(k^3) with a small
-constant.  Both form every eigenvector, although the formula reads only the
-first and last block rows.  Writing T = Q diag(lam) Q^T and
-splitting the reduced solution along eigencomponents, each row of the
-relevant product picks up a diagonal scaling 1/(lam_i + lam_j), applied as
-an elementwise division, never a matrix inverse.
+eigendecomposition of the projected block tridiagonal matrix T, without
+solving the reduced equation.  The basis keeps T in LAPACK band storage,
+which goes as it is to one LAPACK eigensolve; it forms every eigenvector,
+although the formula reads only the first and last block rows.  Writing
+T = Q diag(lam) Q^T and splitting the reduced solution along
+eigencomponents, each row of the relevant product picks up a diagonal
+scaling 1/(lam_i + lam_j), applied as an elementwise division, never a
+matrix inverse.
 
 For the Lyapunov equation the norm is
 

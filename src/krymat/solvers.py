@@ -22,6 +22,7 @@ from .errors import (
     ConvergenceError,
     DimensionMismatchError,
     IndefiniteMatrixError,
+    KrymatError,
     RecurrenceMismatchError,
 )
 from .kernels import TRUNC_EPS, economy_qr, truncated_spd_factor, truncated_svd_factor
@@ -64,6 +65,9 @@ class SolveOptions:
     verify: bool = False
 
     def __post_init__(self):
+        for name in ("max_m", "check_period"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError("%s must be an integer" % name)
         for name in ("tol", "trunc_eps"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite" % name)
@@ -371,6 +375,8 @@ def solve_sylvester_one_sided(op_a, b, c1, c2, options=None):
     c1, c2, rhs_norm = _sylvester_rhs(c1, c2)
     if c2.shape[0] != b.shape[0]:
         raise DimensionMismatchError("C2 does not conform with B")
+    if not np.isfinite(c2).all():
+        raise KrymatError("right-hand side block C2 has a non-finite entry")
     ups, p = np.linalg.eigh(b)
     if ups[-1] >= 0.0:
         raise IndefiniteMatrixError("B must be negative definite")

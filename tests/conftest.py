@@ -30,6 +30,26 @@ def pytest_configure(config):
     )
 
 
+def block_tridiagonal(diag, off, bandwidth=None):
+    """The ``BlockTridiagonal`` with symmetric diagonal blocks ``diag`` and
+    subdiagonal blocks ``off``, in a band of ``bandwidth`` subdiagonals
+    (default 2 ell - 1, which any blocks fit).  Every entry outside that band
+    must be zero."""
+    ell = diag[0].shape[0]
+    bandwidth = 2 * ell - 1 if bandwidth is None else bandwidth
+    k = ell * len(diag)
+    a = np.zeros((k, k))
+    for i, blk in enumerate(diag):
+        a[i * ell:(i + 1) * ell, i * ell:(i + 1) * ell] = blk
+    for i, blk in enumerate(off):
+        a[(i + 1) * ell:(i + 2) * ell, i * ell:(i + 1) * ell] = blk
+    assert not np.tril(a, -bandwidth - 1).any(), "entries outside the band"
+    band = np.zeros((bandwidth + 1, k))
+    for i in range(min(bandwidth + 1, k)):
+        band[i, :k - i] = np.diagonal(a, -i)
+    return BlockTridiagonal(ell, band)
+
+
 def random_block_tridiagonal(rng, ell, m, triangular=False):
     """Random symmetric negative definite block tridiagonal matrix.
 
@@ -45,15 +65,13 @@ def random_block_tridiagonal(rng, ell, m, triangular=False):
     for _ in range(m - 1):
         o = rng.standard_normal((ell, ell)) / np.sqrt(ell)
         off.append(np.triu(o) if triangular else o)
-    t = BlockTridiagonal(ell, diag, off)
-    lam = np.linalg.eigvalsh(t.to_dense())
+    bandwidth = ell if triangular else None
+    lam = np.linalg.eigvalsh(block_tridiagonal(diag, off, bandwidth).to_dense())
     # a small margin keeps the matrix definite but ill conditioned enough
     # that the reduced solution does not decay below roundoff by m ~ 40,
     # which would drown the residual in noise
     shift = lam[-1] + 0.01 * max(lam[-1] - lam[0], 1.0)
-    for blk in t.diag:
-        blk -= shift * np.eye(ell)
-    return t
+    return block_tridiagonal([d - shift * np.eye(ell) for d in diag], off, bandwidth)
 
 
 def lanczos_block_tridiagonal(rng, ell, m, general=False, spectrum=None):
@@ -92,16 +110,14 @@ def lanczos_block_tridiagonal(rng, ell, m, general=False, spectrum=None):
         off.append(r)
         basis.append(q)
     tau_next = off.pop()
-    t = BlockTridiagonal(ell, diag, off)
-    if general:
-        qs = [np.linalg.qr(rng.standard_normal((ell, ell)))[0] for _ in range(m)]
-        t = BlockTridiagonal(
-            ell,
-            [qs[i].T @ t.diag[i] @ qs[i] for i in range(m)],
-            [qs[i + 1].T @ t.offdiag[i] @ qs[i] for i in range(m - 1)],
-        )
-        tau_next = tau_next @ qs[-1]
-    return t, tau_next
+    if not general:
+        return block_tridiagonal(diag, off, ell), tau_next
+    qs = [np.linalg.qr(rng.standard_normal((ell, ell)))[0] for _ in range(m)]
+    t = block_tridiagonal(
+        [qs[i].T @ diag[i] @ qs[i] for i in range(m)],
+        [qs[i + 1].T @ off[i] @ qs[i] for i in range(m - 1)],
+    )
+    return t, tau_next @ qs[-1]
 
 
 def random_sparse_negdef(rng, n, density=0.02, shift=1.0):

@@ -321,9 +321,10 @@ def _cost_scaling_times(sizes, passes):
 
     def chain(k, seed):
         rng = np.random.default_rng(seed)
-        diag = [np.array([[-2.0 - u]]) for u in rng.uniform(0.0, 0.1, k)]
-        off = [np.array([[1.0]]) for _ in range(k - 1)]
-        return BlockTridiagonal(1, diag, off)
+        band = np.zeros((2, k))
+        band[0] = -2.0 - rng.uniform(0.0, 0.1, k)
+        band[1, :-1] = 1.0
+        return BlockTridiagonal(1, band)
 
     chains = [chain(k, seed=k) for k in sizes]
     reps_fast = {k: [] for k in sizes}

@@ -83,7 +83,7 @@ class TestLanczosStep:
         c = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
         basis = init_basis(op, c)
         lanczos_step(op, basis)
-        assert np.allclose(basis.projected_matrix().diag[0], [[-1.5]])
+        assert np.allclose(basis.projected_matrix().to_dense(), [[-1.5]])
 
     def test_invariant_subspace_breakdown(self):
         # A c = -c: the first step finds the space invariant and finalizes
@@ -94,7 +94,7 @@ class TestLanczosStep:
         basis = init_basis(op, c)
         lanczos_step(op, basis)
         assert basis.exhausted
-        assert np.array_equal(basis.t_sub[-1], np.zeros((1, 1)))
+        assert np.array_equal(basis.last_coupling, np.zeros((1, 1)))
         assert np.array_equal(basis.projected_matrix().to_dense(), [[-1.0]])
         with pytest.raises(DeflationUnsupportedError):
             lanczos_step(op, basis)
@@ -132,7 +132,7 @@ class TestLanczosStep:
         # the coupling block continues the projection into the next block
         v_next = basis.stored[m]
         coupling = v_next.T @ op.apply(basis.stored[m - 1])
-        assert np.allclose(coupling, basis.t_sub[-1], atol=1e-10)
+        assert np.allclose(coupling, basis.last_coupling, atol=1e-10)
 
     def test_windowed_mode_peak_storage(self):
         op = SparseOperator(laplacian1d(100))
@@ -174,28 +174,39 @@ class TestExtendedStep:
         with pytest.raises(DeflationUnsupportedError):
             init_basis(op, c, space="extended")
 
-    @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_projection_identity_2d_laplacian(self, s):
+    @pytest.mark.parametrize("space, s", [
+        pytest.param("extended", s, id=str(s)) for s in (1, 2, 3)
+    ] + [
+        pytest.param("standard", s, id="standard-%d" % s) for s in (1, 2, 3)
+    ])
+    def test_projection_identity_2d_laplacian(self, space, s):
         # order 400 (20 x 20 grid), five steps
         op = SparseOperator(gen_fd2d("laplacian2d", 20))
         rng = np.random.default_rng(7)
         c = rng.standard_normal((400, s))
-        basis = init_basis(op, c, space="extended", storage="stored")
+        step = extended_step if space == "extended" else lanczos_step
+        basis = init_basis(op, c, space=space, storage="stored")
         for _ in range(5):
-            extended_step(op, basis)
+            step(op, basis)
         m = basis.n_t_blocks
         v = _full_basis(basis, m)
-        t = basis.projected_matrix().to_dense()
+        t = basis.projected_matrix()
+        assert t.band.shape[0] == basis.ell + 1
+        for i in range(1, basis.ell + 1):  # nothing past row k
+            assert not t.band[i, -i:].any()
         proj = v.T @ op.apply(v)
-        assert np.linalg.norm(proj - t) <= 1e-9 * np.linalg.norm(proj)
-        # structural invariant: the lower s rows of every recovered coupling
-        # block are exact zeros, also long after orthogonality is lost
-        windowed = init_basis(op, c, space="extended", storage="windowed")
+        assert np.linalg.norm(proj - t.to_dense()) <= 1e-9 * np.linalg.norm(proj)
+        # structural invariants that keep T in a band of ell + 1 rows: every
+        # coupling block is upper triangular, and in extended mode its lower
+        # s rows are exact zeros, also long after orthogonality is lost
+        windowed = init_basis(op, c, space=space, storage="windowed")
         for b in (basis, windowed):
             while b.n_t_blocks < 30:
-                extended_step(op, b)
-            for coupling in b.t_sub:
-                assert np.array_equal(coupling[s:], np.zeros((s, 2 * s)))
+                step(op, b)
+                coupling = b.last_coupling
+                assert not np.tril(coupling, -1).any()
+                if space == "extended":
+                    assert np.array_equal(coupling[s:], np.zeros((s, 2 * s)))
 
     def test_coupling_block_against_explicit(self):
         op = SparseOperator(laplacian1d(120))
@@ -207,10 +218,10 @@ class TestExtendedStep:
         m = basis.n_t_blocks
         v_next = basis.stored[m]
         explicit = v_next.T @ op.apply(basis.stored[m - 1])
-        assert np.allclose(explicit, basis.t_sub[-1], atol=1e-9)
+        assert np.allclose(explicit, basis.last_coupling, atol=1e-9)
         # the nonzero part is the upper s x 2s slice
-        assert np.allclose(basis.t_sub[-1][2:, :], 0.0)
-        assert np.allclose(basis.coupling_upper(), basis.t_sub[-1][:2, :])
+        assert np.allclose(basis.last_coupling[2:, :], 0.0)
+        assert np.allclose(basis.coupling_upper(), basis.last_coupling[:2, :])
 
     def test_invariant_space_is_exhausted(self):
         # order 6 and block size 2: the third step spans the whole space
@@ -220,7 +231,7 @@ class TestExtendedStep:
         for _ in range(3):
             extended_step(op, basis)
         assert basis.exhausted
-        assert np.array_equal(basis.t_sub[-1], np.zeros((2, 2)))
+        assert np.array_equal(basis.last_coupling, np.zeros((2, 2)))
         v = _full_basis(basis, 3)
         proj = v.T @ op.apply(v)
         t = basis.projected_matrix().to_dense()

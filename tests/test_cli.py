@@ -61,6 +61,15 @@ class TestSolveLyap:
         err = capsys.readouterr().err
         assert "not symmetric" in err and "(0, 1)" in err
 
+    def test_non_finite_input_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "nan.mtx"
+        bad.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "3 3 4\n1 1 -2.0\n2 1 1.0\n2 2 nan\n3 3 -2.0\n"
+        )
+        assert run(["solve-lyap", "--A", bad, "--out", tmp_path]) == 1
+        assert "error: matrix entry (1, 1) = nan is not finite" in capsys.readouterr().err
+
     def test_malformed_input_is_an_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
         bad.write_text(

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from krymat import (
     BlockTridiagonal,
+    DimensionMismatchError,
     IndefiniteMatrixError,
     band_tridiagonalize,
     economy_qr,
@@ -12,9 +13,9 @@ from krymat import (
     truncated_spd_factor,
     truncated_svd_factor,
 )
-from krymat.kernels import _effective_bandwidth, _fix_signs, rank_deficient
+from krymat.kernels import _fix_signs, rank_deficient
 
-from conftest import random_block_tridiagonal
+from conftest import block_tridiagonal, random_block_tridiagonal
 
 
 class TestEconomyQR:
@@ -73,8 +74,7 @@ class TestEconomyQR:
 
 class TestBandTridiagonalize:
     def test_block_size_one_is_identity(self):
-        t = BlockTridiagonal(
-            1,
+        t = block_tridiagonal(
             [np.array([[-2.0]]), np.array([[-3.0]]), np.array([[-1.5]])],
             [np.array([[1.0]]), np.array([[0.5]])],
         )
@@ -159,8 +159,8 @@ class TestPartialEig:
         assert np.allclose(spec.first_rows, spec.last_rows)
 
     def test_hand_two_by_two(self):
-        t = BlockTridiagonal(
-            1, [np.array([[-2.0]]), np.array([[-2.0]])], [np.array([[1.0]])]
+        t = block_tridiagonal(
+            [np.array([[-2.0]]), np.array([[-2.0]])], [np.array([[1.0]])]
         )
         spec = partial_eig_blocktridiag(t)
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
@@ -201,7 +201,7 @@ class TestPartialEig:
 
 def _dense_band_eig(t):
     """The eigendecomposition through a band copied out of ``to_dense``."""
-    bw = _effective_bandwidth(t)
+    bw = min(t.band.shape[0], max(t.dim, 2)) - 1
     a = t.to_dense()
     band = np.zeros((bw + 1, t.dim))
     for i in range(bw + 1):
@@ -213,23 +213,24 @@ def _dense_band_eig(t):
 
 
 def _tridiagonal_blocks():
-    """Block storage with ell = 2 whose global pattern is tridiagonal."""
+    """Blocks with ell = 2 whose global pattern is tridiagonal, in a band of
+    two rows."""
     d1 = np.array([[-2.0, 0.7], [0.7, -3.0]])
     d2 = np.array([[-2.5, 0.4], [0.4, -4.0]])
     off = np.array([[0.0, 0.9], [0.0, 0.0]])  # couples rows 2 and 1 only
-    return BlockTridiagonal(2, [d1, d2], [off])
+    return block_tridiagonal([d1, d2], [off], bandwidth=1)
 
 
-@pytest.mark.parametrize("make, bandwidth", [
-    (lambda rng: random_block_tridiagonal(rng, 1, 30), 1),
-    (lambda rng: _tridiagonal_blocks(), 1),
-    (lambda rng: random_block_tridiagonal(rng, 2, 12, triangular=True), 2),
-    (lambda rng: random_block_tridiagonal(rng, 3, 8), 5),
-    (lambda rng: random_block_tridiagonal(rng, 4, 1), 3),
+@pytest.mark.parametrize("make, band_rows", [
+    (lambda rng: random_block_tridiagonal(rng, 1, 30), 2),
+    (lambda rng: _tridiagonal_blocks(), 2),
+    (lambda rng: random_block_tridiagonal(rng, 2, 12, triangular=True), 3),
+    (lambda rng: random_block_tridiagonal(rng, 3, 8), 6),
+    (lambda rng: random_block_tridiagonal(rng, 4, 1), 8),
 ], ids=["scalar", "blocked-tridiagonal", "triangular", "general", "one-block"])
-def test_partial_eig_never_forms_the_dense_matrix(monkeypatch, make, bandwidth):
+def test_partial_eig_never_forms_the_dense_matrix(monkeypatch, make, band_rows):
     t = make(np.random.default_rng(31))
-    assert _effective_bandwidth(t) == bandwidth
+    assert t.band.shape[0] == band_rows
     lam, q = _dense_band_eig(t)
 
     def refuse(self):
@@ -341,4 +342,11 @@ def test_to_dense_matches_blockwise_assembly(ell, n_blocks):
     for i, blk in enumerate(off):
         ref[(i + 1) * ell:(i + 2) * ell, i * ell:(i + 1) * ell] = blk
         ref[i * ell:(i + 1) * ell, (i + 1) * ell:(i + 2) * ell] = blk.T
-    assert np.array_equal(BlockTridiagonal(ell, diag, off).to_dense(), ref)
+    assert np.array_equal(block_tridiagonal(diag, off).to_dense(), ref)
+
+
+@pytest.mark.parametrize("shape", [(6,), (1, 6), (5, 6), (3, 7)])
+def test_band_shape_is_checked(shape):
+    # block size 2: a band needs 2 to 4 rows and whole block columns
+    with pytest.raises(DimensionMismatchError):
+        BlockTridiagonal(2, np.zeros(shape))

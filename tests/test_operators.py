@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 from krymat import (
     AsymmetricMatrixError,
     FactorizationError,
+    KrymatError,
     SparseFactorization,
     SparseOperator,
     cholesky_transform,
@@ -27,6 +28,20 @@ class TestValidation:
         a = sp.csr_matrix((np.array([1.0]), (np.array([0]), np.array([1]))), shape=(3, 3))
         with pytest.raises(AsymmetricMatrixError):
             validate_symmetric(a)
+
+    @pytest.mark.parametrize("row, col, value", [
+        (5, 5, np.nan), (5, 5, np.inf), (2, 3, -np.inf),
+    ])
+    def test_non_finite_entry_rejected_before_symmetry(self, row, col, value):
+        # a NaN on the diagonal used to read as an asymmetric pair
+        # "(5, 5) = nan but (5, 5) = nan"; the off-diagonal case is also
+        # asymmetric, and the non-finite entry is named first
+        a = laplacian1d(8).tolil()
+        a[row, col] = value
+        with pytest.raises(KrymatError, match=r"^matrix entry \(%d, %d\) = %s is not finite$"
+                           % (row, col, value)) as err:
+            validate_symmetric(a)
+        assert not isinstance(err.value, AsymmetricMatrixError)
 
     def test_symmetric_accepted(self):
         a = validate_symmetric(laplacian1d(5))
@@ -153,8 +168,9 @@ class TestCholeskyTransform:
         assert np.allclose(lam, expected, atol=1e-10 * np.abs(expected).max())
 
     def test_not_spd_rejected(self):
-        with pytest.raises(FactorizationError):
+        with pytest.raises(FactorizationError) as err:
             cholesky_transform((-sp.eye(4)).tocsr(), (-sp.eye(4)).tocsr())
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_rhs_and_factor_transforms_invert(self):
         rng = np.random.default_rng(9)

@@ -1,12 +1,12 @@
 import numpy as np
 
-from krymat import BlockTridiagonal, naive_residual, solve_reduced_lyapunov
+from krymat import naive_residual, solve_reduced_lyapunov
 
-from conftest import random_block_tridiagonal
+from conftest import block_tridiagonal, random_block_tridiagonal
 
 
 def _scalar_bt(value):
-    return BlockTridiagonal(1, [np.array([[value]])], [])
+    return block_tridiagonal([np.array([[value]])], [])
 
 
 class TestSolveReducedLyapunov:
@@ -15,8 +15,8 @@ class TestSolveReducedLyapunov:
         assert np.allclose(y, [[0.5]])
 
     def test_diagonal_two(self):
-        t = BlockTridiagonal(
-            1, [np.array([[-1.0]]), np.array([[-2.0]])], [np.array([[0.0]])]
+        t = block_tridiagonal(
+            [np.array([[-1.0]]), np.array([[-2.0]])], [np.array([[0.0]])]
         )
         y = solve_reduced_lyapunov(t, np.array([[1.0]]))
         assert np.allclose(y, np.diag([0.5, 0.0]), atol=1e-14)

@@ -12,7 +12,6 @@ import scipy.sparse as sp
 
 import krymat.residual
 from krymat import (
-    BlockTridiagonal,
     FactorizationError,
     IndefiniteMatrixError,
     PartialSpectral,
@@ -26,10 +25,10 @@ from krymat import (
     residual_one_sided,
     sym_tridiag_eig,
 )
-from krymat.kernels import _effective_bandwidth
 from krymat.problems import gen_fd2d, gen_rhs
 
 from conftest import (
+    block_tridiagonal,
     lanczos_block_tridiagonal,
     naive_residual_norm,
     random_block_tridiagonal,
@@ -39,7 +38,7 @@ from conftest import (
 
 
 def _scalar_bt(value):
-    return BlockTridiagonal(1, [np.array([[value]])], [])
+    return block_tridiagonal([np.array([[value]])], [])
 
 
 class TestCtriLyapunov:
@@ -51,8 +50,8 @@ class TestCtriLyapunov:
             assert np.isclose(rv.relative, rv.res)
 
     def test_rhs_confined_to_first_eigendirection(self):
-        t = BlockTridiagonal(
-            1, [np.array([[-1.0]]), np.array([[-2.0]])], [np.array([[0.0]])]
+        t = block_tridiagonal(
+            [np.array([[-1.0]]), np.array([[-2.0]])], [np.array([[0.0]])]
         )
         rv = ctri_lyapunov(t, np.array([[1.0]]), np.array([[0.7]]))
         assert rv.res <= 1e-14
@@ -80,8 +79,8 @@ class TestCtriLyapunov:
         assert np.isclose(scaled.relative, base.relative, rtol=1e-12)
 
     def test_indefinite_rejected(self):
-        t = BlockTridiagonal(
-            1, [np.array([[-1.0]]), np.array([[1.0]])], [np.array([[0.0]])]
+        t = block_tridiagonal(
+            [np.array([[-1.0]]), np.array([[1.0]])], [np.array([[0.0]])]
         )
         with pytest.raises(IndefiniteMatrixError):
             ctri_lyapunov(t, np.array([[1.0]]), np.array([[1.0]]))
@@ -214,7 +213,7 @@ def _clustered_spectrum():
 
 
 def _projection(case):
-    """(T, gamma, tau, expected effective bandwidth)."""
+    """(T, gamma, tau, the bandwidth of T's band)."""
     kind, s, general = case
     rng = np.random.default_rng(300 + 10 * s + general)
     if kind == "lanczos":
@@ -237,7 +236,7 @@ def _projection(case):
 
 
 class TestBandedPath:
-    """Projections of effective bandwidth 2 or more go to one LAPACK banded
+    """Projections of bandwidth 2 or more go to one LAPACK banded
     eigensolve.  Eigenvector rows are not unique inside clusters, so the
     residual values are compared: against the Givens chase composition and
     against the dense reduced solve."""
@@ -249,7 +248,7 @@ class TestBandedPath:
     ], ids=lambda case: "%s-s%d%s" % (case[0], case[1], "-general" * case[2]))
     def test_lyapunov_matches_references(self, monkeypatch, case):
         t, gamma, tau, bandwidth = _projection(case)
-        assert _effective_bandwidth(t) == bandwidth
+        assert t.band.shape[0] == bandwidth + 1
         banded, givens = _banded_and_givens(
             monkeypatch, lambda: ctri_lyapunov(t, gamma, tau))
         dense = naive_residual_norm(reduced_solve(t, t, gamma, gamma), tau, tau)

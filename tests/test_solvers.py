@@ -533,6 +533,37 @@ def test_check_period_above_max_m_is_rejected(max_m, check_period):
     SolveOptions(max_m=max_m, check_period=max_m)
 
 
+@pytest.mark.parametrize("field, value", [("max_m", 2.5), ("check_period", 1.5)])
+def test_non_integral_count_is_rejected(field, value):
+    # unchecked, max_m=2.5 died in range() with a bare TypeError, and
+    # check_period=1.5 checked every third iteration
+    with pytest.raises(ValueError, match="^%s must be an integer$" % field):
+        SolveOptions(**{field: value})
+    SolveOptions(**{field: np.int64(2)})  # numpy integers stay accepted
+
+
+@pytest.mark.parametrize("solver, side", [
+    ("lyapunov", 0), ("two-sided", 0), ("two-sided", 1), ("one-sided", 0),
+    ("one-sided", 1),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_rhs_is_rejected(solver, side, value):
+    # unchecked, a NaN in C ran every iteration and then reported a NaN
+    # residual, and an Inf failed inside the tridiagonal eigensolver
+    op = SparseOperator(gen_fd2d("fd2d-exp", 8))
+    rhs = [gen_rhs(64, 2, seed=61), gen_rhs(64, 2, seed=62)]
+    if solver == "one-sided":
+        rhs[1] = rhs[1][:3]
+    rhs[side][1, 1] = value
+    with pytest.raises(KrymatError, match="non-finite"):
+        if solver == "lyapunov":
+            solve_lyapunov(op, rhs[0])
+        elif solver == "two-sided":
+            solve_sylvester_two_sided(op, op, *rhs)
+        else:
+            solve_sylvester_one_sided(op, -np.diag([1.0, 4.0, 9.0]), *rhs)
+
+
 @pytest.mark.parametrize("field", ["tol", "trunc_eps"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_tolerance_is_rejected(field, value):
