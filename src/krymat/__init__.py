@@ -20,9 +20,7 @@ from .errors import (
 )
 from .kernels import (
     BlockTridiagonal,
-    PartialSpectral,
     TruncatedFactor,
-    band_tridiagonalize,
     economy_qr,
     partial_eig_blocktridiag,
     sym_tridiag_eig,
@@ -66,7 +64,6 @@ __all__ = [
     "KrymatError",
     "LinearOperator",
     "LowRankSolution",
-    "PartialSpectral",
     "RecurrenceMismatchError",
     "ResidualValue",
     "SolveOptions",
@@ -74,7 +71,6 @@ __all__ = [
     "SparseOperator",
     "TransformedOperator",
     "TruncatedFactor",
-    "band_tridiagonalize",
     "cholesky_transform",
     "ctri_lyapunov",
     "ctri_sylvester",

@@ -51,31 +51,30 @@ class KrylovBasis:
     and O the coupling block to the next basis block, as ell columns of
     LAPACK lower band storage with ell + 1 rows, which hold all of T since
     every coupling block is upper triangular.  ``last_coupling`` keeps the
-    last O whole; ``r_sub`` keeps the R factor of every new basis block,
-    which a second basis pass checks its recomputed coefficients against to
-    detect nondeterministic operators.  Extended mode also keeps what its T
-    recurrence reads: ``last_diag_sum``, the Gram-Schmidt coefficients of
-    the last step against its current block, and ``kappa12`` and
-    ``kappa22``, the second half-columns of the initial QR factor.
+    last O whole.  ``r_sub[i]`` is the R factor of basis block i + 1:
+    ``r_sub[0]`` that of the initial QR (of C, or of [C, A^{-1}C] in extended
+    mode), whose first s columns are ``gamma``, and ``r_sub[i]``, i >= 1,
+    that of the block step i makes.  A second basis pass checks its
+    recomputed coefficients against them to detect nondeterministic
+    operators, and the extended T recurrence reads the previous one.
+    Extended mode also keeps ``last_diag_sum``, the Gram-Schmidt
+    coefficients of the last step against its current block.
     """
 
-    def __init__(self, space, storage, v1, gamma):
+    def __init__(self, space, storage, v1, r0):
         self.space = space
-        self.ell, self.s = gamma.shape  # ell is s, or 2s in extended mode
-        self.gamma = gamma
+        self.ell = r0.shape[0]
+        self.s = self.ell // 2 if space == "extended" else self.ell
         self.v1 = v1
         self.m = 1
         self._window = deque(maxlen=3)
         self.stored = [] if storage == "stored" else None
         halves = space == "extended" and storage == "windowed"
         self.second_halves = [] if halves else None
-        self.peak_vectors = 0
         self._band_cols = []
         self.last_coupling = None
-        self.r_sub = []
+        self.r_sub = [r0]
         self.last_diag_sum = None
-        self.kappa12 = None
-        self.kappa22 = None
         # set when the space became invariant: the projection is exact and
         # the coupling to any further block is zero
         self.exhausted = False
@@ -87,11 +86,17 @@ class KrylovBasis:
             self.stored.append(block)
         if self.second_halves is not None:
             self.second_halves.append(block[:, self.s:].copy())
-        self.peak_vectors = max(self.peak_vectors, self._held_vectors())
 
-    def _held_vectors(self):
-        # storage accounting convention: the in-flight block of stored mode
-        # is not counted, so a converged run reports ell*m vs 3*ell
+    @property
+    def gamma(self):
+        """The coefficient of C in the first basis block: C = V_1 gamma."""
+        return self.r_sub[0][:, : self.s]
+
+    @property
+    def peak_vectors(self):
+        """The most basis vectors held at once: the number held now, since
+        blocks are only ever added.  The in-flight block of stored mode is
+        not counted, so a converged run reports ell*(m-1) vs 3*ell."""
         if self.stored is not None:
             return max(len(self.stored) - 1, 1) * self.ell
         count = len(self._window) * self.ell
@@ -203,10 +208,8 @@ def init_basis(op, c, space="standard", storage="stored"):
         raise KrymatError("right-hand side block C has a non-finite entry")
     if storage not in ("windowed", "stored"):
         raise ValueError("storage mode must be 'windowed' or 'stored'")
-    s = c.shape[1]
     if space == "standard":
-        v1, gamma = _qr_new_block(c, "initial QR of C")
-        return KrylovBasis(space, storage, v1, gamma)
+        return KrylovBasis(space, storage, *_qr_new_block(c, "initial QR of C"))
     if space != "extended":
         raise ValueError("space must be 'standard' or 'extended'")
     if not op.can_solve:
@@ -215,11 +218,7 @@ def init_basis(op, c, space="standard", storage="stored"):
             "cannot do; use the standard space"
         )
     w0 = np.hstack([c, op.solve(c)])
-    v1, kappa = _qr_new_block(w0, "initial QR of [C, inv(A) C]")
-    basis = KrylovBasis(space, storage, v1, kappa[:, :s])
-    basis.kappa12 = kappa[:s, s:]
-    basis.kappa22 = kappa[s:, s:]
-    return basis
+    return KrylovBasis(space, storage, *_qr_new_block(w0, "initial QR of [C, inv(A) C]"))
 
 
 def _next_block(op, basis):
@@ -251,14 +250,9 @@ def _next_block(op, basis):
 
 
 def lanczos_step(op, basis):
-    """One step of block Lanczos with block MGS (performed twice).
-
-    Extends the projection by one diagonal block and one coupling block and
-    pushes the next basis block into the window.  A residual block that is
-    numerically zero means the space became invariant: the projection is
-    completed with a zero coupling block, so the projected solution is
-    exact, and the basis is marked exhausted.
-    """
+    """One step of block Lanczos with block MGS (performed twice): T gains
+    one diagonal and one coupling block, the basis its next block, or, on
+    an invariant space, a zero coupling block and the exhausted mark."""
     v_next, diag_sum = _next_block(op, basis)
     basis._record(np.vstack([diag_sum, basis.r_sub[-1]]), v_next)
 
@@ -284,17 +278,15 @@ def extended_step(op, basis):
     if basis.m == 1:
         # base case from the initial QR: T(:,1) kappa2 = E1 kappa1
         rhs[:ell] = basis.gamma
-        rhs -= strip[:, :s] @ basis.kappa12
-        r = basis.kappa22
     else:
         # recurrence: of the older blocks of column m - 1, only its coupling
         # block shares rows with the strip
-        r_prev = basis.r_sub[-2]
         rhs[:ell] -= basis.last_coupling @ basis.last_diag_sum[:, s:]
-        rhs -= strip[:, :s] @ r_prev[:s, s:]
-        r = r_prev[s:, s:]
+    r_prev = basis.r_sub[-2]  # of the current block: [C, A^{-1}C]'s at m = 1
+    rhs -= strip[:, :s] @ r_prev[:s, s:]
     # X R = rhs as R^T X^T = rhs^T
-    strip[:, s:] = scipy.linalg.solve_triangular(r, rhs.T, lower=False, trans="T").T
+    strip[:, s:] = scipy.linalg.solve_triangular(r_prev[s:, s:], rhs.T, lower=False,
+                                                 trans="T").T
     if v_next is None:
         strip[ell:] = 0.0
     basis.last_diag_sum = diag_sum

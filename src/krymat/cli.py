@@ -211,6 +211,15 @@ def _problem_inputs(args):
     return a, b, c1, c2
 
 
+def _operator(name, matrix):
+    """``SparseOperator(matrix)``; an error in the matrix is prefixed by
+    ``name``, the input that holds it."""
+    try:
+        return SparseOperator(matrix)
+    except KrymatError as exc:
+        raise type(exc)("%s: %s" % (name, exc)) from exc
+
+
 def _outdir(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -289,7 +298,7 @@ def cmd_solve_lyap(args):
     opts = _solve_options(args)
     a, _, c, _ = _problem_inputs(args)
     out = _outdir(args)
-    op = SparseOperator(a)
+    op = _operator("A", a)
     return _solve_and_write(out, opts, lambda: solve_lyapunov(op, c, opts))
 
 
@@ -304,12 +313,12 @@ def cmd_solve_sylv(args):
     if one_sided is None:
         one_sided = b.shape[0] <= 1000 and b.shape[0] < a.shape[0]
     out = _outdir(args)
-    op_a = SparseOperator(a)
+    op_a = _operator("A", a)
 
     def solve():
         if one_sided:
             return solve_sylvester_one_sided(op_a, b.toarray(), c1, c2, opts)
-        return solve_sylvester_two_sided(op_a, SparseOperator(b), c1, c2, opts)
+        return solve_sylvester_two_sided(op_a, _operator("B", b), c1, c2, opts)
 
     return _solve_and_write(out, opts, solve, one_sided=bool(one_sided))
 
@@ -328,7 +337,7 @@ def cmd_bench_residual(args):
     reps = max(args.reps, 3)
     a, _, c, _ = _problem_inputs(args)
     out = _outdir(args)
-    op = SparseOperator(a)
+    op = _operator("A", a)
     beta2 = float(np.linalg.norm(c) ** 2)
     step = lanczos_step if opts.space == "standard" else extended_step
     basis = init_basis(op, c, space=opts.space, storage="windowed")

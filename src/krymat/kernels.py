@@ -2,8 +2,11 @@
 
 Everything here operates on the projected (small) matrices of the outer
 iteration: economy QR, the eigendecomposition of symmetric block
-tridiagonal matrices that the residual check and the solution factor share,
-tridiagonal eigensolution, and truncated low-rank factorizations.
+tridiagonal matrices that the residual check and the solution factor share
+(one LAPACK call on the band the basis writes), tridiagonal eigensolution,
+and truncated low-rank factorizations.  ``band_tridiagonalize`` is not on
+any solver path: it is the dense Householder reference the banded
+eigensolve is tested against.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ TRUNC_EPS = 1e-12
 DENOM_TOL = 1e-14
 
 
-def guarded_denominators(left, right, tol=DENOM_TOL):
+def guarded_denominators(left, right):
     """Pairwise eigenvalue sums left_i + right_j with a singularity guard.
 
     Raises if any sum is negligible relative to the spectral radius, which
@@ -37,7 +40,7 @@ def guarded_denominators(left, right, tol=DENOM_TOL):
     """
     denom = left[:, None] + right[None, :]
     scale = max(np.max(np.abs(left)), np.max(np.abs(right)))
-    if np.min(np.abs(denom)) < tol * scale:
+    if np.min(np.abs(denom)) < DENOM_TOL * scale:
         raise IndefiniteMatrixError(
             "eigenvalue-sum denominator is numerically singular; "
             "coefficient matrices must be definite (of one sign)"
@@ -80,24 +83,6 @@ class BlockTridiagonal:
 
 
 @dataclass
-class PartialSpectral:
-    """Eigenvalues and orthogonal eigenvectors of a block tridiagonal matrix;
-    the residual formula reads only their first and last block rows."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    block_size: int
-
-    @property
-    def first_rows(self):
-        return self.eigenvectors[: self.block_size]
-
-    @property
-    def last_rows(self):
-        return self.eigenvectors[-self.block_size:]
-
-
-@dataclass
 class TruncatedFactor:
     """Tall factor of a truncated low-rank factorization and the Frobenius
     mass of the discarded spectral tail."""
@@ -135,85 +120,27 @@ def economy_qr(w):
     return np.multiply(q, signs, order="C"), signs[:, None] * r
 
 
-def rank_deficient(r, rank_tol=RANK_TOL):
+def rank_deficient(r):
     """Whether an upper triangular QR factor flags a rank-deficient block.
 
-    Uses ``|r_ii| < rank_tol * ||R||_F``; since ``||R||_F = ||W||_F`` the test
+    Uses ``|r_ii| < RANK_TOL * ||R||_F``; since ``||R||_F = ||W||_F`` the test
     is relative to the factored matrix.  The caller decides how to react.
     """
     ref = np.linalg.norm(r)
     if ref == 0.0:
         return True
-    return bool(np.min(np.abs(np.diag(r))) < rank_tol * ref)
+    return bool(np.min(np.abs(np.diag(r))) < RANK_TOL * ref)
 
 
-def band_tridiagonalize(t, full_p=False):
-    """Reduce a symmetric block tridiagonal matrix to tridiagonal form.
+def band_tridiagonalize(t):
+    """``(d, e, p)`` with ``P^T T P = tridiag(e, d, e)``, P orthogonal, from
+    one dense Householder reduction of T (P = I exactly if T is tridiagonal).
 
-    Returns ``(d, e, p_first, p_last)`` with ``P^T T P = F = tridiag(e, d, e)``
-    for an orthogonal P of which only the first and last ``block_size`` rows
-    are accumulated.
-
-    The band, of the bandwidth its row count gives, is reduced by Givens
-    rotations chasing the band bulge, O(s k^2) arithmetic done one rotation
-    at a time in Python; the row slices receive each chase's rotations in
-    one batched update (the planes within a chase are disjoint, stride >=
-    2).  A two-row band is tridiagonal already: no rotation is needed and
-    P = I.  ``partial_eig_blocktridiag`` does not call this chase; followed
-    by ``sym_tridiag_eig`` it is the independent reference that function is
-    tested against.
-
-    With ``full_p=True`` the full P is accumulated as a fifth return value,
-    intended for validation on small instances only.
+    No solver calls this: followed by ``sym_tridiag_eig`` it is the
+    reference that ``partial_eig_blocktridiag`` is tested against.
     """
-    ell = t.block_size
-    k = t.dim
-    bw = t.band.shape[0] - 1
-    a = t.to_dense()
-    slices = np.zeros((2 * ell, k))
-    slices[:ell, :ell] = np.eye(ell)
-    slices[ell:, k - ell:] = np.eye(ell)
-    p_full = np.eye(k) if full_p else None
-
-    for b in range(bw, 1, -1):
-        for j in range(k):
-            r, c = j + b, j
-            if r >= k:
-                break
-            planes, coss, sins = [], [], []
-            while r < k:
-                p = r - 1
-                piv, tgt = a[p, c], a[r, c]
-                if tgt == 0.0:
-                    break
-                g = np.hypot(piv, tgt)
-                cth, sth = piv / g, tgt / g
-                rot = np.array([[cth, sth], [-sth, cth]])
-                lo, hi = max(0, r - b - 1), min(k, r + b + 1)
-                a[p:p + 2, lo:hi] = rot @ a[p:p + 2, lo:hi]
-                a[lo:hi, p:p + 2] = a[lo:hi, p:p + 2] @ rot.T
-                a[r, c] = 0.0
-                a[c, r] = 0.0
-                planes.append(p)
-                coss.append(cth)
-                sins.append(sth)
-                c = r - 1
-                r += b
-            if planes:
-                pi = np.asarray(planes)
-                cv = np.asarray(coss)
-                sv = np.asarray(sins)
-                for mat in (slices,) if p_full is None else (slices, p_full):
-                    colp = mat[:, pi].copy()
-                    colq = mat[:, pi + 1].copy()
-                    mat[:, pi] = cv * colp + sv * colq
-                    mat[:, pi + 1] = -sv * colp + cv * colq
-
-    d = np.diag(a).copy()
-    e = np.diag(a, -1).copy()
-    if full_p:
-        return d, e, slices[:ell], slices[ell:], p_full
-    return d, e, slices[:ell], slices[ell:]
+    h, p = scipy.linalg.hessenberg(t.to_dense(), calc_q=True)
+    return np.diag(h).copy(), np.diag(h, -1).copy(), p
 
 
 def sym_tridiag_eig(d, e):
@@ -248,7 +175,8 @@ def _fix_signs(g):
 
 
 def partial_eig_blocktridiag(t):
-    """Eigenvalues and sign-fixed eigenvectors of a block tridiagonal matrix.
+    """``(eigenvalues, eigenvectors)`` of a block tridiagonal matrix, as
+    ``np.linalg.eigh`` returns them, with sign-fixed eigenvectors.
 
     The band goes to LAPACK as it is stored, with no dense k x k copy; rows
     past the order k, which hold only zeros, are trimmed.  A two-row band is
@@ -268,7 +196,7 @@ def partial_eig_blocktridiag(t):
         except np.linalg.LinAlgError as exc:
             raise FactorizationError("banded eigensolver did not converge") from exc
         _fix_signs(q)
-    return PartialSpectral(lam, q, t.block_size)
+    return lam, q
 
 
 def _truncation_rank(values, eps):

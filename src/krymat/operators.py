@@ -22,30 +22,31 @@ from .errors import (
 DENSE_CHOLESKY_LIMIT = 4096
 
 
-def validate_symmetric(a):
+def validate_symmetric(a, name="matrix"):
     """Return ``a`` as CSR after checking that its entries are finite and
     that it is exactly symmetric.
 
     Bad input is an error, never silently mended; the message names the
-    first non-finite entry, or else the first asymmetric entry pair.
+    matrix by ``name`` and gives the first non-finite entry, or else the
+    first asymmetric entry pair.
     """
     a = sp.csr_matrix(a)
     if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError("matrix is %dx%d, not square" % a.shape)
+        raise DimensionMismatchError("%s is %dx%d, not square" % ((name,) + a.shape))
     finite = np.isfinite(a.data)
     if not finite.all():
         k = int(np.argmin(finite))
         i = np.searchsorted(a.indptr, k, side="right") - 1
-        raise KrymatError("matrix entry (%d, %d) = %.17g is not finite"
-                          % (i, a.indices[k], a.data[k]))
+        raise KrymatError("%s entry (%d, %d) = %.17g is not finite"
+                          % (name, i, a.indices[k], a.data[k]))
     diff = (a - a.T).tocoo()
     bad = diff.data != 0.0
     if bad.any():
         i = int(diff.row[bad][0])
         j = int(diff.col[bad][0])
         raise AsymmetricMatrixError(
-            "matrix is not symmetric: entry (%d, %d) = %.17g but (%d, %d) = %.17g"
-            % (i, j, a[i, j], j, i, a[j, i])
+            "%s is not symmetric: entry (%d, %d) = %.17g but (%d, %d) = %.17g"
+            % (name, i, j, a[i, j], j, i, a[j, i])
         )
     return a
 
@@ -139,7 +140,7 @@ class TransformedOperator(LinearOperator):
 
     def __init__(self, cholesky_l, a, definite=True):
         self._l = cholesky_l
-        self.matrix = validate_symmetric(a)
+        self.matrix = validate_symmetric(a, "A")
         self.n = self.matrix.shape[0]
         self.definite = definite
 
@@ -167,7 +168,7 @@ def cholesky_transform(e, a):
     E is densified for the Cholesky factorization, which caps the practical
     order at ``DENSE_CHOLESKY_LIMIT``.
     """
-    e = validate_symmetric(e)
+    e = validate_symmetric(e, "E")
     if e.shape[0] > DENSE_CHOLESKY_LIMIT:
         raise FactorizationError(
             "mass matrix of order %d exceeds the dense Cholesky limit %d"

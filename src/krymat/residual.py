@@ -35,9 +35,10 @@ class ResidualValue:
     """Absolute residual norm, its normalized value and the check's eigen-data.
 
     For Lyapunov problems the normalization is beta^2 = ||C||_F^2; Sylvester
-    problems use ||C1||_F * ||C2||_F.  ``spectra`` holds the PartialSpectral
-    of T (and of J, two-sided); ``neg_ytilde`` is -Ytilde, the reduced
-    solution in eigen coordinates (transposed one-sided: rows over B's).
+    problems use ||C1||_F * ||C2||_F.  ``spectra`` holds the (eigenvalues,
+    eigenvectors) pair of T (and of J, two-sided); ``neg_ytilde`` is -Ytilde,
+    the reduced solution in eigen coordinates (transposed one-sided: rows
+    over B's).
     """
 
     res: float
@@ -47,10 +48,11 @@ class ResidualValue:
 
 
 def _eigen_side(t, gamma, tau_next):
-    """The PartialSpectral of a projected matrix T, Q1^T gamma and Qm^T tau^T."""
-    spectral = partial_eig_blocktridiag(t)
+    """Eigenvalues lam and eigenvectors Q of a projected matrix T, then
+    Q1^T gamma and Qm^T tau^T, Q1 and Qm the first and last block rows of Q."""
+    lam, q = partial_eig_blocktridiag(t)
     tau = np.atleast_2d(np.asarray(tau_next, dtype=float))
-    return spectral, spectral.first_rows.T @ gamma, spectral.last_rows.T @ tau.T
+    return lam, q, q[: t.block_size].T @ gamma, q[-t.block_size:].T @ tau.T
 
 
 def ctri_lyapunov(t, gamma, tau_next, rhs_norm=None):
@@ -63,12 +65,11 @@ def ctri_lyapunov(t, gamma, tau_next, rhs_norm=None):
     beta^2, which defaults to ||gamma||_F^2 = ||C||_F^2.
     """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
-    spectral, u, w = _eigen_side(t, gamma, tau_next)
-    lam = spectral.eigenvalues
+    lam, q, u, w = _eigen_side(t, gamma, tau_next)
     neg_ytilde = (u @ u.T) / guarded_denominators(lam, lam)
     res = float(np.sqrt(2.0) * np.linalg.norm(neg_ytilde @ w))
     beta2 = float(rhs_norm) if rhs_norm is not None else float(np.sum(gamma * gamma))
-    return ResidualValue(res, res / beta2, (spectral,), neg_ytilde)
+    return ResidualValue(res, res / beta2, ((lam, q),), neg_ytilde)
 
 
 def ctri_sylvester(t, j, gamma1, gamma2, tau_next, iota_next, rhs_norm=None):
@@ -79,14 +80,13 @@ def ctri_sylvester(t, j, gamma1, gamma2, tau_next, iota_next, rhs_norm=None):
     """
     gamma1 = np.atleast_2d(np.asarray(gamma1, dtype=float))
     gamma2 = np.atleast_2d(np.asarray(gamma2, dtype=float))
-    spectral_t, u, f = _eigen_side(t, gamma1, tau_next)
-    spectral_j, v, g = _eigen_side(j, gamma2, iota_next)
-    lam, ups = spectral_t.eigenvalues, spectral_j.eigenvalues
+    lam, q, u, f = _eigen_side(t, gamma1, tau_next)
+    ups, p, v, g = _eigen_side(j, gamma2, iota_next)
     sd = (u @ v.T) / guarded_denominators(lam, ups)
     res = float(np.sqrt(np.linalg.norm(sd.T @ f) ** 2 + np.linalg.norm(sd @ g) ** 2))
     if rhs_norm is None:
         rhs_norm = np.linalg.norm(gamma1) * np.linalg.norm(gamma2)
-    return ResidualValue(res, res / float(rhs_norm), (spectral_t, spectral_j), sd)
+    return ResidualValue(res, res / float(rhs_norm), ((lam, q), (ups, p)), sd)
 
 
 def residual_one_sided(t, tau_next, s_input, upsilon, rhs_norm=None):
@@ -97,8 +97,8 @@ def residual_one_sided(t, tau_next, s_input, upsilon, rhs_norm=None):
     """
     s_input = np.asarray(s_input, dtype=float)
     upsilon = np.asarray(upsilon, dtype=float)
-    spectral, u, w = _eigen_side(t, s_input.T, tau_next)
-    neg_ytilde_t = u.T / guarded_denominators(upsilon, spectral.eigenvalues)
+    lam, q, u, w = _eigen_side(t, s_input.T, tau_next)
+    neg_ytilde_t = u.T / guarded_denominators(upsilon, lam)
     res = float(np.linalg.norm(neg_ytilde_t @ w))
     relative = res / float(rhs_norm) if rhs_norm is not None else res
-    return ResidualValue(res, relative, (spectral,), neg_ytilde_t)
+    return ResidualValue(res, relative, ((lam, q),), neg_ytilde_t)

@@ -174,7 +174,7 @@ def _regenerated(op, basis):
         w = op.apply(v[:, :s])
         w, _ = mgs_twice(w, older, v)
         v_new, r_hat = economy_qr(w)
-        stored = basis.r_sub[i - 2][:s, :s]
+        stored = basis.r_sub[i - 1][:s, :s]
         scale = max(np.linalg.norm(stored), 1e-300)
         if np.linalg.norm(r_hat - stored) > REPLAY_TOL * scale:
             raise RecurrenceMismatchError(
@@ -295,9 +295,9 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
 
 def _eigenvectors(rv, message="projected matrix is not negative definite"):
     """Eigenvectors of the converged check's (negative definite) projections."""
-    if any(spectral.eigenvalues[-1] >= 0.0 for spectral in rv.spectra):
+    if any(lam[-1] >= 0.0 for lam, _ in rv.spectra):
         raise IndefiniteMatrixError(message)
-    return [spectral.eigenvectors for spectral in rv.spectra]
+    return [q for _, q in rv.spectra]
 
 
 def _sylvester_rhs(c1, c2):
@@ -371,7 +371,7 @@ def solve_sylvester_one_sided(op_a, b, c1, c2, options=None):
     """
     opts = options if options is not None else SolveOptions()
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    validate_symmetric(b)
+    validate_symmetric(b, "B")
     c1, c2, rhs_norm = _sylvester_rhs(c1, c2)
     if c2.shape[0] != b.shape[0]:
         raise DimensionMismatchError("C2 does not conform with B")

@@ -7,6 +7,7 @@ import pytest
 
 from krymat import cli, mmio
 from krymat.cli import build_parser, main
+from krymat.problems import laplacian1d
 
 
 def run(argv):
@@ -68,7 +69,7 @@ class TestSolveLyap:
             "3 3 4\n1 1 -2.0\n2 1 1.0\n2 2 nan\n3 3 -2.0\n"
         )
         assert run(["solve-lyap", "--A", bad, "--out", tmp_path]) == 1
-        assert "error: matrix entry (1, 1) = nan is not finite" in capsys.readouterr().err
+        assert "error: A: matrix entry (1, 1) = nan is not finite" in capsys.readouterr().err
 
     def test_malformed_input_is_an_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
@@ -144,6 +145,27 @@ class TestSolveSylv:
         ]) == 1
         assert "no convergence" in capsys.readouterr().err
         assert len((tmp_path / "history.csv").read_text().splitlines()) == 5
+
+    # B of order 3 beside A of order 4 is solved one-sided, of order 4
+    # two-sided (through its own operator); either way the error names B
+    @pytest.mark.parametrize("order", [3, 4], ids=["one-sided", "two-sided"])
+    @pytest.mark.parametrize("entries, message", [
+        ("1 1 -2.0\n2 2 nan\n", "entry (1, 1) = nan is not finite"),
+        ("1 1 -2.0\n1 2 1.0\n2 2 -2.0\n", "not symmetric: entry (0, 1) = 1 but"),
+    ], ids=["nan", "asymmetric"])
+    def test_invalid_b_is_named(self, tmp_path, capsys, order, entries, message):
+        mmio.write_coordinate(tmp_path / "A.mtx", laplacian1d(4))
+        mmio.write_array(tmp_path / "C1.mtx", np.ones((4, 1)))
+        mmio.write_array(tmp_path / "C2.mtx", np.ones((order, 1)))
+        diag = "".join("%d %d -2.0\n" % (i, i) for i in range(3, order + 1))
+        (tmp_path / "B.mtx").write_text(
+            "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n%s%s"
+            % (order, order, (entries + diag).count("\n"), entries, diag))
+        assert run(["solve-sylv", "--A", tmp_path / "A.mtx", "--B", tmp_path / "B.mtx",
+                    "--C1", tmp_path / "C1.mtx", "--C2", tmp_path / "C2.mtx",
+                    "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: B") and message in err
 
 
 class TestBenchResidual:

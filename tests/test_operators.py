@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 
 from krymat import (
     AsymmetricMatrixError,
+    DimensionMismatchError,
     FactorizationError,
     KrymatError,
     SparseFactorization,
@@ -42,6 +43,16 @@ class TestValidation:
                            % (row, col, value)) as err:
             validate_symmetric(a)
         assert not isinstance(err.value, AsymmetricMatrixError)
+
+    def test_messages_name_the_matrix(self):
+        bad = laplacian1d(4).tolil()
+        bad[0, 1] = 0.5
+        with pytest.raises(AsymmetricMatrixError, match=r"^E is not symmetric: "):
+            cholesky_transform(bad, laplacian1d(4))
+        with pytest.raises(AsymmetricMatrixError, match=r"^A is not symmetric: "):
+            cholesky_transform(sp.eye(4, format="csr"), bad)
+        with pytest.raises(DimensionMismatchError, match=r"^B is 2x3, not square$"):
+            validate_symmetric(np.zeros((2, 3)), "B")
 
     def test_symmetric_accepted(self):
         a = validate_symmetric(laplacian1d(5))

@@ -14,17 +14,17 @@ import krymat.residual
 from krymat import (
     FactorizationError,
     IndefiniteMatrixError,
-    PartialSpectral,
     SparseOperator,
-    band_tridiagonalize,
     ctri_lyapunov,
     ctri_sylvester,
     extended_step,
     init_basis,
     lanczos_step,
+    partial_eig_blocktridiag,
     residual_one_sided,
     sym_tridiag_eig,
 )
+from krymat.kernels import band_tridiagonalize
 from krymat.problems import gen_fd2d, gen_rhs
 
 from conftest import (
@@ -187,22 +187,22 @@ def test_extended_shortcut_zero_lower_block():
     assert abs(full.res - short.res) <= 1e-13 * max(full.res, 1e-30)
 
 
-def _givens_partial_eig(t):
-    """Partial eigendecomposition through the Givens chase and the
-    tridiagonal eigensolver, the reference for the LAPACK banded path."""
-    d, e, _, _, p = band_tridiagonalize(t, full_p=True)
+def _householder_eig(t):
+    """The eigendecomposition through the dense Householder reduction and
+    the tridiagonal eigensolver, the reference for the LAPACK banded path."""
+    d, e, p = band_tridiagonalize(t)
     lam, g = sym_tridiag_eig(d, e)
-    return PartialSpectral(lam, p @ g, t.block_size)
+    return lam, p @ g
 
 
-def _banded_and_givens(monkeypatch, evaluate):
-    """``evaluate()`` through the library's partial eigendecomposition and
-    again through the Givens reference."""
+def _banded_and_householder(monkeypatch, evaluate):
+    """``evaluate()`` through the library's eigendecomposition and again
+    through the Householder reference."""
     banded = evaluate().res
     with monkeypatch.context() as patch:
-        patch.setattr(krymat.residual, "partial_eig_blocktridiag", _givens_partial_eig)
-        givens = evaluate().res
-    return banded, givens
+        patch.setattr(krymat.residual, "partial_eig_blocktridiag", _householder_eig)
+        householder = evaluate().res
+    return banded, householder
 
 
 def _clustered_spectrum():
@@ -238,7 +238,7 @@ def _projection(case):
 class TestBandedPath:
     """Projections of bandwidth 2 or more go to one LAPACK banded
     eigensolve.  Eigenvector rows are not unique inside clusters, so the
-    residual values are compared: against the Givens chase composition and
+    residual values are compared: against the Householder reference and
     against the dense reduced solve."""
 
     @pytest.mark.parametrize("case", [
@@ -249,10 +249,10 @@ class TestBandedPath:
     def test_lyapunov_matches_references(self, monkeypatch, case):
         t, gamma, tau, bandwidth = _projection(case)
         assert t.band.shape[0] == bandwidth + 1
-        banded, givens = _banded_and_givens(
+        banded, householder = _banded_and_householder(
             monkeypatch, lambda: ctri_lyapunov(t, gamma, tau))
         dense = naive_residual_norm(reduced_solve(t, t, gamma, gamma), tau, tau)
-        assert abs(banded - givens) <= 1e-10 * givens
+        assert abs(banded - householder) <= 1e-10 * householder
         assert abs(banded - dense) <= 1e-10 * dense
 
     def test_sylvester_matches_references(self, monkeypatch):
@@ -260,10 +260,10 @@ class TestBandedPath:
         t, tau = lanczos_block_tridiagonal(rng, 3, 12, general=True)
         j, iota = lanczos_block_tridiagonal(rng, 3, 12)
         g1, g2 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        banded, givens = _banded_and_givens(
+        banded, householder = _banded_and_householder(
             monkeypatch, lambda: ctri_sylvester(t, j, g1, g2, tau, iota))
         dense = naive_residual_norm(reduced_solve(t, j, g1, g2), tau, iota)
-        assert abs(banded - givens) <= 1e-10 * givens
+        assert abs(banded - householder) <= 1e-10 * householder
         assert abs(banded - dense) <= 1e-10 * dense
 
     def test_one_sided_matches_references(self, monkeypatch):
@@ -275,10 +275,10 @@ class TestBandedPath:
         gamma1 = rng.standard_normal((2, 2))
         c2 = rng.standard_normal((5, 2))
         s_input = (p.T @ c2) @ gamma1.T
-        banded, givens = _banded_and_givens(
+        banded, householder = _banded_and_householder(
             monkeypatch, lambda: residual_one_sided(t, tau, s_input, ups))
         dense = naive_residual_norm(reduced_solve(t, b, gamma1, c2), tau)
-        assert abs(banded - givens) <= 1e-10 * givens
+        assert abs(banded - householder) <= 1e-10 * householder
         assert abs(banded - dense) <= 1e-10 * dense
 
 
@@ -331,8 +331,37 @@ def test_long_lanczos_chain_with_ghost_clusters():
     # over the residual's decay
     ref = float(naive_residual_norm(refined_reduced_lyapunov(t, basis.gamma), tau, tau))
     assert abs(rv.res - ref) <= 1e-10 * ref
-    (spectral,) = rv.spectra
-    q = spectral.eigenvectors
+    ((lam, q),) = rv.spectra
     assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-12 * np.sqrt(k)
-    lam = spectral.eigenvalues
     assert np.linalg.norm(td @ q - q * lam) <= 1e-12 * np.linalg.norm(td)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_banded_eigensolve_matches_householder_on_ghost_clusters(s):
+    # T of order 400 from the library's Lanczos on a geometric spectrum, as
+    # above, with ghost clusters down to zero separation.  Eigenvectors
+    # inside a cluster are not unique, so the first and last block rows are
+    # compared column by column (sign-aligned) between clusters, and through
+    # the cluster's projection R R^T inside one
+    n, k = 1000, 400
+    op = SparseOperator(sp.diags(-np.geomspace(0.1, 1e3, n)).tocsr())
+    basis = init_basis(op, np.random.default_rng(1).standard_normal((n, s)),
+                       storage="windowed")
+    for _ in range(k // s):
+        lanczos_step(op, basis)
+    t = basis.projected_matrix()
+    lam, q = partial_eig_blocktridiag(t)
+    lam_ref, q_ref = _householder_eig(t)
+    scale = np.max(np.abs(lam))
+    assert np.min(np.diff(lam)) < 1e-14 * scale
+    assert np.max(np.abs(lam - lam_ref)) <= 1e-13 * scale
+    q_ref = q_ref * np.sign(np.sum(q * q_ref, axis=0))
+    rows, rows_ref = (np.vstack([v[:s], v[-s:]]) for v in (q, q_ref))
+    clusters = np.split(np.arange(k), np.flatnonzero(np.diff(lam) > 1e-8 * scale) + 1)
+    assert max(c.size for c in clusters) > 1
+    for c in clusters:
+        r, r_ref = rows[:, c], rows_ref[:, c]
+        if c.size == 1:
+            assert np.max(np.abs(r - r_ref)) <= 1e-10
+        else:
+            assert np.max(np.abs(r @ r.T - r_ref @ r_ref.T)) <= 1e-12

@@ -203,6 +203,22 @@ class TestTwoPass:
         assert rel <= 1e-12
         assert windowed.peak_vectors == 3 * s
 
+    @pytest.mark.parametrize("storage", ["stored", "windowed"])
+    @pytest.mark.parametrize("space", ["standard", "extended"])
+    def test_peak_vectors_closed_form(self, space, storage):
+        s = 2
+        op = SparseOperator(gen_fd2d("fd2d-exp", 10))
+        sol = solve_lyapunov(op, gen_rhs(100, s, seed=7),
+                             SolveOptions(tol=1e-8, space=space, storage=storage))
+        ell = s if space == "standard" else 2 * s
+        m = sol.iterations + 1  # blocks V_1 .. V_m were made
+        assert sol.iterations >= 2
+        if storage == "stored":
+            expected = ell * (m - 1)  # the in-flight block is not counted
+        else:  # the window, and extended mode's retained half-blocks
+            expected = 3 * ell + (m * s if space == "extended" else 0)
+        assert sol.peak_basis_vectors == expected
+
     # m blocks fill the recovery workspace twice and end partway through it;
     # both storages recover through that workspace
     @pytest.mark.parametrize("storage, space, s, m", [
