@@ -4,9 +4,12 @@ Everything here operates on the projected (small) matrices of the outer
 iteration: economy QR, the eigendecomposition of symmetric block
 tridiagonal matrices that the residual check and the solution factor share
 (one LAPACK call on the band the basis writes), tridiagonal eigensolution,
-and truncated low-rank factorizations.  ``band_tridiagonalize`` is not on
-any solver path: it is the dense Householder reference the banded
-eigensolve is tested against.
+and truncated low-rank factorizations.  The eigensolves return LAPACK's
+eigenvectors as they come, with arbitrary signs: the residual norm does not
+depend on them, so no check pays for fixing them, and the solvers fix them
+once, with ``_fix_signs``, on the converged check's eigenvectors.
+``band_tridiagonalize`` is not on any solver path: it is the dense
+Householder reference the banded eigensolve is tested against.
 """
 
 from dataclasses import dataclass
@@ -101,22 +104,38 @@ def economy_qr(w):
     The sign normalization makes the factorization unique (for full-rank
     input), which the two-pass basis regeneration relies on.  A single
     column is normalized directly; a zero column gives R = 0, so
-    ``rank_deficient`` flags it, and Q = e_1 as from Householder QR.
+    ``rank_deficient`` flags it, and Q = e_1 as from Householder QR.  Wider
+    blocks go straight to LAPACK's ``dgeqrf`` and ``dorgqr``, the calls that
+    ``scipy.linalg.qr(mode="economic")`` makes, without its wrapper.  Blocks
+    wider than LAPACK's block size of 32 columns get the optimal workspace,
+    as scipy queries it, so past LAPACK's crossover to blocked code (128
+    columns) they take scipy's blocked path; narrower ones take its
+    unblocked path at any workspace.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] < w.shape[1]:
         raise DimensionMismatchError(
             "economy QR needs a tall matrix, got shape %s" % (w.shape,)
         )
-    if w.shape[1] == 1:
+    n, c = w.shape
+    if c == 1:
         norm = scipy.linalg.blas.dnrm2(w[:, 0])  # scaled: no under/overflow
-        q = w / norm if norm > 0.0 else np.eye(w.shape[0], 1)
+        q = w / norm if norm > 0.0 else np.eye(n, 1)
         return q, np.array([[norm]])
-    q, r = scipy.linalg.qr(w, mode="economic", check_finite=False)
-    signs = np.sign(np.diag(r))
+    lapack = scipy.linalg.lapack
+    # dorgqr's optimal workspace is dgeqrf's, c times the block size
+    lwork = int(lapack.dgeqrf_lwork(n, c)[0]) if c > 32 else None
+    qr, tau, _, _ = lapack.dgeqrf(w, lwork=lwork)
+    r = qr[:c].copy()
+    for i in range(1, c):  # R is the upper triangle; cheaper than np.triu
+        r[i, :i] = 0.0
+    q, _, _ = lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)
+    signs = np.sign(r.diagonal())
     signs[signs == 0.0] = 1.0
-    # scipy returns Q in Fortran order, and BLAS rounds products with it
-    # differently; a C-ordered Q keeps the bits numpy's QR gave the basis
+    # Q comes back in Fortran order; the basis keeps its blocks C-ordered.
+    # The Gram products block.T @ w of later steps round by the block's
+    # layout: a C-ordered block gives the same bits whatever w's layout, an
+    # F-ordered one does not (at widths 2 and 3, and at some n at width 4)
     return np.multiply(q, signs, order="C"), signs[:, None] * r
 
 
@@ -144,30 +163,32 @@ def band_tridiagonalize(t):
 
 
 def sym_tridiag_eig(d, e):
-    """Full eigendecomposition of a symmetric tridiagonal matrix.
+    """Full eigendecomposition of a symmetric tridiagonal matrix with
+    diagonal ``d`` and off-diagonal ``e``.
 
     One call to LAPACK's divide-and-conquer ``dstevd``, which stays
     orthogonal on the tight eigenvalue clusters of long Lanczos runs.
-    Returns ascending eigenvalues and an orthogonal eigenvector matrix whose
-    columns are sign-fixed (largest-magnitude entry positive) so results are
-    deterministic.
+    Returns ascending eigenvalues and the orthogonal eigenvector matrix as
+    LAPACK gives it, with arbitrary column signs (see ``_fix_signs``).
     """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if e.shape[0] != max(d.shape[0] - 1, 0):
-        raise DimensionMismatchError("tridiagonal bands have inconsistent lengths")
-    if d.shape[0] == 1:
-        return d.copy(), np.ones((1, 1))
+    if len(d) == 1:  # dstevd's wrapper wants an off-diagonal of length 1
+        return np.array(d, dtype=float), np.ones((1, 1))
     lam, g, info = scipy.linalg.lapack.dstevd(d, e)
     if info != 0:
         cause = np.linalg.LinAlgError("LAPACK dstevd returned info=%d" % info)
         raise FactorizationError("tridiagonal eigensolver did not converge") from cause
-    return lam, _fix_signs(g)
+    return lam, g
 
 
 def _fix_signs(g):
     """Flip eigenvector columns in place so that each column's
-    largest-magnitude entry is positive, which makes results deterministic."""
+    largest-magnitude entry is positive, which makes them unique (for simple
+    eigenvalues) and the results built from them deterministic.
+
+    The checks skip this, as the residual norm does not depend on the
+    signs; the solvers call it once, on the converged check's eigenvectors,
+    before the reduced solution is formed from them.
+    """
     piv = np.argmax(np.abs(g), axis=0)
     flip = g[piv, np.arange(g.shape[1])] < 0.0
     g[:, flip] *= -1.0
@@ -176,7 +197,7 @@ def _fix_signs(g):
 
 def partial_eig_blocktridiag(t):
     """``(eigenvalues, eigenvectors)`` of a block tridiagonal matrix, as
-    ``np.linalg.eigh`` returns them, with sign-fixed eigenvectors.
+    ``np.linalg.eigh`` returns them, from exactly one LAPACK call.
 
     The band goes to LAPACK as it is stored, with no dense k x k copy; rows
     past the order k, which hold only zeros, are trimmed.  A two-row band is
@@ -185,17 +206,16 @@ def partial_eig_blocktridiag(t):
     (``dsbevd``, O(k^3) with a small constant).  Both form every
     eigenvector: the check reads the first and last block rows, and at
     convergence the solvers map the reduced solution back through all of
-    them, with no second eigensolve.
+    them, with no second eigensolve.  The eigenvectors keep LAPACK's
+    arbitrary signs: nothing fixes them here (see ``_fix_signs``).
     """
     band = t.band[: max(t.dim, 2)]
     if band.shape[0] == 2:
-        lam, q = sym_tridiag_eig(band[0], band[1, :-1])
-    else:
-        try:
-            lam, q = scipy.linalg.eig_banded(band, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError("banded eigensolver did not converge") from exc
-        _fix_signs(q)
+        return sym_tridiag_eig(band[0], band[1, :-1])
+    lam, q, info = scipy.linalg.lapack.dsbevd(band, lower=1, overwrite_ab=0)
+    if info != 0:
+        cause = np.linalg.LinAlgError("LAPACK dsbevd returned info=%d" % info)
+        raise FactorizationError("banded eigensolver did not converge") from cause
     return lam, q
 
 

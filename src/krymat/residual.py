@@ -19,8 +19,13 @@ which needs only the first and last block row of Q.  The Sylvester variants
 replace S by the mixed product of the two eigenbases and sum one term per
 side (no factor 2); the one-sided variant runs over the eigenvalues of the
 small coefficient matrix instead.  The rows e_i^T S D_i^{-1} form -Ytilde,
-the reduced solution in eigen coordinates; each check returns it with Q, and
-the solvers factor the converged check's copy with no further eigensolve.
+the reduced solution in eigen coordinates, which ``reduced_solution`` forms.
+
+Each check uses LAPACK's eigenvectors as returned.  Flipping the sign of
+eigenvector i flips row i of -Ytilde and of W, so the norm comes out the
+same to the last bit.  The solvers fix the signs once, on the converged
+check's eigenvectors, and form -Ytilde again from them with the same
+helper, with no further eigensolve.
 """
 
 from dataclasses import dataclass
@@ -30,29 +35,47 @@ import numpy as np
 from .kernels import guarded_denominators, partial_eig_blocktridiag
 
 
+def reduced_solution(spectra, rhs, upsilon=None):
+    """-Ytilde, the reduced solution in eigen coordinates.
+
+    ``spectra`` holds the (eigenvalues, eigenvectors) pair of T (and of J,
+    two-sided) and ``rhs`` the right-hand side's coefficients in the first
+    basis block of each: (gamma,) for Lyapunov, (gamma1, gamma2) two-sided.
+    One-sided, ``rhs`` is (S^T,), ``upsilon`` holds the eigenvalues of B and
+    the result is transposed (rows over B's).
+    """
+    u = [q[: g.shape[0]].T @ g for (_, q), g in zip(spectra, rhs)]
+    lam = spectra[0][0]
+    if upsilon is not None:
+        return u[0].T / guarded_denominators(upsilon, lam)
+    return (u[0] @ u[-1].T) / guarded_denominators(lam, spectra[-1][0])
+
+
 @dataclass
 class ResidualValue:
     """Absolute residual norm, its normalized value and the check's eigen-data.
 
     For Lyapunov problems the normalization is beta^2 = ||C||_F^2; Sylvester
     problems use ||C1||_F * ||C2||_F.  ``spectra`` holds the (eigenvalues,
-    eigenvectors) pair of T (and of J, two-sided); ``neg_ytilde`` is -Ytilde,
-    the reduced solution in eigen coordinates (transposed one-sided: rows
-    over B's).
+    eigenvectors) pair of T (and of J, two-sided) as LAPACK returned them;
+    ``rhs`` and ``upsilon`` are the other arguments of ``reduced_solution``.
     """
 
     res: float
     relative: float
     spectra: tuple
-    neg_ytilde: np.ndarray
+    rhs: tuple
+    upsilon: np.ndarray = None
+
+    def neg_ytilde(self):
+        """-Ytilde from the eigenvectors now in ``spectra``."""
+        return reduced_solution(self.spectra, self.rhs, self.upsilon)
 
 
-def _eigen_side(t, gamma, tau_next):
-    """Eigenvalues lam and eigenvectors Q of a projected matrix T, then
-    Q1^T gamma and Qm^T tau^T, Q1 and Qm the first and last block rows of Q."""
-    lam, q = partial_eig_blocktridiag(t)
+def _last_rows(t, q, tau_next):
+    """Qm^T tau^T, Qm the last block row of the eigenvectors Q of T."""
     tau = np.atleast_2d(np.asarray(tau_next, dtype=float))
-    return lam, q, q[: t.block_size].T @ gamma, q[-t.block_size:].T @ tau.T
+    return q[-t.block_size:].T @ tau.T
 
 
 def ctri_lyapunov(t, gamma, tau_next, rhs_norm=None):
@@ -65,11 +88,11 @@ def ctri_lyapunov(t, gamma, tau_next, rhs_norm=None):
     beta^2, which defaults to ||gamma||_F^2 = ||C||_F^2.
     """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
-    lam, q, u, w = _eigen_side(t, gamma, tau_next)
-    neg_ytilde = (u @ u.T) / guarded_denominators(lam, lam)
-    res = float(np.sqrt(2.0) * np.linalg.norm(neg_ytilde @ w))
+    spectra, rhs = (partial_eig_blocktridiag(t),), (gamma,)
+    w = _last_rows(t, spectra[0][1], tau_next)
+    res = float(np.sqrt(2.0) * np.linalg.norm(reduced_solution(spectra, rhs) @ w))
     beta2 = float(rhs_norm) if rhs_norm is not None else float(np.sum(gamma * gamma))
-    return ResidualValue(res, res / beta2, ((lam, q),), neg_ytilde)
+    return ResidualValue(res, res / beta2, spectra, rhs)
 
 
 def ctri_sylvester(t, j, gamma1, gamma2, tau_next, iota_next, rhs_norm=None):
@@ -80,13 +103,15 @@ def ctri_sylvester(t, j, gamma1, gamma2, tau_next, iota_next, rhs_norm=None):
     """
     gamma1 = np.atleast_2d(np.asarray(gamma1, dtype=float))
     gamma2 = np.atleast_2d(np.asarray(gamma2, dtype=float))
-    lam, q, u, f = _eigen_side(t, gamma1, tau_next)
-    ups, p, v, g = _eigen_side(j, gamma2, iota_next)
-    sd = (u @ v.T) / guarded_denominators(lam, ups)
+    spectra = (partial_eig_blocktridiag(t), partial_eig_blocktridiag(j))
+    rhs = (gamma1, gamma2)
+    f = _last_rows(t, spectra[0][1], tau_next)
+    g = _last_rows(j, spectra[1][1], iota_next)
+    sd = reduced_solution(spectra, rhs)
     res = float(np.sqrt(np.linalg.norm(sd.T @ f) ** 2 + np.linalg.norm(sd @ g) ** 2))
     if rhs_norm is None:
         rhs_norm = np.linalg.norm(gamma1) * np.linalg.norm(gamma2)
-    return ResidualValue(res, res / float(rhs_norm), ((lam, q), (ups, p)), sd)
+    return ResidualValue(res, res / float(rhs_norm), spectra, rhs)
 
 
 def residual_one_sided(t, tau_next, s_input, upsilon, rhs_norm=None):
@@ -97,8 +122,8 @@ def residual_one_sided(t, tau_next, s_input, upsilon, rhs_norm=None):
     """
     s_input = np.asarray(s_input, dtype=float)
     upsilon = np.asarray(upsilon, dtype=float)
-    lam, q, u, w = _eigen_side(t, s_input.T, tau_next)
-    neg_ytilde_t = u.T / guarded_denominators(upsilon, lam)
-    res = float(np.linalg.norm(neg_ytilde_t @ w))
+    spectra, rhs = (partial_eig_blocktridiag(t),), (s_input.T,)
+    w = _last_rows(t, spectra[0][1], tau_next)
+    res = float(np.linalg.norm(reduced_solution(spectra, rhs, upsilon) @ w))
     relative = res / float(rhs_norm) if rhs_norm is not None else res
-    return ResidualValue(res, relative, ((lam, q),), neg_ytilde_t)
+    return ResidualValue(res, relative, spectra, rhs, upsilon)

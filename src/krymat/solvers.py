@@ -4,7 +4,8 @@ All three solvers run one loop that grows a block Krylov basis per large
 coefficient matrix and, every ``check_period`` iterations, evaluates the
 relative residual norm with the solver's cheap projected formula, which
 forms the reduced solution in eigen coordinates.  At convergence the solver
-truncates that check's copy, with no further eigensolve, and maps it back
+fixes the signs of that check's eigenvectors, forms the reduced solution
+again from them, with no further eigensolve, truncates it and maps it back
 through the basis, one workspace of blocks at a time.  The blocks come from
 the stored basis, or, with ``windowed`` storage, where the basis is never
 kept in memory, from a second Lanczos pass that regenerates it block by
@@ -25,7 +26,13 @@ from .errors import (
     KrymatError,
     RecurrenceMismatchError,
 )
-from .kernels import TRUNC_EPS, economy_qr, truncated_spd_factor, truncated_svd_factor
+from .kernels import (
+    TRUNC_EPS,
+    _fix_signs,
+    economy_qr,
+    truncated_spd_factor,
+    truncated_svd_factor,
+)
 from .operators import validate_symmetric
 from .residual import ctri_lyapunov, ctri_sylvester, residual_one_sided
 
@@ -294,10 +301,20 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
 
 
 def _eigenvectors(rv, message="projected matrix is not negative definite"):
-    """Eigenvectors of the converged check's (negative definite) projections."""
+    """Eigenvectors of the converged check's (negative definite) projections,
+    and -Ytilde formed from them.
+
+    The checks use LAPACK's eigenvectors as returned.  Here, once per solve,
+    their signs are fixed, which makes the factor deterministic, and -Ytilde
+    is formed again from the fixed eigenvectors by the check's own helper.
+    Flipping the check's -Ytilde instead would not give the same bits, as
+    BLAS drops the sign of an exact zero.
+    """
     if any(lam[-1] >= 0.0 for lam, _ in rv.spectra):
         raise IndefiniteMatrixError(message)
-    return [q for _, q in rv.spectra]
+    for _, q in rv.spectra:
+        _fix_signs(q)
+    return [q for _, q in rv.spectra], rv.neg_ytilde()
 
 
 def _sylvester_rhs(c1, c2):
@@ -325,8 +342,7 @@ def solve_lyapunov(op, c, options=None):
     beta2 = float(np.linalg.norm(c) ** 2)
 
     def reduce(rv, basis):
-        (q,) = _eigenvectors(rv)
-        y = rv.neg_ytilde
+        (q,), y = _eigenvectors(rv)
         fac = truncated_spd_factor(-0.5 * (y + y.T), opts.trunc_eps)
         return fac, two_pass_recover(op, basis, q @ fac.factor), None
 
@@ -351,8 +367,8 @@ def solve_sylvester_two_sided(op_a, op_b, c1, c2, options=None):
         return ctri_sylvester(t, j, gamma1, gamma2, tau, iota, rhs_norm=rhs_norm)
 
     def reduce(rv, basis_a, basis_b):
-        q, p = _eigenvectors(rv, "a projected matrix is not negative definite")
-        fac1, fac2 = truncated_svd_factor(-rv.neg_ytilde, opts.trunc_eps)
+        (q, p), y = _eigenvectors(rv, "a projected matrix is not negative definite")
+        fac1, fac2 = truncated_svd_factor(-y, opts.trunc_eps)
         z1 = two_pass_recover(op_a, basis_a, q @ fac1.factor)
         return fac1, z1, two_pass_recover(op_b, basis_b, p @ fac2.factor)
 
@@ -387,8 +403,8 @@ def solve_sylvester_one_sided(op_a, b, c1, c2, options=None):
         return residual_one_sided(t, tau, p_c2 @ gamma.T, ups, rhs_norm=rhs_norm)
 
     def reduce(rv, basis):
-        (q,) = _eigenvectors(rv)
-        fac1, fac2 = truncated_svd_factor(-rv.neg_ytilde.T, opts.trunc_eps)
+        (q,), y_t = _eigenvectors(rv)
+        fac1, fac2 = truncated_svd_factor(-y_t.T, opts.trunc_eps)
         return fac1, two_pass_recover(op_a, basis, q @ fac1.factor), p @ fac2.factor
 
     return _galerkin(

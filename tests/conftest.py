@@ -30,6 +30,18 @@ def pytest_configure(config):
     )
 
 
+def count_calls(monkeypatch, calls, module, name):
+    """Replace ``module.name`` by a wrapper that adds one to ``calls[name]``
+    (a ``collections.Counter``) per call and delegates."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def block_tridiagonal(diag, off, bandwidth=None):
     """The ``BlockTridiagonal`` with symmetric diagonal blocks ``diag`` and
     subdiagonal blocks ``off``, in a band of ``bandwidth`` subdiagonals

@@ -63,6 +63,30 @@ class TestEconomyQR:
         assert np.max(np.abs(q - sign * q_ref)) <= 1e-14
         assert abs(r[0, 0] - sign * r_ref[0, 0]) <= 1e-14 * r[0, 0]
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, widths", [
+        (45, range(1, 41)), (576, range(1, 41)), (160, (129, 140)),
+    ], ids=["n45", "n576", "blocked"])
+    def test_bit_equal_to_scipy_economic_qr(self, n, widths, order):
+        # widths past LAPACK's crossover (128 columns) take the blocked path
+        # only with scipy's optimal workspace; a single column is normalized
+        # by its scaled norm instead
+        rng = np.random.default_rng(n)
+        for width in widths:
+            w = np.asarray(rng.standard_normal((n, width)), order=order)
+            q, r = economy_qr(w)
+            if width == 1:
+                norm = scipy.linalg.blas.dnrm2(w[:, 0])
+                q_ref, r_ref = w / norm, np.array([[norm]])
+            else:
+                q_ref, r_ref = scipy.linalg.qr(w, mode="economic")
+                signs = np.sign(np.diag(r_ref))
+                signs[signs == 0.0] = 1.0
+                q_ref, r_ref = q_ref * signs, signs[:, None] * r_ref
+            assert np.array_equal(q, q_ref), width
+            assert np.array_equal(r, r_ref), width
+            assert q.flags.c_contiguous
+
     def test_zero_column_is_rank_deficient(self):
         with np.errstate(all="raise"):
             q, r = economy_qr(np.zeros((5, 1)))
@@ -127,6 +151,8 @@ class TestSymTridiagEig:
     def test_two_by_two(self):
         lam, g = sym_tridiag_eig(np.array([0.0, 0.0]), np.array([1.0]))
         assert np.allclose(lam, [-1.0, 1.0])
+        # LAPACK's signs are arbitrary; compare in the solvers' convention
+        _fix_signs(g)
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         assert np.allclose(g[:, 0], [inv_sqrt2, -inv_sqrt2])
         assert np.allclose(g[:, 1], [inv_sqrt2, inv_sqrt2])
@@ -191,7 +217,8 @@ class TestPartialEig:
 
 
 def _dense_band_eig(t):
-    """The eigendecomposition through a band copied out of ``to_dense``."""
+    """The eigendecomposition through a band copied out of ``to_dense``,
+    with LAPACK's eigenvector signs, as the library returns them."""
     bw = min(t.band.shape[0], max(t.dim, 2)) - 1
     a = t.to_dense()
     band = np.zeros((bw + 1, t.dim))
@@ -199,8 +226,7 @@ def _dense_band_eig(t):
         band[i, :t.dim - i] = np.diagonal(a, -i)
     if bw == 1:
         return sym_tridiag_eig(band[0], band[1, :-1])
-    lam, q = scipy.linalg.eig_banded(band, lower=True)
-    return lam, _fix_signs(q)
+    return scipy.linalg.eig_banded(band, lower=True)
 
 
 def _tridiagonal_blocks():

@@ -5,11 +5,14 @@ the solve-then-evaluate path must produce the same number to near machine
 precision.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import krymat.kernels
 import krymat.residual
 from krymat import (
     FactorizationError,
@@ -29,6 +32,7 @@ from krymat.problems import gen_fd2d, gen_rhs
 
 from conftest import (
     block_tridiagonal,
+    count_calls,
     lanczos_block_tridiagonal,
     naive_residual_norm,
     random_block_tridiagonal,
@@ -283,15 +287,17 @@ class TestBandedPath:
 
 
 def test_banded_eigensolver_failure_is_typed(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("eig algorithm did not converge")
+    def no_convergence(ab, *args, **kwargs):
+        k = ab.shape[1]
+        return np.zeros(k), np.zeros((k, k)), 2
 
-    monkeypatch.setattr(scipy.linalg, "eig_banded", no_convergence)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsbevd", no_convergence)
     rng = np.random.default_rng(430)
     t, tau = lanczos_block_tridiagonal(rng, 2, 6)
     with pytest.raises(FactorizationError, match="banded eigensolver") as info:
         ctri_lyapunov(t, rng.standard_normal((2, 2)), tau)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert "info=2" in str(info.value.__cause__)
     # bandwidth 1 never reaches the banded solver
     t, tau = lanczos_block_tridiagonal(rng, 1, 12)
     assert ctri_lyapunov(t, np.array([[1.0]]), tau).res > 0.0
@@ -308,6 +314,30 @@ def test_tridiagonal_eigensolver_failure_is_typed(monkeypatch):
         ctri_lyapunov(t, np.array([[1.0]]), tau)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     assert "info=3" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize("kind", ["lyapunov-s1", "lyapunov-s2", "two-sided", "one-sided"])
+def test_check_is_one_lapack_call_per_projection_without_a_sign_pass(monkeypatch, kind):
+    # the residual norm does not depend on the eigenvector signs, so a check
+    # takes LAPACK's eigenvectors as they come, through no scipy wrapper
+    calls = Counter()
+    for name in ("dstevd", "dsbevd"):
+        count_calls(monkeypatch, calls, scipy.linalg.lapack, name)
+    count_calls(monkeypatch, calls, scipy.linalg, "eig_banded")
+    count_calls(monkeypatch, calls, krymat.kernels, "_fix_signs")
+    rng = np.random.default_rng(450)
+    t, tau = lanczos_block_tridiagonal(rng, 1 if kind == "lyapunov-s1" else 2, 8)
+    gamma = rng.standard_normal((t.block_size, t.block_size))
+    if kind.startswith("lyapunov"):
+        ctri_lyapunov(t, gamma, tau)
+    elif kind == "two-sided":
+        j, iota = lanczos_block_tridiagonal(rng, 1, 16)
+        ctri_sylvester(t, j, gamma, rng.standard_normal((1, 2)), tau, iota)
+    else:
+        residual_one_sided(t, tau, rng.standard_normal((3, 2)), -np.arange(1.0, 4.0))
+    # T is tridiagonal at s = 1 and J always; T is banded otherwise
+    assert calls == {"lyapunov-s1": {"dstevd": 1}, "two-sided": {"dsbevd": 1, "dstevd": 1}
+                     }.get(kind, {"dsbevd": 1})
 
 
 def test_long_lanczos_chain_with_ghost_clusters():

@@ -1,6 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+
+import krymat.kernels
+import krymat.residual
+import krymat.solvers
 
 from krymat import (
     AsymmetricMatrixError,
@@ -27,6 +34,7 @@ from krymat.problems import gen_fd2d, gen_rhs, laplacian1d
 from krymat.solvers import RECOVERY_COLUMNS
 
 from conftest import (
+    count_calls,
     dense_sylvester_residual,
     explicit_lyapunov_residual_ld,
     full_solve,
@@ -632,3 +640,82 @@ def test_positive_definite_projection_is_rejected(solver, message):
     # check converges, and the reduction refuses the projection
     with pytest.raises(IndefiniteMatrixError, match="^%s$" % message):
         _solve(solver, -1.0, SolveOptions(tol=1e-8, max_m=64))
+
+
+def _ghost_solve(solver, opts):
+    """One solve of each kind whose s = 1 Lanczos runs far past the order
+    (40) of a geometric spectrum, so the converged check's eigenvectors hold
+    exact zeros in their first row."""
+    a = _diag_op(-np.geomspace(0.1, 1e3, 40))
+    c1 = np.random.default_rng(1).standard_normal((40, 1))
+    if solver == "lyapunov":
+        return solve_lyapunov(a, c1, opts)
+    if solver == "two-sided":
+        return solve_sylvester_two_sided(a, _diag_op(-np.geomspace(1.0, 1e2, 40)), c1,
+                                         np.random.default_rng(2).standard_normal((40, 1)),
+                                         opts)
+    return solve_sylvester_one_sided(a, np.diag(-np.geomspace(0.1, 1.0, 4)), c1,
+                                     np.random.default_rng(3).standard_normal((4, 1)),
+                                     opts)
+
+
+_SIGN_CASES = {
+    "fd2d": (lambda solver, opts: _solve(solver, 1.0, opts), SolveOptions(tol=1e-8, max_m=64, check_period=2)),
+    "ghost": (_ghost_solve, SolveOptions(tol=1e-10, max_m=400, check_period=5,
+                                         storage="windowed")),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_SIGN_CASES))
+@pytest.mark.parametrize("solver", ["lyapunov", "two-sided", "one-sided"])
+def test_signs_are_fixed_once_per_projection_at_convergence(monkeypatch, solver,
+                                                            problem):
+    # every check is one LAPACK eigensolve per projection with no sign pass;
+    # the converged one has its eigenvectors' signs fixed, once each
+    calls = Counter()
+    for name in ("dstevd", "dsbevd"):
+        count_calls(monkeypatch, calls, scipy.linalg.lapack, name)
+    count_calls(monkeypatch, calls, krymat.solvers, "_fix_signs")
+    monkeypatch.setattr(krymat.kernels, "_fix_signs", None)  # a call would fail
+    solve, opts = _SIGN_CASES[problem]
+    sol = solve(solver, opts)
+    projections = 2 if solver == "two-sided" else 1
+    assert calls["_fix_signs"] == projections
+    assert calls["dstevd"] + calls["dsbevd"] == projections * len(sol.history)
+
+
+@pytest.mark.parametrize("problem", sorted(_SIGN_CASES))
+@pytest.mark.parametrize("solver", ["lyapunov", "two-sided", "one-sided"])
+def test_factor_is_that_of_signs_fixed_before_the_reduced_solution(monkeypatch, solver,
+                                                                   problem):
+    # the reference fixes the signs right after each eigensolve, so every
+    # check forms -Ytilde from sign-fixed eigenvectors; the solver, which
+    # fixes them only at convergence, must return the same factor bit for
+    # bit.  Where the eigenvectors hold exact zeros, a -Ytilde flipped in
+    # place instead of formed again differs in the signs of zeros
+    solve, opts = _SIGN_CASES[problem]
+    first_row_zeros = []
+    fix = krymat.solvers._fix_signs
+
+    def spy(g):
+        first_row_zeros.append(int(np.count_nonzero(g[0] == 0.0)))
+        return fix(g)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(krymat.solvers, "_fix_signs", spy)
+        sol = solve(solver, opts)
+    if problem == "ghost":
+        assert sum(first_row_zeros) > 0
+    eig = krymat.residual.partial_eig_blocktridiag
+
+    def sign_fixed_eig(t):
+        lam, q = eig(t)
+        return lam, fix(q)
+
+    monkeypatch.setattr(krymat.residual, "partial_eig_blocktridiag", sign_fixed_eig)
+    ref = solve(solver, opts)
+    assert sol.iterations == ref.iterations
+    assert np.array_equal(sol.z1, ref.z1)
+    assert (sol.z2 is None) == (ref.z2 is None)
+    if sol.z2 is not None:
+        assert np.array_equal(sol.z2, ref.z2)
