@@ -106,11 +106,9 @@ def economy_qr(w):
     column is normalized directly; a zero column gives R = 0, so
     ``rank_deficient`` flags it, and Q = e_1 as from Householder QR.  Wider
     blocks go straight to LAPACK's ``dgeqrf`` and ``dorgqr``, the calls that
-    ``scipy.linalg.qr(mode="economic")`` makes, without its wrapper.  Blocks
-    wider than LAPACK's block size of 32 columns get the optimal workspace,
-    as scipy queries it, so past LAPACK's crossover to blocked code (128
-    columns) they take scipy's blocked path; narrower ones take its
-    unblocked path at any workspace.
+    ``scipy.linalg.qr(mode="economic")`` makes, without its wrapper, and
+    with the optimal workspace that scipy queries, so a block wide enough
+    for LAPACK's blocked code takes the same path as in scipy.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] < w.shape[1]:
@@ -124,11 +122,11 @@ def economy_qr(w):
         return q, np.array([[norm]])
     lapack = scipy.linalg.lapack
     # dorgqr's optimal workspace is dgeqrf's, c times the block size
-    lwork = int(lapack.dgeqrf_lwork(n, c)[0]) if c > 32 else None
+    lwork = int(lapack.dgeqrf_lwork(n, c)[0])
     qr, tau, _, _ = lapack.dgeqrf(w, lwork=lwork)
     r = qr[:c].copy()
-    for i in range(1, c):  # R is the upper triangle; cheaper than np.triu
-        r[i, :i] = 0.0
+    for i in range(1, c):  # R is the upper triangle; at these widths this
+        r[i, :i] = 0.0     # loop costs less than np.triu's mask
     q, _, _ = lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)
     signs = np.sign(r.diagonal())
     signs[signs == 0.0] = 1.0

@@ -67,10 +67,6 @@ class ResidualValue:
     rhs: tuple
     upsilon: np.ndarray = None
 
-    def neg_ytilde(self):
-        """-Ytilde from the eigenvectors now in ``spectra``."""
-        return reduced_solution(self.spectra, self.rhs, self.upsilon)
-
 
 def _last_rows(t, q, tau_next):
     """Qm^T tau^T, Qm the last block row of the eigenvectors Q of T."""

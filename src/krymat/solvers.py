@@ -34,7 +34,7 @@ from .kernels import (
     truncated_svd_factor,
 )
 from .operators import validate_symmetric
-from .residual import ctri_lyapunov, ctri_sylvester, residual_one_sided
+from .residual import ctri_lyapunov, ctri_sylvester, reduced_solution, residual_one_sided
 
 #: Tolerance for the two-pass check that regenerated coupling blocks match
 #: the stored ones.
@@ -314,7 +314,7 @@ def _eigenvectors(rv, message="projected matrix is not negative definite"):
         raise IndefiniteMatrixError(message)
     for _, q in rv.spectra:
         _fix_signs(q)
-    return [q for _, q in rv.spectra], rv.neg_ytilde()
+    return [q for _, q in rv.spectra], reduced_solution(rv.spectra, rv.rhs, rv.upsilon)
 
 
 def _sylvester_rhs(c1, c2):

@@ -20,6 +20,11 @@ def test_seed_ranges_and_lists():
     assert ab_inprocess.parse_seeds("3-5,9") == [3, 4, 5, 9]
 
 
+def test_each_seed_runs_once_with_each_tree_first():
+    assert ab_inprocess.rounds([3, 4]) == [(3, (0, 1)), (3, (1, 0)),
+                                           (4, (0, 1)), (4, (1, 0))]
+
+
 def test_two_copies_of_one_tree_agree(tmp_path, capsys):
     src = os.path.dirname(os.path.dirname(os.path.abspath(krymat.__file__)))
     copy = tmp_path / "src"

@@ -660,7 +660,8 @@ def _ghost_solve(solver, opts):
 
 
 _SIGN_CASES = {
-    "fd2d": (lambda solver, opts: _solve(solver, 1.0, opts), SolveOptions(tol=1e-8, max_m=64, check_period=2)),
+    "fd2d": (lambda solver, opts: _solve(solver, 1.0, opts),
+             SolveOptions(tol=1e-8, max_m=64, check_period=2)),
     "ghost": (_ghost_solve, SolveOptions(tol=1e-10, max_m=400, check_period=5,
                                          storage="windowed")),
 }

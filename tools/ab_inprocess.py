@@ -10,10 +10,10 @@ so a machine that slows for a while slows both sides of a pair alike:
     python tools/ab_inprocess.py OLD/src NEW/src --n 24 --s 2 \\
         --storage windowed --d 1 --seeds 1101-1110
 
-Round i uses seed i modulo the seed list; by default there are two rounds
-per seed, so each seed runs once with each tree first.  Each tree builds
-its own operator (and, in the extended space, its sparse LU) before any
-solve is timed.  BLAS runs on one thread.
+There are two rounds per seed, so each seed runs once with each tree first;
+for more rounds, pass more seeds.  Each tree builds its own operator (and,
+in the extended space, its sparse LU) before any solve is timed.  BLAS runs
+on one thread.
 
 The output gives each tree's median solve time and quartiles, the number of
 rounds in which B was faster than A, the median paired difference, and
@@ -56,6 +56,11 @@ def parse_seeds(text):
     return seeds
 
 
+def rounds(seeds):
+    """(seed, order of the trees) per round: each seed once with each tree first."""
+    return [(seed, order) for seed in seeds for order in ((0, 1), (1, 0))]
+
+
 def run(args):
     trees = [load_tree(src, name) for src, name in
              ((args.src_a, "krymat_a"), (args.src_b, "krymat_b"))]
@@ -73,9 +78,9 @@ def run(args):
 
     times = [[], []]
     outcomes = [{}, {}]
-    for i in range(args.rounds):
-        seed = args.seeds[i % len(args.seeds)]
-        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+    schedule = rounds(args.seeds)
+    for seed, order in schedule:
+        for side in order:
             tic = time.perf_counter()
             sol = trees[side].solve_lyapunov(ops[side], rhs[seed], opts[side])
             times[side].append(time.perf_counter() - tic)
@@ -83,13 +88,13 @@ def run(args):
 
     print("fd2d-exp(%d), order %d, s=%d, %s %s, d=%d, seeds %s, %d rounds" % (
         args.n, a.shape[0], args.s, args.space, args.storage, args.d,
-        ",".join(map(str, args.seeds)), args.rounds))
+        ",".join(map(str, args.seeds)), len(schedule)))
     for label, src, t in (("A", args.src_a, times[0]), ("B", args.src_b, times[1])):
         q1, med, q3 = np.percentile(t, [25, 50, 75])
         print("%s %s: median %.4f s [%.4f, %.4f]" % (label, src, med, q1, q3))
     diff = np.subtract(times[1], times[0])
     print("B faster in %d of %d rounds; median paired difference B - A %+.4f s" % (
-        int(np.sum(diff < 0.0)), args.rounds, float(np.median(diff))))
+        int(np.sum(diff < 0.0)), len(schedule), float(np.median(diff))))
     for k, what in enumerate(("iterations", "rank", "final residual")):
         same = all(outcomes[0][seed][k] == outcomes[1][seed][k] for seed in outcomes[0])
         print("%s agree: %s" % (what, "yes" if same else "no"))
@@ -107,12 +112,7 @@ def main(argv=None):
     parser.add_argument("--d", type=int, default=1, help="check period")
     parser.add_argument("--seeds", type=parse_seeds, required=True,
                         help="right-hand side seeds, e.g. 1101-1110 or 1,5,9")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="paired rounds (default two per seed)")
-    args = parser.parse_args(argv)
-    if args.rounds is None:
-        args.rounds = 2 * len(args.seeds)
-    return run(args)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":
