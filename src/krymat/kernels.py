@@ -5,9 +5,9 @@ iteration: economy QR, the eigendecomposition of symmetric block
 tridiagonal matrices that the residual check and the solution factor share
 (one LAPACK call on the band the basis writes), tridiagonal eigensolution,
 and truncated low-rank factorizations.  The eigensolves return LAPACK's
-eigenvectors as they come, with arbitrary signs: the residual norm does not
-depend on them, so no check pays for fixing them, and the solvers fix them
-once, with ``_fix_signs``, on the converged check's eigenvectors.
+eigenvectors as they come, with arbitrary signs: neither the residual norm
+nor the solution X ~ Z Z^T built from them depends on the signs, so nothing
+fixes them.
 ``band_tridiagonalize`` is not on any solver path: it is the dense
 Householder reference the banded eigensolve is tested against.
 """
@@ -167,7 +167,7 @@ def sym_tridiag_eig(d, e):
     One call to LAPACK's divide-and-conquer ``dstevd``, which stays
     orthogonal on the tight eigenvalue clusters of long Lanczos runs.
     Returns ascending eigenvalues and the orthogonal eigenvector matrix as
-    LAPACK gives it, with arbitrary column signs (see ``_fix_signs``).
+    LAPACK gives it, with arbitrary column signs.
     """
     if len(d) == 1:  # dstevd's wrapper wants an off-diagonal of length 1
         return np.array(d, dtype=float), np.ones((1, 1))
@@ -176,21 +176,6 @@ def sym_tridiag_eig(d, e):
         cause = np.linalg.LinAlgError("LAPACK dstevd returned info=%d" % info)
         raise FactorizationError("tridiagonal eigensolver did not converge") from cause
     return lam, g
-
-
-def _fix_signs(g):
-    """Flip eigenvector columns in place so that each column's
-    largest-magnitude entry is positive, which makes them unique (for simple
-    eigenvalues) and the results built from them deterministic.
-
-    The checks skip this, as the residual norm does not depend on the
-    signs; the solvers call it once, on the converged check's eigenvectors,
-    before the reduced solution is formed from them.
-    """
-    piv = np.argmax(np.abs(g), axis=0)
-    flip = g[piv, np.arange(g.shape[1])] < 0.0
-    g[:, flip] *= -1.0
-    return g
 
 
 def partial_eig_blocktridiag(t):
@@ -205,7 +190,7 @@ def partial_eig_blocktridiag(t):
     eigenvector: the check reads the first and last block rows, and at
     convergence the solvers map the reduced solution back through all of
     them, with no second eigensolve.  The eigenvectors keep LAPACK's
-    arbitrary signs: nothing fixes them here (see ``_fix_signs``).
+    arbitrary signs.
     """
     band = t.band[: max(t.dim, 2)]
     if band.shape[0] == 2:

@@ -84,7 +84,6 @@ class LinearOperator:
     """Symmetric operator interface: block apply and optional inverse apply."""
 
     n = 0
-    definite = False
 
     def apply(self, v):
         raise NotImplementedError
@@ -138,11 +137,10 @@ class TransformedOperator(LinearOperator):
     standard one without ever forming the transformed matrix.
     """
 
-    def __init__(self, cholesky_l, a, definite=True):
+    def __init__(self, cholesky_l, a):
         self._l = cholesky_l
         self.matrix = validate_symmetric(a, "A")
         self.n = self.matrix.shape[0]
-        self.definite = definite
 
     def apply(self, v):
         v = np.asarray(v, dtype=float)

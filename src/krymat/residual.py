@@ -23,9 +23,9 @@ the reduced solution in eigen coordinates, which ``reduced_solution`` forms.
 
 Each check uses LAPACK's eigenvectors as returned.  Flipping the sign of
 eigenvector i flips row i of -Ytilde and of W, so the norm comes out the
-same to the last bit.  The solvers fix the signs once, on the converged
-check's eigenvectors, and form -Ytilde again from them with the same
-helper, with no further eigensolve.
+same to the last bit.  The check keeps its -Ytilde and eigenvectors, and at
+convergence the solvers build the factor from them as they are: the signs
+cancel in X ~ Z Z^T, so no second eigensolve and no second -Ytilde is made.
 """
 
 from dataclasses import dataclass
@@ -57,15 +57,15 @@ class ResidualValue:
 
     For Lyapunov problems the normalization is beta^2 = ||C||_F^2; Sylvester
     problems use ||C1||_F * ||C2||_F.  ``spectra`` holds the (eigenvalues,
-    eigenvectors) pair of T (and of J, two-sided) as LAPACK returned them;
-    ``rhs`` and ``upsilon`` are the other arguments of ``reduced_solution``.
+    eigenvectors) pair of T (and of J, two-sided) as LAPACK returned them,
+    and ``y`` the -Ytilde that the check formed from them with
+    ``reduced_solution`` (transposed one-sided, rows over B's eigenvalues).
     """
 
     res: float
     relative: float
     spectra: tuple
-    rhs: tuple
-    upsilon: np.ndarray = None
+    y: np.ndarray
 
 
 def _last_rows(t, q, tau_next):
@@ -84,11 +84,12 @@ def ctri_lyapunov(t, gamma, tau_next, rhs_norm=None):
     beta^2, which defaults to ||gamma||_F^2 = ||C||_F^2.
     """
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
-    spectra, rhs = (partial_eig_blocktridiag(t),), (gamma,)
+    spectra = (partial_eig_blocktridiag(t),)
     w = _last_rows(t, spectra[0][1], tau_next)
-    res = float(np.sqrt(2.0) * np.linalg.norm(reduced_solution(spectra, rhs) @ w))
+    y = reduced_solution(spectra, (gamma,))
+    res = float(np.sqrt(2.0) * np.linalg.norm(y @ w))
     beta2 = float(rhs_norm) if rhs_norm is not None else float(np.sum(gamma * gamma))
-    return ResidualValue(res, res / beta2, spectra, rhs)
+    return ResidualValue(res, res / beta2, spectra, y)
 
 
 def ctri_sylvester(t, j, gamma1, gamma2, tau_next, iota_next, rhs_norm=None):
@@ -100,26 +101,27 @@ def ctri_sylvester(t, j, gamma1, gamma2, tau_next, iota_next, rhs_norm=None):
     gamma1 = np.atleast_2d(np.asarray(gamma1, dtype=float))
     gamma2 = np.atleast_2d(np.asarray(gamma2, dtype=float))
     spectra = (partial_eig_blocktridiag(t), partial_eig_blocktridiag(j))
-    rhs = (gamma1, gamma2)
     f = _last_rows(t, spectra[0][1], tau_next)
     g = _last_rows(j, spectra[1][1], iota_next)
-    sd = reduced_solution(spectra, rhs)
-    res = float(np.sqrt(np.linalg.norm(sd.T @ f) ** 2 + np.linalg.norm(sd @ g) ** 2))
+    y = reduced_solution(spectra, (gamma1, gamma2))
+    res = float(np.sqrt(np.linalg.norm(y.T @ f) ** 2 + np.linalg.norm(y @ g) ** 2))
     if rhs_norm is None:
         rhs_norm = np.linalg.norm(gamma1) * np.linalg.norm(gamma2)
-    return ResidualValue(res, res / float(rhs_norm), spectra, rhs)
+    return ResidualValue(res, res / float(rhs_norm), spectra, y)
 
 
-def residual_one_sided(t, tau_next, s_input, upsilon, rhs_norm=None):
+def residual_one_sided(t, tau_next, s_input, upsilon, rhs_norm):
     """One-sided Sylvester residual norm ||tau Em^T Y||_F for small B.
 
     ``s_input`` is P^T C2 g1^T (eigenvectors of B against the right-hand
     side) and ``upsilon`` the eigenvalues of B, both computed once per solve.
+    ``rhs_norm`` is the normalization ||C1||_F ||C2||_F, which, unlike the
+    other checks' defaults, cannot be recovered from ``s_input``.
     """
     s_input = np.asarray(s_input, dtype=float)
     upsilon = np.asarray(upsilon, dtype=float)
-    spectra, rhs = (partial_eig_blocktridiag(t),), (s_input.T,)
+    spectra = (partial_eig_blocktridiag(t),)
     w = _last_rows(t, spectra[0][1], tau_next)
-    res = float(np.linalg.norm(reduced_solution(spectra, rhs, upsilon) @ w))
-    relative = res / float(rhs_norm) if rhs_norm is not None else res
-    return ResidualValue(res, relative, spectra, rhs, upsilon)
+    y_t = reduced_solution(spectra, (s_input.T,), upsilon)
+    res = float(np.linalg.norm(y_t @ w))
+    return ResidualValue(res, res / float(rhs_norm), spectra, y_t)

@@ -4,9 +4,9 @@ All three solvers run one loop that grows a block Krylov basis per large
 coefficient matrix and, every ``check_period`` iterations, evaluates the
 relative residual norm with the solver's cheap projected formula, which
 forms the reduced solution in eigen coordinates.  At convergence the solver
-fixes the signs of that check's eigenvectors, forms the reduced solution
-again from them, with no further eigensolve, truncates it and maps it back
-through the basis, one workspace of blocks at a time.  The blocks come from
+truncates that check's reduced solution, as the check formed it, and maps
+it back through the check's eigenvectors and the basis, one workspace of
+blocks at a time, with no further eigensolve.  The blocks come from
 the stored basis, or, with ``windowed`` storage, where the basis is never
 kept in memory, from a second Lanczos pass that regenerates it block by
 block while the solution factor accumulates.
@@ -26,15 +26,9 @@ from .errors import (
     KrymatError,
     RecurrenceMismatchError,
 )
-from .kernels import (
-    TRUNC_EPS,
-    _fix_signs,
-    economy_qr,
-    truncated_spd_factor,
-    truncated_svd_factor,
-)
+from .kernels import TRUNC_EPS, economy_qr, truncated_spd_factor, truncated_svd_factor
 from .operators import validate_symmetric
-from .residual import ctri_lyapunov, ctri_sylvester, reduced_solution, residual_one_sided
+from .residual import ctri_lyapunov, ctri_sylvester, residual_one_sided
 
 #: Tolerance for the two-pass check that regenerated coupling blocks match
 #: the stored ones.
@@ -301,20 +295,16 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
 
 
 def _eigenvectors(rv, message="projected matrix is not negative definite"):
-    """Eigenvectors of the converged check's (negative definite) projections,
-    and -Ytilde formed from them.
+    """Eigenvectors of the converged check's projections, which must be
+    negative definite, and the -Ytilde that the check formed from them.
 
-    The checks use LAPACK's eigenvectors as returned.  Here, once per solve,
-    their signs are fixed, which makes the factor deterministic, and -Ytilde
-    is formed again from the fixed eigenvectors by the check's own helper.
-    Flipping the check's -Ytilde instead would not give the same bits, as
-    BLAS drops the sign of an exact zero.
+    Both come as LAPACK and the check left them, with arbitrary eigenvector
+    signs: a flipped eigenvector flips its row of -Ytilde too, so the signs
+    cancel in the factor's product X ~ Z Z^T.
     """
     if any(lam[-1] >= 0.0 for lam, _ in rv.spectra):
         raise IndefiniteMatrixError(message)
-    for _, q in rv.spectra:
-        _fix_signs(q)
-    return [q for _, q in rv.spectra], reduced_solution(rv.spectra, rv.rhs, rv.upsilon)
+    return [q for _, q in rv.spectra], rv.y
 
 
 def _sylvester_rhs(c1, c2):

@@ -129,7 +129,8 @@ def test_criterion_3_sylvester_residual_equivalence():
         ups, p = np.linalg.eigh(b)
         g1 = rng.standard_normal((s, s))
         c2 = rng.standard_normal((n2, s))
-        fast = residual_one_sided(t, tau, (p.T @ c2) @ g1.T, ups).res
+        fast = residual_one_sided(t, tau, (p.T @ c2) @ g1.T, ups,
+                                  np.linalg.norm(g1) * np.linalg.norm(c2)).res
         ref = naive_residual_norm(reduced_solve(t, b, g1, c2), tau)
         worst_one = max(worst_one, abs(fast - ref) / ref)
     assert worst_one <= 1e-10, "one-sided disagreement %.3e" % worst_one

@@ -12,7 +12,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-import krymat.kernels
 import krymat.residual
 from krymat import (
     FactorizationError,
@@ -145,9 +144,10 @@ class TestResidualOneSided:
         # T = [-1], B = [-2]: Y = 1/3, res = tau / 3 (no sqrt(2) factor)
         s_input = np.array([[1.0]])  # P^T C2 gamma1^T with everything 1
         rv = residual_one_sided(
-            _scalar_bt(-1.0), np.array([[0.6]]), s_input, np.array([-2.0])
+            _scalar_bt(-1.0), np.array([[0.6]]), s_input, np.array([-2.0]), 1.0
         )
         assert np.isclose(rv.res, 0.6 / 3.0)
+        assert rv.relative == rv.res
 
     def test_single_column_matches_sylvester_structure(self):
         rng = np.random.default_rng(31)
@@ -156,7 +156,7 @@ class TestResidualOneSided:
         c2 = np.array([[0.8]])
         tau = np.array([[0.45]])
         ups = np.array([-2.2])
-        rv = residual_one_sided(t, tau, (c2 @ gamma1.T), ups)
+        rv = residual_one_sided(t, tau, (c2 @ gamma1.T), ups, rhs_norm=1.3 * 0.8)
         # same quantity through the dense one-sided solve
         y = reduced_solve(t, np.diag(ups), gamma1, c2)
         assert np.isclose(rv.res, naive_residual_norm(y, tau), rtol=1e-12)
@@ -171,9 +171,11 @@ class TestResidualOneSided:
         gamma1 = rng.standard_normal((s, s))
         c2 = rng.standard_normal((n2, s))
         tau = rng.standard_normal((s, s))
-        fast = residual_one_sided(t, tau, (p.T @ c2) @ gamma1.T, ups)
+        rhs_norm = np.linalg.norm(gamma1) * np.linalg.norm(c2)
+        fast = residual_one_sided(t, tau, (p.T @ c2) @ gamma1.T, ups, rhs_norm)
         ref = naive_residual_norm(reduced_solve(t, b, gamma1, c2), tau)
         assert abs(fast.res - ref) <= 1e-11 * ref
+        assert fast.relative == fast.res / rhs_norm
 
 
 def test_extended_shortcut_zero_lower_block():
@@ -280,7 +282,8 @@ class TestBandedPath:
         c2 = rng.standard_normal((5, 2))
         s_input = (p.T @ c2) @ gamma1.T
         banded, householder = _banded_and_householder(
-            monkeypatch, lambda: residual_one_sided(t, tau, s_input, ups))
+            monkeypatch, lambda: residual_one_sided(
+                t, tau, s_input, ups, np.linalg.norm(gamma1) * np.linalg.norm(c2)))
         dense = naive_residual_norm(reduced_solve(t, b, gamma1, c2), tau)
         assert abs(banded - householder) <= 1e-10 * householder
         assert abs(banded - dense) <= 1e-10 * dense
@@ -324,7 +327,6 @@ def test_check_is_one_lapack_call_per_projection_without_a_sign_pass(monkeypatch
     for name in ("dstevd", "dsbevd"):
         count_calls(monkeypatch, calls, scipy.linalg.lapack, name)
     count_calls(monkeypatch, calls, scipy.linalg, "eig_banded")
-    count_calls(monkeypatch, calls, krymat.kernels, "_fix_signs")
     rng = np.random.default_rng(450)
     t, tau = lanczos_block_tridiagonal(rng, 1 if kind == "lyapunov-s1" else 2, 8)
     gamma = rng.standard_normal((t.block_size, t.block_size))
@@ -334,7 +336,7 @@ def test_check_is_one_lapack_call_per_projection_without_a_sign_pass(monkeypatch
         j, iota = lanczos_block_tridiagonal(rng, 1, 16)
         ctri_sylvester(t, j, gamma, rng.standard_normal((1, 2)), tau, iota)
     else:
-        residual_one_sided(t, tau, rng.standard_normal((3, 2)), -np.arange(1.0, 4.0))
+        residual_one_sided(t, tau, rng.standard_normal((3, 2)), -np.arange(1.0, 4.0), 1.0)
     # T is tridiagonal at s = 1 and J always; T is banded otherwise
     assert calls == {"lyapunov-s1": {"dstevd": 1}, "two-sided": {"dsbevd": 1, "dstevd": 1}
                      }.get(kind, {"dsbevd": 1})

@@ -78,6 +78,23 @@ def test_compare_reports_one_line_per_case():
     assert worst["verified"] == pytest.approx(0.1 / 1.9)
 
 
+def test_moved_digests_counts_cases_solved_on_both_sides(capsys, tmp_path):
+    old = [("a", SOLVED % (1e-9, "aa", "bb")), ("b", SOLVED % (1e-9, "aa", "bb")),
+           ("c", SOLVED % (1e-9, "aa", "bb")), ("d", RAISED % ("1.464e-03", "aa"))]
+    new = [("a", SOLVED % (1e-9, "cc", "bb")), ("b", SOLVED % (1e-9, "cc", "dd")),
+           ("c", SOLVED % (1e-9, "aa", "bb")), ("d", RAISED % ("1.464e-03", "bb"))]
+    assert same_outputs.moved_digests(old, new) == {"solved": 3, "history": 1, "z": 2}
+    # information only: digests that move do not fail the comparison
+    paths = []
+    for name, lines in (("old.txt", old), ("new.txt", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("".join("%s | %s\n" % line for line in lines))
+    assert same_outputs.main(["--compare"] + [str(p) for p in paths]) == 0
+    assert capsys.readouterr().out.endswith(
+        "of 3 cases solved in both, 1 changed their history digest and 2 their "
+        "factor digest\n")
+
+
 def test_cli_cases_run_and_compare_with_themselves(tmp_path):
     cases = list(same_outputs.cli_cases(str(tmp_path)))
     assert len(cases) == 8

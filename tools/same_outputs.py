@@ -44,7 +44,10 @@ a change that moves only the factor's rounding must still return a factor
 that verifies.  The digests are not compared, so ``bench-residual``'s
 line is compared by its counts alone.  ``--compare`` applies that
 rule, prints each case that breaks it and the largest relative changes of a
-final and of a verified residual, and exits 1 on a violation:
+final and of a verified residual, and exits 1 on a violation.  It also
+prints how many solved cases changed their history digest and how many
+changed their factor digest; those counts only inform, they do not change
+the exit status:
 
     python tools/same_outputs.py --compare old.txt new.txt
 """
@@ -284,12 +287,17 @@ def _read_outcomes(path):
         return [tuple(line.rstrip("\n").split(" | ", 1)) for line in fh if line.strip()]
 
 
+def _fields(outcome):
+    """The ``key=value`` fields of a solved case's outcome, as strings."""
+    return dict(item.split("=", 1) for item in outcome.split())
+
+
 def _solved(outcome):
     """(iterations, rank, final residual, verified residual) of a solved
     case, None for an error."""
     if not outcome.startswith("it="):
         return None
-    fields = dict(item.split("=", 1) for item in outcome.split())
+    fields = _fields(outcome)
     return (int(fields["it"]), int(fields["rank"]), float(fields["final"]),
             float(fields["verified"]))
 
@@ -327,6 +335,21 @@ def compare(old, new):
     return broken, worst
 
 
+def moved_digests(old, new):
+    """How many cases are solved on both sides (``solved``), and how many of
+    them changed their history digest (``history``) and their factor digest
+    (``z``)."""
+    moved = {"solved": 0, "history": 0, "z": 0}
+    for (_, before), (_, after) in zip(old, new):
+        if _solved(before) is None or _solved(after) is None:
+            continue
+        a, b = _fields(before), _fields(after)
+        moved["solved"] += 1
+        moved["history"] += a["history"] != b["history"]
+        moved["z"] += a["z"] != b["z"]
+    return moved
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
@@ -340,6 +363,9 @@ def main(argv=None):
         print("%d of %d cases break the rule; largest final-residual change %.2g, "
               "largest verified-residual change %.2g"
               % (len(broken), len(new), worst["final"], worst["verified"]))
+        moved = moved_digests(old, new)
+        print("of %d cases solved in both, %d changed their history digest and %d "
+              "their factor digest" % (moved["solved"], moved["history"], moved["z"]))
         return 1 if broken else 0
     for name, solve, opts in list(grid_cases()) + list(invariant_cases()) + \
             list(long_case()) + list(long_extended_case()):
