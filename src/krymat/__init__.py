@@ -20,7 +20,6 @@ from .errors import (
 )
 from .kernels import (
     BlockTridiagonal,
-    TruncatedFactor,
     economy_qr,
     partial_eig_blocktridiag,
     sym_tridiag_eig,
@@ -36,7 +35,7 @@ from .operators import (
     validate_symmetric,
 )
 from .basis import KrylovBasis, extended_step, init_basis, lanczos_step
-from .residual import ResidualValue, ctri_lyapunov, ctri_sylvester, residual_one_sided
+from .residual import ResidualValue, ctri_lyapunov, ctri_sylvester
 from .reduced import naive_residual, solve_reduced_lyapunov
 from .solvers import (
     LowRankSolution,
@@ -70,7 +69,6 @@ __all__ = [
     "SparseFactorization",
     "SparseOperator",
     "TransformedOperator",
-    "TruncatedFactor",
     "cholesky_transform",
     "ctri_lyapunov",
     "ctri_sylvester",
@@ -85,7 +83,6 @@ __all__ = [
     "laplacian1d",
     "naive_residual",
     "partial_eig_blocktridiag",
-    "residual_one_sided",
     "solve_lyapunov",
     "solve_reduced_lyapunov",
     "solve_sylvester_one_sided",

@@ -85,19 +85,6 @@ class BlockTridiagonal:
         return lower + np.tril(lower, -1).T
 
 
-@dataclass
-class TruncatedFactor:
-    """Tall factor of a truncated low-rank factorization and the Frobenius
-    mass of the discarded spectral tail."""
-
-    factor: np.ndarray
-    discarded_mass: float
-
-    @property
-    def rank(self):
-        return self.factor.shape[1]
-
-
 def economy_qr(w):
     """Economy-size QR with the sign convention diag(R) >= 0.
 
@@ -212,7 +199,8 @@ def _truncation_rank(values, eps):
 
 
 def truncated_spd_factor(y, eps=TRUNC_EPS):
-    """Truncated factorization Y ~ F F^T of a symmetric PSD matrix.
+    """Truncated factorization Y ~ F F^T of a symmetric PSD matrix, as
+    ``(F, discarded)``, the second the Frobenius mass of the dropped tail.
 
     Eigenvalues are kept in non-increasing order and the trailing ones are
     dropped while their Frobenius mass stays below ``eps``.
@@ -229,16 +217,15 @@ def truncated_spd_factor(y, eps=TRUNC_EPS):
     # mass taken on the raw spectrum, so roundoff-negative eigenvalues
     # count as discarded
     rank, discarded = _truncation_rank(lam, eps)
-    factor = w[:, :rank] * np.sqrt(np.clip(lam[:rank], 0.0, None))
-    return TruncatedFactor(factor, discarded)
+    return w[:, :rank] * np.sqrt(np.clip(lam[:rank], 0.0, None)), discarded
 
 
 def truncated_svd_factor(y, eps=TRUNC_EPS):
-    """Truncated factorization Y ~ F1 F2^T of a general matrix via the SVD."""
+    """Truncated factorization Y ~ F1 F2^T of a general matrix via the SVD,
+    as ``(F1, F2, discarded)``, the last the Frobenius mass of the dropped
+    singular values."""
     y = np.asarray(y, dtype=float)
     u, sig, vt = np.linalg.svd(y, full_matrices=False)
     rank, discarded = _truncation_rank(sig, eps)
     root = np.sqrt(sig[:rank])
-    f1 = u[:, :rank] * root
-    f2 = vt[:rank].T * root
-    return TruncatedFactor(f1, discarded), TruncatedFactor(f2, discarded)
+    return u[:, :rank] * root, vt[:rank].T * root, discarded

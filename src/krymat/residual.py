@@ -10,22 +10,23 @@ eigencomponents, each row of the relevant product picks up a diagonal
 scaling 1/(lam_i + lam_j), applied as an elementwise division, never a
 matrix inverse.
 
-For the Lyapunov equation the norm is
+For the Sylvester equation the norm is
 
-    ||R||^2 = 2 * sum_i || e_i^T S D_i^{-1} W ||^2,
-    S = (Q^T E1 g)(g^T E1^T Q),  W = (Q^T Em) tau^T,  D_i = lam_i I + Lam,
+    ||R||^2 = ||tau Em^T Y||^2 + ||Y Em iota^T||^2,
 
-which needs only the first and last block row of Q.  The Sylvester variants
-replace S by the mixed product of the two eigenbases and sum one term per
-side (no factor 2); the one-sided variant runs over the eigenvalues of the
-small coefficient matrix instead.  The rows e_i^T S D_i^{-1} form -Ytilde,
-the reduced solution in eigen coordinates, which ``reduced_solution`` forms.
+read through the eigenbases of T and J: -Ytilde, the reduced solution in
+eigen coordinates, has rows over T's eigenvalues and columns over J's, and
+``reduced_solution`` forms it.  The Lyapunov equation is the symmetric
+case, J = T, whose two terms are equal (the factor sqrt(2)).  With B small
+and dense the second side is B itself, given exactly by its eigenpairs: it
+has no coupling block, so its term drops out.
 
 Each check uses LAPACK's eigenvectors as returned.  Flipping the sign of
-eigenvector i flips row i of -Ytilde and of W, so the norm comes out the
-same to the last bit.  The check keeps its -Ytilde and eigenvectors, and at
-convergence the solvers build the factor from them as they are: the signs
-cancel in X ~ Z Z^T, so no second eigensolve and no second -Ytilde is made.
+eigenvector i flips row i of -Ytilde and of the coupling term, so the norm
+comes out the same to the last bit.  The check keeps its -Ytilde and
+eigenvectors, and at convergence the solvers build the factor from them as
+they are: the signs cancel in X ~ Z Z^T, so no second eigensolve and no
+second -Ytilde is made.
 """
 
 from dataclasses import dataclass
@@ -35,20 +36,14 @@ import numpy as np
 from .kernels import guarded_denominators, partial_eig_blocktridiag
 
 
-def reduced_solution(spectra, rhs, upsilon=None):
+def reduced_solution(spectra, u):
     """-Ytilde, the reduced solution in eigen coordinates.
 
-    ``spectra`` holds the (eigenvalues, eigenvectors) pair of T (and of J,
-    two-sided) and ``rhs`` the right-hand side's coefficients in the first
-    basis block of each: (gamma,) for Lyapunov, (gamma1, gamma2) two-sided.
-    One-sided, ``rhs`` is (S^T,), ``upsilon`` holds the eigenvalues of B and
-    the result is transposed (rows over B's).
+    ``spectra`` holds the (eigenvalues, eigenvectors) pair of T (and of the
+    second side, Sylvester) and ``u`` the right-hand side's coefficients in
+    the eigenbasis of each, Q1^T gamma.  Rows run over T's eigenvalues.
     """
-    u = [q[: g.shape[0]].T @ g for (_, q), g in zip(spectra, rhs)]
-    lam = spectra[0][0]
-    if upsilon is not None:
-        return u[0].T / guarded_denominators(upsilon, lam)
-    return (u[0] @ u[-1].T) / guarded_denominators(lam, spectra[-1][0])
+    return (u[0] @ u[-1].T) / guarded_denominators(spectra[0][0], spectra[-1][0])
 
 
 @dataclass
@@ -57,9 +52,9 @@ class ResidualValue:
 
     For Lyapunov problems the normalization is beta^2 = ||C||_F^2; Sylvester
     problems use ||C1||_F * ||C2||_F.  ``spectra`` holds the (eigenvalues,
-    eigenvectors) pair of T (and of J, two-sided) as LAPACK returned them,
-    and ``y`` the -Ytilde that the check formed from them with
-    ``reduced_solution`` (transposed one-sided, rows over B's eigenvalues).
+    eigenvectors) pair of T (and of J, or of B one-sided) as LAPACK returned
+    them, and ``y`` the -Ytilde that the check formed from them with
+    ``reduced_solution``, rows over T's eigenvalues.
     """
 
     res: float
@@ -68,10 +63,13 @@ class ResidualValue:
     y: np.ndarray
 
 
-def _last_rows(t, q, tau_next):
-    """Qm^T tau^T, Qm the last block row of the eigenvectors Q of T."""
+def _projection(t, gamma, tau_next):
+    """The (eigenvalues, eigenvectors) pair of T, Q1^T gamma and Qm^T tau^T,
+    Q1 and Qm the first and last block rows of the eigenvectors."""
+    gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     tau = np.atleast_2d(np.asarray(tau_next, dtype=float))
-    return q[-t.block_size:].T @ tau.T
+    lam, q = partial_eig_blocktridiag(t)
+    return (lam, q), q[: gamma.shape[0]].T @ gamma, q[-t.block_size:].T @ tau.T
 
 
 def ctri_lyapunov(t, gamma, tau_next, rhs_norm=None):
@@ -83,45 +81,33 @@ def ctri_lyapunov(t, gamma, tau_next, rhs_norm=None):
     enough in extended mode).  ``rhs_norm`` overrides the normalization
     beta^2, which defaults to ||gamma||_F^2 = ||C||_F^2.
     """
-    gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
-    spectra = (partial_eig_blocktridiag(t),)
-    w = _last_rows(t, spectra[0][1], tau_next)
-    y = reduced_solution(spectra, (gamma,))
+    spectrum, u, w = _projection(t, gamma, tau_next)
+    y = reduced_solution((spectrum,), (u,))
     res = float(np.sqrt(2.0) * np.linalg.norm(y @ w))
-    beta2 = float(rhs_norm) if rhs_norm is not None else float(np.sum(gamma * gamma))
-    return ResidualValue(res, res / beta2, spectra, y)
+    beta2 = float(rhs_norm) if rhs_norm is not None else float(np.sum(np.square(gamma)))
+    return ResidualValue(res, res / beta2, (spectrum,), y)
 
 
-def ctri_sylvester(t, j, gamma1, gamma2, tau_next, iota_next, rhs_norm=None):
-    """Two-sided Sylvester residual norm from the two projected matrices.
+def ctri_sylvester(t, j, gamma1, gamma2, tau_next, iota_next=None, rhs_norm=None):
+    """Sylvester residual norm sqrt(||tau Em^T Y||^2 + ||Y Em iota^T||^2)
+    from the eigenbases of both sides, without forming Y.
 
-    Evaluates ||R||^2 = ||tau Em^T Y||^2 + ||Y Em iota^T||^2 through the
-    eigenbases of T and J without forming Y.
+    Two-sided, ``j`` is the projection J of B and ``gamma2`` the coefficient
+    of C2 in its first basis block.  One-sided (``iota_next`` None), ``j`` is
+    the exact (eigenvalues, eigenvectors) pair (ups, P) of the small B and
+    ``gamma2`` is P^T C2; that side has no coupling term.  ``rhs_norm``
+    defaults to ||gamma1||_F ||gamma2||_F = ||C1||_F ||C2||_F.
     """
-    gamma1 = np.atleast_2d(np.asarray(gamma1, dtype=float))
-    gamma2 = np.atleast_2d(np.asarray(gamma2, dtype=float))
-    spectra = (partial_eig_blocktridiag(t), partial_eig_blocktridiag(j))
-    f = _last_rows(t, spectra[0][1], tau_next)
-    g = _last_rows(j, spectra[1][1], iota_next)
-    y = reduced_solution(spectra, (gamma1, gamma2))
-    res = float(np.sqrt(np.linalg.norm(y.T @ f) ** 2 + np.linalg.norm(y @ g) ** 2))
+    spectrum_t, u1, f = _projection(t, gamma1, tau_next)
+    if iota_next is None:
+        spectrum_j, u2 = j, np.atleast_2d(np.asarray(gamma2, dtype=float))
+    else:
+        spectrum_j, u2, g = _projection(j, gamma2, iota_next)
+    y = reduced_solution((spectrum_t, spectrum_j), (u1, u2))
+    res2 = np.linalg.norm(y.T @ f) ** 2
+    if iota_next is not None:
+        res2 += np.linalg.norm(y @ g) ** 2
     if rhs_norm is None:
         rhs_norm = np.linalg.norm(gamma1) * np.linalg.norm(gamma2)
-    return ResidualValue(res, res / float(rhs_norm), spectra, y)
-
-
-def residual_one_sided(t, tau_next, s_input, upsilon, rhs_norm):
-    """One-sided Sylvester residual norm ||tau Em^T Y||_F for small B.
-
-    ``s_input`` is P^T C2 g1^T (eigenvectors of B against the right-hand
-    side) and ``upsilon`` the eigenvalues of B, both computed once per solve.
-    ``rhs_norm`` is the normalization ||C1||_F ||C2||_F, which, unlike the
-    other checks' defaults, cannot be recovered from ``s_input``.
-    """
-    s_input = np.asarray(s_input, dtype=float)
-    upsilon = np.asarray(upsilon, dtype=float)
-    spectra = (partial_eig_blocktridiag(t),)
-    w = _last_rows(t, spectra[0][1], tau_next)
-    y_t = reduced_solution(spectra, (s_input.T,), upsilon)
-    res = float(np.linalg.norm(y_t @ w))
-    return ResidualValue(res, res / float(rhs_norm), spectra, y_t)
+    res = float(np.sqrt(res2))
+    return ResidualValue(res, res / float(rhs_norm), (spectrum_t, spectrum_j), y)

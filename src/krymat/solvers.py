@@ -28,7 +28,7 @@ from .errors import (
 )
 from .kernels import TRUNC_EPS, economy_qr, truncated_spd_factor, truncated_svd_factor
 from .operators import validate_symmetric
-from .residual import ctri_lyapunov, ctri_sylvester, residual_one_sided
+from .residual import ctri_lyapunov, ctri_sylvester
 
 #: Tolerance for the two-pass check that regenerated coupling blocks match
 #: the stored ones.
@@ -232,9 +232,10 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
     side) pair, each stepped until it alone becomes invariant.  Every
     ``check_period`` iterations, and once all are invariant, ``residual``
     gets the projection (T, gamma, tau) of each basis; at convergence
-    ``reduce`` gets that check's ResidualValue and each basis and returns the
-    truncated factor, Z1 and Z2 (None for Lyapunov), and with ``opts.verify``
-    ``true_residual(z1, z2)`` gives the verified relative residual.
+    ``reduce`` gets that check's ResidualValue and each basis and returns
+    Z1, Z2 (None for Lyapunov) and the truncation's discarded mass, and with
+    ``opts.verify`` ``true_residual(z1, z2)`` gives the verified relative
+    residual.
     """
     step = lanczos_step if opts.space == "standard" else extended_step
     tic = time.perf_counter()
@@ -275,12 +276,12 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
         )
 
     tic = time.perf_counter()
-    fac, z1, z2 = reduce(rv, *bases)
+    z1, z2, discarded = reduce(rv, *bases)
     t_rec = time.perf_counter() - tic
     return LowRankSolution(
         z1=z1,
         z2=z2,
-        rank=fac.rank,
+        rank=z1.shape[1],
         iterations=it,
         space_dim=it * bases[0].ell,
         final_residual=rv.relative,
@@ -289,18 +290,19 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
         residual_seconds=t_res,
         recovery_seconds=t_rec,
         peak_basis_vectors=sum(basis.peak_vectors for basis in bases),
-        truncation_discarded=fac.discarded_mass,
+        truncation_discarded=discarded,
         verified_residual=true_residual(z1, z2) if opts.verify else None,
     )
 
 
 def _eigenvectors(rv, message="projected matrix is not negative definite"):
-    """Eigenvectors of the converged check's projections, which must be
-    negative definite, and the -Ytilde that the check formed from them.
+    """Eigenvectors of the converged check's spectra (of T, and of J or of
+    the small B), which must be negative definite, and the -Ytilde that the
+    check formed from them, rows over T's eigenvalues.
 
     Both come as LAPACK and the check left them, with arbitrary eigenvector
-    signs: a flipped eigenvector flips its row of -Ytilde too, so the signs
-    cancel in the factor's product X ~ Z Z^T.
+    signs: a flipped eigenvector flips its row (or column) of -Ytilde too, so
+    the signs cancel in the factor's product X ~ Z Z^T (Z1 Z2^T).
     """
     if any(lam[-1] >= 0.0 for lam, _ in rv.spectra):
         raise IndefiniteMatrixError(message)
@@ -333,8 +335,8 @@ def solve_lyapunov(op, c, options=None):
 
     def reduce(rv, basis):
         (q,), y = _eigenvectors(rv)
-        fac = truncated_spd_factor(-0.5 * (y + y.T), opts.trunc_eps)
-        return fac, two_pass_recover(op, basis, q @ fac.factor), None
+        f, discarded = truncated_spd_factor(-y, opts.trunc_eps)
+        return two_pass_recover(op, basis, q @ f), None, discarded
 
     return _galerkin(
         [op], [c], opts, lambda proj: ctri_lyapunov(*proj, rhs_norm=beta2), reduce,
@@ -358,9 +360,9 @@ def solve_sylvester_two_sided(op_a, op_b, c1, c2, options=None):
 
     def reduce(rv, basis_a, basis_b):
         (q, p), y = _eigenvectors(rv, "a projected matrix is not negative definite")
-        fac1, fac2 = truncated_svd_factor(-y, opts.trunc_eps)
-        z1 = two_pass_recover(op_a, basis_a, q @ fac1.factor)
-        return fac1, z1, two_pass_recover(op_b, basis_b, p @ fac2.factor)
+        f1, f2, discarded = truncated_svd_factor(-y, opts.trunc_eps)
+        z1 = two_pass_recover(op_a, basis_a, q @ f1)
+        return z1, two_pass_recover(op_b, basis_b, p @ f2), discarded
 
     return _galerkin(
         [op_a, op_b], [c1, c2], opts, residual, reduce,
@@ -390,12 +392,12 @@ def solve_sylvester_one_sided(op_a, b, c1, c2, options=None):
 
     def residual(proj):
         t, gamma, tau = proj
-        return residual_one_sided(t, tau, p_c2 @ gamma.T, ups, rhs_norm=rhs_norm)
+        return ctri_sylvester(t, (ups, p), gamma, p_c2, tau, rhs_norm=rhs_norm)
 
     def reduce(rv, basis):
-        (q,), y_t = _eigenvectors(rv)
-        fac1, fac2 = truncated_svd_factor(-y_t.T, opts.trunc_eps)
-        return fac1, two_pass_recover(op_a, basis, q @ fac1.factor), p @ fac2.factor
+        (q, p), y = _eigenvectors(rv)
+        f1, f2, discarded = truncated_svd_factor(-y, opts.trunc_eps)
+        return two_pass_recover(op_a, basis, q @ f1), p @ f2, discarded
 
     return _galerkin(
         [op_a], [c1], opts, residual, reduce,

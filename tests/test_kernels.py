@@ -264,43 +264,41 @@ def test_partial_eig_never_forms_the_dense_matrix(monkeypatch, make, band_rows):
 
 class TestTruncatedFactors:
     def test_identity_keeps_full_rank(self):
-        fac = truncated_spd_factor(np.eye(3), 1e-12)
-        assert fac.rank == 3
-        assert np.linalg.norm(fac.factor @ fac.factor.T - np.eye(3)) <= 1e-14
+        f, _ = truncated_spd_factor(np.eye(3), 1e-12)
+        assert f.shape[1] == 3
+        assert np.linalg.norm(f @ f.T - np.eye(3)) <= 1e-14
 
     def test_forced_truncation(self):
-        fac = truncated_spd_factor(np.diag([1.0, 1e-20]), 1e-12)
-        assert fac.rank == 1
-        assert np.allclose(np.abs(fac.factor), [[1.0], [0.0]])
-        assert fac.discarded_mass <= 1e-12
+        f, discarded = truncated_spd_factor(np.diag([1.0, 1e-20]), 1e-12)
+        assert f.shape[1] == 1
+        assert np.allclose(np.abs(f), [[1.0], [0.0]])
+        assert discarded <= 1e-12
 
     def test_outer_product_rank_one(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(10)
         v /= np.linalg.norm(v)
-        fac = truncated_spd_factor(np.outer(v, v), 1e-12)
-        assert fac.rank == 1
-        assert min(
-            np.linalg.norm(fac.factor[:, 0] - v), np.linalg.norm(fac.factor[:, 0] + v)
-        ) <= 1e-12
+        f, _ = truncated_spd_factor(np.outer(v, v), 1e-12)
+        assert f.shape[1] == 1
+        assert min(np.linalg.norm(f[:, 0] - v), np.linalg.norm(f[:, 0] + v)) <= 1e-12
 
     def test_factor_columns_orthogonal(self):
         rng = np.random.default_rng(6)
         w = rng.standard_normal((8, 8))
         y = w @ w.T
-        fac = truncated_spd_factor(y, 1e-12)
-        gram = fac.factor.T @ fac.factor
+        f, _ = truncated_spd_factor(y, 1e-12)
+        gram = f.T @ f
         assert np.linalg.norm(gram - np.diag(np.diag(gram))) <= 1e-12 * np.linalg.norm(gram)
-        assert np.linalg.norm(fac.factor @ fac.factor.T - y) <= 1e-11 * np.linalg.norm(y)
+        assert np.linalg.norm(f @ f.T - y) <= 1e-11 * np.linalg.norm(y)
 
     def test_indefinite_rejected(self):
         with pytest.raises(IndefiniteMatrixError):
             truncated_spd_factor(np.diag([1.0, -1.0]), 1e-12)
 
     def test_svd_zero_matrix(self):
-        f1, f2 = truncated_svd_factor(np.zeros((4, 3)), 1e-12)
-        assert f1.rank == 0 and f2.rank == 0
-        assert f1.factor.shape == (4, 0) and f2.factor.shape == (3, 0)
+        f1, f2, _ = truncated_svd_factor(np.zeros((4, 3)), 1e-12)
+        assert f1.shape[1] == 0 and f2.shape[1] == 0
+        assert f1.shape == (4, 0) and f2.shape == (3, 0)
 
     def test_svd_rank_one(self):
         rng = np.random.default_rng(8)
@@ -309,15 +307,15 @@ class TestTruncatedFactors:
         v = rng.standard_normal(4)
         v /= np.linalg.norm(v)
         y = np.outer(u, v)
-        f1, f2 = truncated_svd_factor(y, 1e-12)
-        assert f1.rank == 1
-        assert np.linalg.norm(f1.factor @ f2.factor.T - y) <= 1e-14
+        f1, f2, _ = truncated_svd_factor(y, 1e-12)
+        assert f1.shape[1] == 1
+        assert np.linalg.norm(f1 @ f2.T - y) <= 1e-14
 
     def test_svd_multiply_back(self):
         rng = np.random.default_rng(10)
         y = rng.standard_normal((8, 8))
-        f1, f2 = truncated_svd_factor(y, 1e-12)
-        assert np.linalg.norm(f1.factor @ f2.factor.T - y) <= 1e-12
+        f1, f2, _ = truncated_svd_factor(y, 1e-12)
+        assert np.linalg.norm(f1 @ f2.T - y) <= 1e-12
 
 
 def test_sym_tridiag_eig_survives_tight_clusters():

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 
 import krymat.residual
 from krymat import (
+    BlockTridiagonal,
     FactorizationError,
     IndefiniteMatrixError,
     SparseOperator,
@@ -23,7 +24,6 @@ from krymat import (
     init_basis,
     lanczos_step,
     partial_eig_blocktridiag,
-    residual_one_sided,
     sym_tridiag_eig,
 )
 from krymat.kernels import band_tridiagonalize
@@ -142,9 +142,10 @@ class TestCtriSylvester:
 class TestResidualOneSided:
     def test_scalar(self):
         # T = [-1], B = [-2]: Y = 1/3, res = tau / 3 (no sqrt(2) factor)
-        s_input = np.array([[1.0]])  # P^T C2 gamma1^T with everything 1
-        rv = residual_one_sided(
-            _scalar_bt(-1.0), np.array([[0.6]]), s_input, np.array([-2.0]), 1.0
+        one = np.array([[1.0]])  # P, gamma1 and P^T C2
+        rv = ctri_sylvester(
+            _scalar_bt(-1.0), (np.array([-2.0]), one), one, one, np.array([[0.6]]),
+            rhs_norm=1.0,
         )
         assert np.isclose(rv.res, 0.6 / 3.0)
         assert rv.relative == rv.res
@@ -156,7 +157,7 @@ class TestResidualOneSided:
         c2 = np.array([[0.8]])
         tau = np.array([[0.45]])
         ups = np.array([-2.2])
-        rv = residual_one_sided(t, tau, (c2 @ gamma1.T), ups, rhs_norm=1.3 * 0.8)
+        rv = ctri_sylvester(t, (ups, np.eye(1)), gamma1, c2, tau, rhs_norm=1.3 * 0.8)
         # same quantity through the dense one-sided solve
         y = reduced_solve(t, np.diag(ups), gamma1, c2)
         assert np.isclose(rv.res, naive_residual_norm(y, tau), rtol=1e-12)
@@ -172,10 +173,29 @@ class TestResidualOneSided:
         c2 = rng.standard_normal((n2, s))
         tau = rng.standard_normal((s, s))
         rhs_norm = np.linalg.norm(gamma1) * np.linalg.norm(c2)
-        fast = residual_one_sided(t, tau, (p.T @ c2) @ gamma1.T, ups, rhs_norm)
+        fast = ctri_sylvester(t, (ups, p), gamma1, p.T @ c2, tau, rhs_norm=rhs_norm)
         ref = naive_residual_norm(reduced_solve(t, b, gamma1, c2), tau)
         assert abs(fast.res - ref) <= 1e-11 * ref
         assert fast.relative == fast.res / rhs_norm
+
+    @pytest.mark.parametrize("s,m,n2", [(1, 9, 4), (2, 12, 6), (3, 8, 5)])
+    def test_one_formula_for_both_forms_of_b(self, s, m, n2):
+        # B's exact eigenpairs as the second side give what the two-sided
+        # check gives with J = diag(ups) as one block and a zero coupling
+        rng = np.random.default_rng(1100 + 10 * s + n2)
+        t, tau = lanczos_block_tridiagonal(rng, s, m)
+        w = rng.standard_normal((n2, n2))
+        ups, p = np.linalg.eigh(-(w @ w.T) - np.eye(n2))
+        gamma1 = rng.standard_normal((s, s))
+        c2 = rng.standard_normal((n2, s))
+        j = BlockTridiagonal(n2, np.vstack([ups, np.zeros(n2)]))
+        one = ctri_sylvester(t, (ups, p), gamma1, p.T @ c2, tau)
+        two = ctri_sylvester(t, j, gamma1, p.T @ c2, tau, np.zeros((n2, n2)))
+        assert abs(one.res - two.res) <= 1e-13 * two.res
+        assert np.linalg.norm(one.y - two.y) <= 1e-13 * np.linalg.norm(two.y)
+        # the default normalization ||gamma1|| ||P^T C2|| is ||C1|| ||C2||
+        rhs_norm = np.linalg.norm(gamma1) * np.linalg.norm(c2)
+        assert one.relative == pytest.approx(one.res / rhs_norm, rel=1e-14)
 
 
 def test_extended_shortcut_zero_lower_block():
@@ -241,6 +261,20 @@ def _projection(case):
     return t, basis.gamma, basis.coupling_upper(), 2 * s
 
 
+@pytest.mark.parametrize("space", ["standard", "extended"])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_lyapunov_reduced_solution_is_exactly_symmetric(space, s):
+    # numpy forms u @ u.T by a symmetric rank-k update, so -Ytilde comes out
+    # symmetric to the last bit and the factor takes it as it is
+    op = SparseOperator(gen_fd2d("fd2d-exp", 12))
+    basis = init_basis(op, gen_rhs(144, s, seed=s), space=space)
+    step = lanczos_step if space == "standard" else extended_step
+    for _ in range(8):
+        step(op, basis)
+        rv = ctri_lyapunov(basis.projected_matrix(), basis.gamma, basis.coupling_upper())
+        assert np.array_equal(rv.y, rv.y.T)
+
+
 class TestBandedPath:
     """Projections of bandwidth 2 or more go to one LAPACK banded
     eigensolve.  Eigenvector rows are not unique inside clusters, so the
@@ -280,10 +314,10 @@ class TestBandedPath:
         ups, p = np.linalg.eigh(b)
         gamma1 = rng.standard_normal((2, 2))
         c2 = rng.standard_normal((5, 2))
-        s_input = (p.T @ c2) @ gamma1.T
         banded, householder = _banded_and_householder(
-            monkeypatch, lambda: residual_one_sided(
-                t, tau, s_input, ups, np.linalg.norm(gamma1) * np.linalg.norm(c2)))
+            monkeypatch, lambda: ctri_sylvester(
+                t, (ups, p), gamma1, p.T @ c2, tau,
+                rhs_norm=np.linalg.norm(gamma1) * np.linalg.norm(c2)))
         dense = naive_residual_norm(reduced_solve(t, b, gamma1, c2), tau)
         assert abs(banded - householder) <= 1e-10 * householder
         assert abs(banded - dense) <= 1e-10 * dense
@@ -336,7 +370,8 @@ def test_check_is_one_lapack_call_per_projection_without_a_sign_pass(monkeypatch
         j, iota = lanczos_block_tridiagonal(rng, 1, 16)
         ctri_sylvester(t, j, gamma, rng.standard_normal((1, 2)), tau, iota)
     else:
-        residual_one_sided(t, tau, rng.standard_normal((3, 2)), -np.arange(1.0, 4.0), 1.0)
+        ctri_sylvester(t, (-np.arange(1.0, 4.0), np.eye(3)), gamma,
+                       rng.standard_normal((3, 2)), tau, rhs_norm=1.0)
     # T is tridiagonal at s = 1 and J always; T is banded otherwise
     assert calls == {"lyapunov-s1": {"dstevd": 1}, "two-sided": {"dsbevd": 1, "dstevd": 1}
                      }.get(kind, {"dsbevd": 1})

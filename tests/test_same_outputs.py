@@ -1,5 +1,7 @@
 import importlib.util
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -76,6 +78,24 @@ def test_compare_reports_one_line_per_case():
     assert len(broken) == 1 and "final" in broken[0] and "verified" in broken[0]
     assert worst["final"] == pytest.approx(0.1)
     assert worst["verified"] == pytest.approx(0.1 / 1.9)
+
+
+def test_compare_runs_without_the_library(tmp_path):
+    # --compare only reads two text files: it must run where krymat cannot
+    # be imported
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("case | %s\n" % (SOLVED % (1e-9, "aa", "bb")))
+    new.write_text("case | %s\n" % (SOLVED % (1.1e-9, "aa", "bb")))
+    script = ("import runpy, sys\n"
+              "sys.modules['krymat'] = None\n"
+              "sys.argv = sys.argv[1:]\n"
+              "runpy.run_path(sys.argv[0], run_name='__main__')\n")
+    runs = [subprocess.run([sys.executable, "-c", script, _PATH, "--compare",
+                            str(old), str(after)], capture_output=True, text=True)
+            for after in (old, new)]
+    assert [run.returncode for run in runs] == [0, 1], [run.stderr for run in runs]
+    assert "0 of 1 cases break the rule" in runs[0].stdout
+    assert "1 of 1 cases break the rule" in runs[1].stdout
 
 
 def test_moved_digests_counts_cases_solved_on_both_sides(capsys, tmp_path):

@@ -73,7 +73,7 @@ def _stored_and_two_pass(op, c, space, m, storage="windowed"):
     lam, q = np.linalg.eigh(stored.projected_matrix().to_dense())
     u = q[:stored.ell, :].T @ stored.gamma
     ytilde = -(u @ u.T) / (lam[:, None] + lam[None, :])
-    qy = q @ truncated_spd_factor(0.5 * (ytilde + ytilde.T)).factor
+    qy = q @ truncated_spd_factor(0.5 * (ytilde + ytilde.T))[0]
     z_stored = np.concatenate(stored.stored[:m], axis=1) @ qy
     return z_stored, two_pass_recover(op, basis, qy), basis
 

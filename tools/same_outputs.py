@@ -47,7 +47,9 @@ rule, prints each case that breaks it and the largest relative changes of a
 final and of a verified residual, and exits 1 on a violation.  It also
 prints how many solved cases changed their history digest and how many
 changed their factor digest; those counts only inform, they do not change
-the exit status:
+the exit status.  It only reads the two files, so it runs without
+``krymat`` on the path; the library is imported only where cases are
+solved:
 
     python tools/same_outputs.py --compare old.txt new.txt
 """
@@ -67,18 +69,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
-
-from krymat import (  # noqa: E402
-    ConvergenceError,
-    KrymatError,
-    SolveOptions,
-    SparseOperator,
-    solve_lyapunov,
-    solve_sylvester_one_sided,
-    solve_sylvester_two_sided,
-)
-from krymat import cli  # noqa: E402
-from krymat.problems import gen_fd2d, gen_rhs, laplacian1d  # noqa: E402
 
 SPACES = ("standard", "extended")
 STORAGES = ("stored", "windowed")
@@ -103,6 +93,8 @@ def _history_digest(history):
 
 
 def _outcome(solve):
+    from krymat import ConvergenceError, KrymatError
+
     try:
         sol = solve()
     except ConvergenceError as exc:
@@ -117,20 +109,29 @@ def _outcome(solve):
 
 
 def _lyapunov(a, c):
+    from krymat import SparseOperator, solve_lyapunov
+
     return lambda opts: solve_lyapunov(SparseOperator(a), c, opts)
 
 
 def _two_sided(a, b, c1, c2):
+    from krymat import SparseOperator, solve_sylvester_two_sided
+
     return lambda opts: solve_sylvester_two_sided(
         SparseOperator(a), SparseOperator(b), c1, c2, opts)
 
 
 def _one_sided(a, b, c1, c2):
+    from krymat import SparseOperator, solve_sylvester_one_sided
+
     return lambda opts: solve_sylvester_one_sided(SparseOperator(a), b, c1, c2, opts)
 
 
 def grid_cases():
     """(name, solve, options) of the 144-case grid."""
+    from krymat import SolveOptions
+    from krymat.problems import gen_fd2d, gen_rhs, laplacian1d
+
     a_lyap = gen_fd2d("fd2d-exp", 10)
     a_pair, b_pair = gen_fd2d("fd2d-exp", 8), gen_fd2d("fd2d-trig", 8)
     b_small = (10.0 * laplacian1d(8)).toarray()
@@ -157,6 +158,9 @@ def grid_cases():
 
 def invariant_cases():
     """(name, solve, options) of 20 cases whose Krylov space becomes invariant."""
+    from krymat import SolveOptions
+    from krymat.problems import gen_fd2d, gen_rhs, laplacian1d
+
     lap6 = laplacian1d(6)
     eye6 = -sp.identity(6, format="csr")
     e1 = np.zeros((6, 1))
@@ -186,6 +190,9 @@ def invariant_cases():
 
 def long_case():
     """(name, solve, options) of one long s = 1 windowed Lyapunov solve."""
+    from krymat import SolveOptions
+    from krymat.problems import gen_fd2d, gen_rhs
+
     solve = _lyapunov(gen_fd2d("fd2d-exp", 100), gen_rhs(10000, 1, seed=8))
     opts = SolveOptions(tol=1e-8, check_period=20, storage="windowed", verify=True)
     yield "lyapunov fd2d-exp(100) standard windowed s=1 d=20", solve, opts
@@ -194,6 +201,9 @@ def long_case():
 def long_extended_case():
     """(name, solve, options) of one long extended windowed solve, s = 2,
     whose T recurrence runs on after the basis has lost orthogonality."""
+    from krymat import SolveOptions
+    from krymat.problems import gen_fd2d, gen_rhs
+
     solve = _lyapunov(gen_fd2d("fd2d-exp", 100), gen_rhs(10000, 2, seed=9))
     opts = SolveOptions(tol=1e-10, space="extended", storage="windowed", verify=True)
     yield "lyapunov fd2d-exp(100) extended windowed s=2", solve, opts
@@ -218,6 +228,8 @@ def _csv_digest(path, columns):
 def _cli(argv, out):
     """Run ``krymat argv --out out``: None on success, else the exit status
     and the error printed."""
+    from krymat import cli
+
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         status = cli.main(argv + ["--out", out])
