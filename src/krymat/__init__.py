@@ -16,6 +16,7 @@ from .errors import (
     FactorizationError,
     IndefiniteMatrixError,
     KrymatError,
+    NonFiniteOperatorError,
     RecurrenceMismatchError,
 )
 from .kernels import (
@@ -63,6 +64,7 @@ __all__ = [
     "KrymatError",
     "LinearOperator",
     "LowRankSolution",
+    "NonFiniteOperatorError",
     "RecurrenceMismatchError",
     "ResidualValue",
     "SolveOptions",

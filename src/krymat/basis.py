@@ -12,14 +12,15 @@ matrix H that differs from the projection T = V' A V; each step recovers
 T's new diagonal and coupling blocks by a short recurrence that uses only
 the coefficients and the triangularity of the QR factors.
 
-One ``KrylovBasis`` object per space holds its basis blocks and T in LAPACK
-band storage.  Both step functions share one orthogonalize-and-factor
-skeleton, and every step writes T's new blocks into the band once, so T and
-its coupling block are read off the basis without rebuilding them.  A residual
-block that is numerically zero means the space became invariant: the step
-completes T with a zero coupling block and marks the basis exhausted.
+One ``KrylovBasis`` object per space holds its basis blocks and one LAPACK
+band that holds T and every coupling block.  Both step functions share one
+orthogonalize-and-factor skeleton, and every step writes T's new blocks into
+the band once, so T at any step is a view of it.  A residual block that is
+numerically zero means the space became invariant: the step completes T
+with a zero coupling block and marks the basis exhausted.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     DeflationUnsupportedError,
     DimensionMismatchError,
     KrymatError,
+    NonFiniteOperatorError,
 )
 from .kernels import BlockTridiagonal, economy_qr, rank_deficient
 
@@ -47,18 +49,14 @@ class KrylovBasis:
     any inverse-applies.  ``v1``, the first block, is where a second pass
     starts.
 
-    Projection: each step writes T's new block column [D; O], D symmetrized
-    and O the coupling block to the next basis block, as ell columns of
-    LAPACK lower band storage with ell + 1 rows, which hold all of T since
-    every coupling block is upper triangular.  ``last_coupling`` keeps the
-    last O whole.  ``r_sub[i]`` is the R factor of basis block i + 1:
-    ``r_sub[0]`` that of the initial QR (of C, or of [C, A^{-1}C] in extended
-    mode), whose first s columns are ``gamma``, and ``r_sub[i]``, i >= 1,
-    that of the block step i makes.  A second basis pass checks its
-    recomputed coefficients against them to detect nondeterministic
-    operators, and the extended T recurrence reads the previous one.
-    Extended mode also keeps ``last_diag_sum``, the Gram-Schmidt
-    coefficients of the last step against its current block.
+    Projection: one array in LAPACK lower band storage, ell + 1 rows, holds
+    T and every coupling block O to the next basis block, all upper
+    triangular.  Each step writes its block column [D; O] as the next ell
+    columns, so T at any step is a view (``projected_matrix``) and every O
+    is read from it (``coupling``).  ``gamma`` is the first s columns of the
+    initial QR's R factor (of C, or of [C, A^{-1}C] in extended mode), and
+    ``r_last`` the R factor of the newest block.  Extended mode also keeps
+    ``last_diag_sum``, the Gram-Schmidt sum of the last step's current block.
     """
 
     def __init__(self, space, storage, v1, r0):
@@ -71,13 +69,17 @@ class KrylovBasis:
         self.stored = [] if storage == "stored" else None
         halves = space == "extended" and storage == "windowed"
         self.second_halves = [] if halves else None
-        self._band_cols = []
-        self.last_coupling = None
-        self.r_sub = [r0]
+        self.gamma = r0[:, : self.s]
+        self.r_last = r0
         self.last_diag_sum = None
         # set when the space became invariant: the projection is exact and
         # the coupling to any further block is zero
         self.exhausted = False
+        self._band = np.empty((self.ell + 1, 8 * self.ell), order="F")  # 8 steps
+        q = np.arange(self.ell)
+        self._strip_index = (q + np.arange(self.ell + 1)[:, None], q)
+        i, j = np.triu_indices(self.ell)
+        self._coupling_index = (i, j, self.ell + i - j)
         self._push(v1)
 
     def _push(self, block):
@@ -86,11 +88,6 @@ class KrylovBasis:
             self.stored.append(block)
         if self.second_halves is not None:
             self.second_halves.append(block[:, self.s:].copy())
-
-    @property
-    def gamma(self):
-        """The coefficient of C in the first basis block: C = V_1 gamma."""
-        return self.r_sub[0][:, : self.s]
 
     @property
     def peak_vectors(self):
@@ -105,14 +102,15 @@ class KrylovBasis:
         return count
 
     def _record(self, strip, v_next):
-        """Write this step's strip [D; O], D symmetrized in place, into T's
-        band (row i of the step's column q is strip[q + i, q]) and keep O;
-        then push the next basis block, or mark the space exhausted."""
-        ell = self.ell
+        """Write this step's strip [D; O], D symmetrized in place, as the
+        band's next ell columns (row i of column q is strip[q + i, q]), in
+        an array of twice the capacity once full, so a view taken earlier
+        keeps its T; then push the next block, or mark the space exhausted."""
+        ell, first = self.ell, (self.m - 1) * self.ell
         strip[:ell] = 0.5 * (strip[:ell] + strip[:ell].T)
-        q = np.arange(ell)
-        self._band_cols.append(strip[q + np.arange(ell + 1)[:, None], q])
-        self.last_coupling = strip[ell:]
+        if first == self._band.shape[1]:  # the new array keeps Fortran order
+            self._band = np.concatenate([self._band, np.empty_like(self._band)], axis=1)
+        self._band[:, first: first + ell] = strip[self._strip_index]
         if v_next is None:
             self.exhausted = True
         else:
@@ -130,24 +128,31 @@ class KrylovBasis:
         """Number of completed diagonal blocks of the projected matrix."""
         return self.m - 1
 
-    def projected_matrix(self):
-        """The symmetric block tridiagonal projection T accumulated so far.
+    def _completed(self, m):
+        m = self.n_t_blocks if m is None else m
+        if not 1 <= m <= self.n_t_blocks:
+            raise DimensionMismatchError("projection block %d is not completed" % m)
+        return m
 
-        The band is a new array, so a T taken now does not grow with later
-        steps.  The last block column's entries past row k, the coupling to
-        the next block, are zeroed: T excludes them.
-        """
-        if self.n_t_blocks < 1:
-            raise DimensionMismatchError("no completed projection blocks yet")
-        band = np.concatenate(self._band_cols, axis=1)
-        for i in range(1, self.ell + 1):
-            band[i, -i:] = 0.0
-        return BlockTridiagonal(self.ell, band)
+    def projected_matrix(self, m=None):
+        """T_m after step m (default: the latest), a view of the band's first
+        m ell columns, which later steps never write; its entries past the
+        order, which band storage never reads, hold O_m."""
+        return BlockTridiagonal(self.ell, self._band[:, : self._completed(m) * self.ell])
 
-    def coupling_upper(self):
-        """The nonzero upper s rows of the coupling block (all of it in
-        standard mode, where s == ell)."""
-        return self.last_coupling[: self.s]
+    def coupling(self, m=None):
+        """O_m, the coupling block from basis block m to m + 1 (default: the
+        latest): entry (i, j), j >= i, is in band row ell + i - j of column
+        (m - 1) ell + j, and the strictly lower part is zero."""
+        m, (i, j, rows) = self._completed(m), self._coupling_index
+        o = np.zeros((self.ell, self.ell))
+        o[i, j] = self._band[:, (m - 1) * self.ell: m * self.ell][rows, j]
+        return o
+
+    def coupling_upper(self, m=None):
+        """The nonzero upper s rows of O_m (all of it in standard mode,
+        where s == ell)."""
+        return self.coupling(m)[: self.s]
 
 
 def _times(block, alpha, out):
@@ -180,6 +185,15 @@ def mgs_twice(w, older, current):
             out = w
         diag_sum += alpha  # the last alpha of a pass is current's
     return w, diag_sum
+
+
+def check_finite(value, context, source):
+    """Raise NonFiniteOperatorError if ``value`` is not finite.  Callers pass
+    a number that is finite exactly when the block that the operator's
+    ``source`` ("apply" or "solve") returned is: its norm, or a sum over it."""
+    if not math.isfinite(value):
+        raise NonFiniteOperatorError("%s: the operator's %s returned a non-finite "
+                                     "block" % (context, source))
 
 
 def _qr_new_block(w, context):
@@ -217,7 +231,9 @@ def init_basis(op, c, space="standard", storage="stored"):
             "the extended Krylov space needs solves with A, which this operator "
             "cannot do; use the standard space"
         )
-    w0 = np.hstack([c, op.solve(c)])
+    solved = op.solve(c)
+    check_finite(np.linalg.norm(solved), "initial block", "solve")
+    w0 = np.hstack([c, solved])
     return KrylovBasis(space, storage, *_qr_new_block(w0, "initial QR of [C, inv(A) C]"))
 
 
@@ -225,10 +241,12 @@ def _next_block(op, basis):
     """Orthogonalize the new directions of step ``basis.m`` and factor them.
 
     The directions are A V_m in standard mode and [A V_m^(1), A^{-1} V_m^(2)]
-    in extended mode.  Appends the R factor of the new block to
-    ``basis.r_sub`` and returns the new block with the Gram-Schmidt sum
-    against the current block.  A numerically zero residual block means the
-    space became invariant: the new block is then None and its R factor zero.
+    in extended mode; if their norm is not finite, NonFiniteOperatorError
+    names the step and the call (apply or solve) that made them.  Sets
+    ``basis.r_last`` to the R factor of the new block and returns the new
+    block with the Gram-Schmidt sum against the current block.  A
+    numerically zero residual block means the space became invariant: the
+    new block is then None and its R factor zero.
     """
     if basis.exhausted:
         raise DeflationUnsupportedError("the Krylov space is already invariant")
@@ -240,12 +258,15 @@ def _next_block(op, basis):
         w = np.hstack([op.apply(current[:, :s]), op.solve(current[:, s:])])
         context = "extended step %d"
     scale = np.linalg.norm(w)
+    if not math.isfinite(scale):  # the first s columns (all, standard) were applied
+        check_finite(np.linalg.norm(w[:, : basis.s]), context % basis.m, "apply")
+        check_finite(scale, context % basis.m, "solve")
     w, diag_sum = mgs_twice(w, older, current)
     if np.linalg.norm(w) <= ZERO_BLOCK_TOL * scale:
         v_next, r = None, np.zeros((basis.ell, basis.ell))
     else:
         v_next, r = _qr_new_block(w, context % basis.m)
-    basis.r_sub.append(r)
+    basis.r_last = r
     return v_next, diag_sum
 
 
@@ -254,7 +275,7 @@ def lanczos_step(op, basis):
     one diagonal and one coupling block, the basis its next block, or, on
     an invariant space, a zero coupling block and the exhausted mark."""
     v_next, diag_sum = _next_block(op, basis)
-    basis._record(np.vstack([diag_sum, basis.r_sub[-1]]), v_next)
+    basis._record(np.vstack([diag_sum, basis.r_last]), v_next)
 
 
 def extended_step(op, basis):
@@ -272,8 +293,9 @@ def extended_step(op, basis):
     as in ``lanczos_step``.
     """
     s, ell = basis.s, basis.ell
+    r_prev = basis.r_last  # of the current block: [C, A^{-1}C]'s at m = 1
     v_next, diag_sum = _next_block(op, basis)
-    strip = np.vstack([diag_sum, basis.r_sub[-1]])  # last s columns solved below
+    strip = np.vstack([diag_sum, basis.r_last])  # last s columns solved below
     rhs = np.zeros((2 * ell, s))
     if basis.m == 1:
         # base case from the initial QR: T(:,1) kappa2 = E1 kappa1
@@ -281,8 +303,7 @@ def extended_step(op, basis):
     else:
         # recurrence: of the older blocks of column m - 1, only its coupling
         # block shares rows with the strip
-        rhs[:ell] -= basis.last_coupling @ basis.last_diag_sum[:, s:]
-    r_prev = basis.r_sub[-2]  # of the current block: [C, A^{-1}C]'s at m = 1
+        rhs[:ell] -= basis.coupling() @ basis.last_diag_sum[:, s:]
     rhs -= strip[:, :s] @ r_prev[:s, s:]
     # X R = rhs as R^T X^T = rhs^T
     strip[:, s:] = scipy.linalg.solve_triangular(r_prev[s:, s:], rhs.T, lower=False,

@@ -30,6 +30,11 @@ class FactorizationError(KrymatError):
     """A matrix factorization (QR, Cholesky, LU, eigendecomposition) failed."""
 
 
+class NonFiniteOperatorError(KrymatError):
+    """An operator's apply or solve returned a block whose norm is not
+    finite (a NaN or inf entry, or an overflow)."""
+
+
 class RecurrenceMismatchError(KrymatError):
     """The second Lanczos pass regenerated coefficients that do not match the
     stored ones, which signals a nondeterministic operator."""

@@ -12,6 +12,7 @@ fixes them.
 Householder reference the banded eigensolve is tested against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,16 @@ def guarded_denominators(left, right):
 
     Raises if any sum is negligible relative to the spectral radius, which
     happens exactly when the underlying matrices are not definite of one
-    sign.
+    sign.  Rounding is monotone, so when the largest sum is negative (or the
+    smallest positive) the sums do not change sign and the one nearest zero
+    is that extreme sum, as rounded; only mixed signs need the k^2 scan.
     """
     denom = left[:, None] + right[None, :]
-    scale = max(np.max(np.abs(left)), np.max(np.abs(right)))
-    if np.min(np.abs(denom)) < DENOM_TOL * scale:
+    lo_l, hi_l, lo_r, hi_r = left.min(), left.max(), right.min(), right.max()
+    scale = max(-lo_l, hi_l, -lo_r, hi_r)  # the largest |eigenvalue|
+    high, low = hi_l + hi_r, lo_l + lo_r
+    nearest = -high if high < 0.0 else low if low > 0.0 else np.min(np.abs(denom))
+    if nearest < DENOM_TOL * scale:
         raise IndefiniteMatrixError(
             "eigenvalue-sum denominator is numerically singular; "
             "coefficient matrices must be definite (of one sign)"
@@ -56,8 +62,9 @@ class BlockTridiagonal:
     """Symmetric block tridiagonal matrix in LAPACK lower band storage.
 
     ``band[i, c]`` is entry (c + i, c) of the matrix, for c + i below its
-    order; entries past the last row are zero.  With ``block_size`` ell the
-    band has at most 2 ell rows: ell + 1 when the coupling blocks are upper
+    order; entries past the last row are not read (a view of a basis's band
+    holds the next coupling block there).  With ``block_size`` ell the band
+    has at most 2 ell rows: ell + 1 when the coupling blocks are upper
     triangular, as the Krylov bases make them, 2 ell for general blocks.
     """
 
@@ -70,10 +77,6 @@ class BlockTridiagonal:
                 or band.shape[1] % self.block_size):
             raise DimensionMismatchError("band of shape %s does not fit block size %d"
                                          % (band.shape, self.block_size))
-
-    @property
-    def n_blocks(self):
-        return self.dim // self.block_size
 
     @property
     def dim(self):
@@ -90,9 +93,10 @@ def economy_qr(w):
 
     The sign normalization makes the factorization unique (for full-rank
     input), which the two-pass basis regeneration relies on.  A single
-    column is normalized directly; a zero column gives R = 0, so
-    ``rank_deficient`` flags it, and Q = e_1 as from Householder QR.  Wider
-    blocks go straight to LAPACK's ``dgeqrf`` and ``dorgqr``, the calls that
+    column is normalized directly: a zero column gives R = 0, so
+    ``rank_deficient`` flags it, and Q = e_1 as from Householder QR, and a
+    column whose norm is not finite raises FactorizationError.  Wider blocks
+    go straight to LAPACK's ``dgeqrf`` and ``dorgqr``, the calls that
     ``scipy.linalg.qr(mode="economic")`` makes, without its wrapper, and
     with the optimal workspace that scipy queries, so a block wide enough
     for LAPACK's blocked code takes the same path as in scipy.
@@ -105,6 +109,8 @@ def economy_qr(w):
     n, c = w.shape
     if c == 1:
         norm = scipy.linalg.blas.dnrm2(w[:, 0])  # scaled: no under/overflow
+        if not math.isfinite(norm):
+            raise FactorizationError("QR of a column with a non-finite norm")
         q = w / norm if norm > 0.0 else np.eye(n, 1)
         return q, np.array([[norm]])
     lapack = scipy.linalg.lapack
@@ -170,13 +176,13 @@ def partial_eig_blocktridiag(t):
     ``np.linalg.eigh`` returns them, from exactly one LAPACK call.
 
     The band goes to LAPACK as it is stored, with no dense k x k copy; rows
-    past the order k, which hold only zeros, are trimmed.  A two-row band is
-    tridiagonal and goes to the divide-and-conquer tridiagonal eigensolver
-    (``dstevd``); wider bands go to one symmetric banded eigensolve
-    (``dsbevd``, O(k^3) with a small constant).  Both form every
-    eigenvector: the check reads the first and last block rows, and at
-    convergence the solvers map the reduced solution back through all of
-    them, with no second eigensolve.  The eigenvectors keep LAPACK's
+    past the order k are trimmed, and LAPACK reads no entry past it.  A
+    two-row band is tridiagonal and goes to the divide-and-conquer
+    tridiagonal eigensolver (``dstevd``); wider bands go to one symmetric
+    banded eigensolve (``dsbevd``, O(k^3) with a small constant).  Both
+    form every eigenvector: the check reads the first and last block rows,
+    and at convergence the solvers map the reduced solution back through
+    all of them, with no second eigensolve.  The eigenvectors keep LAPACK's
     arbitrary signs.
     """
     band = t.band[: max(t.dim, 2)]

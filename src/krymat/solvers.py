@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import extended_step, init_basis, lanczos_step, mgs_twice
+from .basis import check_finite, extended_step, init_basis, lanczos_step, mgs_twice
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -158,11 +158,15 @@ def _regenerated(op, basis):
     coefficients is exponentially unstable in finite precision and loses the
     basis after a few hundred steps, while the recomputation is
     self-correcting and reproduces the first pass bit for bit on a
-    deterministic operator.  The stored coefficients serve as the divergence
-    check instead, at every step: a mismatch beyond REPLAY_TOL signals a
-    nondeterministic operator.  Extended mode regenerates only the first
-    half-blocks (one multiplication by A each), reusing the retained second
-    half-blocks so no inverse-applies occur.
+    deterministic operator.  The first pass's coefficients serve as the
+    divergence check instead, at every step: the upper left s x s block of
+    each coupling block in T's band, which is that of the R factor of the
+    block it leads to, in both spaces.  A mismatch beyond REPLAY_TOL, or
+    one that is not a number, signals a nondeterministic operator; an apply
+    that returns a non-finite block raises NonFiniteOperatorError.
+    Extended mode regenerates only the first half-blocks (one multiplication
+    by A each), reusing the retained second half-blocks so no inverse-applies
+    occur.
     """
     s = basis.s
     v = basis.v1
@@ -172,12 +176,14 @@ def _regenerated(op, basis):
         # first s columns of the joint orthogonalization (all of them in
         # standard mode): MGS acts per column, and the leading s columns of
         # the joint QR factor equal the QR of the first half-block alone
-        w = op.apply(v[:, :s])
-        w, _ = mgs_twice(w, older, v)
+        w, coeffs = mgs_twice(op.apply(v[:, :s]), older, v)
+        # a NaN or inf in a column of A v makes every Gram-Schmidt coefficient
+        # of that column, and so their sum, a NaN or inf: no extra pass over w
+        check_finite(coeffs.sum(), "second pass step %d" % i, "apply")
         v_new, r_hat = economy_qr(w)
-        stored = basis.r_sub[i - 1][:s, :s]
+        stored = basis.coupling(i - 1)[:s, :s]
         scale = max(np.linalg.norm(stored), 1e-300)
-        if np.linalg.norm(r_hat - stored) > REPLAY_TOL * scale:
+        if not np.linalg.norm(r_hat - stored) <= REPLAY_TOL * scale:  # NaN fails
             raise RecurrenceMismatchError(
                 "second pass regenerated a coupling block that differs from "
                 "the stored one at step %d; the operator looks nondeterministic"

@@ -7,6 +7,8 @@ import shutil
 import sys
 from unittest import mock
 
+import pytest
+
 import krymat
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "ab_inprocess.py")
@@ -25,7 +27,9 @@ def test_each_seed_runs_once_with_each_tree_first():
                                            (4, (0, 1)), (4, (1, 0))]
 
 
-def test_two_copies_of_one_tree_agree(tmp_path, capsys):
+def _two_copies_agree(tmp_path, capsys, kind, equation_args):
+    """Run the tool on this tree and a copy of it at order 36 and check its
+    output lines, the first naming the problem ``kind``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(krymat.__file__)))
     copy = tmp_path / "src"
     shutil.copytree(os.path.join(src, "krymat"), copy / "krymat",
@@ -33,16 +37,26 @@ def test_two_copies_of_one_tree_agree(tmp_path, capsys):
     with mock.patch.dict(sys.modules):
         status = ab_inprocess.main([src, str(copy), "--n", "6", "--s", "2",
                                     "--space", "extended", "--storage", "windowed",
-                                    "--d", "2", "--seeds", "1-2"])
+                                    "--d", "2", "--seeds", "1-2"] + equation_args)
         # each tree is its own package, with its own classes
         assert sys.modules["krymat_a"].SolveOptions is not \
             sys.modules["krymat_b"].SolveOptions
     out = capsys.readouterr().out.splitlines()
     assert status == 0
-    assert out[0].startswith("fd2d-exp(6), order 36, s=2, extended windowed, d=2, seeds 1,2, "
-                             "4 rounds")
+    assert out[0].startswith("%s(6), order 36, s=2, extended windowed, d=2, seeds 1,2, "
+                             "4 rounds" % kind)
     assert out[1].startswith("A %s: median " % src)
     assert out[2].startswith("B %s: median " % copy)
     assert out[3].startswith("B faster in ") and " of 4 rounds; " in out[3]
     assert out[4:] == ["iterations agree: yes", "rank agree: yes",
                        "final residual agree: yes"]
+
+
+def test_two_copies_of_one_tree_agree(tmp_path, capsys):
+    _two_copies_agree(tmp_path, capsys, "fd2d-exp", [])  # Lyapunov, the default
+
+
+@pytest.mark.parametrize("equation, kind", [("two-sided", "fd2d-pair"),
+                                            ("one-sided", "fd3d-split")])
+def test_two_copies_agree_on_sylvester(tmp_path, capsys, equation, kind):
+    _two_copies_agree(tmp_path, capsys, kind, ["--equation", equation])

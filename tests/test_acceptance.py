@@ -248,6 +248,29 @@ def test_criterion_6_paper_scale_iteration_counts(s, expected):
             % (s, sol.iterations, expected))
 
 
+def _paper_count_s1():
+    """Iterations of the paper's s = 1 Lyapunov run (fd2d-exp, order 21904)."""
+    op = SparseOperator(gen_fd2d("fd2d-exp", 148))
+    c = gen_rhs(21904, 1, seed=1101)
+    return solve_lyapunov(
+        op, c,
+        SolveOptions(tol=1e-6, max_m=700, check_period=1, storage="windowed"),
+    ).iterations
+
+
+def test_criterion_6_paper_count_s1():
+    # tier-1 twin of the s = 1 paper-scale count: about 2.3 s on one BLAS
+    # thread, which the child process is pinned to
+    expected = 444
+    iterations = json.loads(_pinned_child("t._paper_count_s1()", timeout=120))
+    low, high = 0.85 * expected, 1.15 * expected
+    assert low <= iterations <= high, (
+        "s=1: %d iterations outside [%d, %d]" % (iterations, int(low), int(high))
+    )
+    _report(6, "paper scale s=1: %d iterations (expected %d +- 15%%)"
+            % (iterations, expected))
+
+
 @pytest.mark.paper_scale
 def test_paper_scale_sylvester_two_sided_iterations():
     # exp/trig operator pair of order 16384, s = 3: expected 217 iterations.
@@ -354,11 +377,10 @@ def _cost_scaling_times(sizes, passes):
     )
 
 
-def test_criterion_8_cost_scaling():
-    # The timing runs in a child process whose BLAS and OpenMP pools are
-    # pinned to one thread before numpy loads: a multi-threaded BLAS pool
-    # makes the small sizes' times swing by 2x on a shared machine, which
-    # moves the fitted slope by more than its margin.
+def _pinned_child(expression, timeout):
+    """The JSON of ``expression``, evaluated with this module as ``t`` in a
+    child process whose BLAS and OpenMP pools are pinned to one thread
+    before numpy loads."""
     here = os.path.dirname(os.path.abspath(__file__))
     package_root = os.path.dirname(os.path.dirname(krymat.__file__))
     env = dict(os.environ)
@@ -367,18 +389,23 @@ def test_criterion_8_cost_scaling():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (here, package_root, env.get("PYTHONPATH")) if p
     )
-    sizes = [100, 200, 400, 800]
-    script = (
-        "import json, test_acceptance as t; "
-        "print(json.dumps(t._cost_scaling_times(%r, passes=6)))" % (sizes,)
-    )
-    tic = time.perf_counter()
+    script = "import json, test_acceptance as t; print(json.dumps(%s))" % expression
     child = subprocess.run(
         [sys.executable, "-c", script], env=env, cwd=here,
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=timeout,
     )
     assert child.returncode == 0, child.stderr
-    t_fast, t_naive = json.loads(child.stdout.splitlines()[-1])
+    return child.stdout.splitlines()[-1]
+
+
+def test_criterion_8_cost_scaling():
+    # The timing runs in a child process pinned to one BLAS thread: a
+    # multi-threaded BLAS pool makes the small sizes' times swing by 2x on a
+    # shared machine, which moves the fitted slope by more than its margin.
+    sizes = [100, 200, 400, 800]
+    tic = time.perf_counter()
+    t_fast, t_naive = json.loads(
+        _pinned_child("t._cost_scaling_times(%r, passes=6)" % (sizes,), timeout=300))
     logs = np.log(sizes)
     slope_fast = np.polyfit(logs, np.log(t_fast), 1)[0]
     slope_naive = np.polyfit(logs, np.log(t_naive), 1)[0]

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from krymat import (
     DeflationUnsupportedError,
+    DimensionMismatchError,
     SparseOperator,
     extended_step,
     init_basis,
@@ -94,7 +95,7 @@ class TestLanczosStep:
         basis = init_basis(op, c)
         lanczos_step(op, basis)
         assert basis.exhausted
-        assert np.array_equal(basis.last_coupling, np.zeros((1, 1)))
+        assert np.array_equal(basis.coupling(), np.zeros((1, 1)))
         assert np.array_equal(basis.projected_matrix().to_dense(), [[-1.0]])
         with pytest.raises(DeflationUnsupportedError):
             lanczos_step(op, basis)
@@ -110,9 +111,30 @@ class TestLanczosStep:
         t = basis.projected_matrix()
         before = t.to_dense().copy()
         step(op, basis)
-        assert t.n_blocks == 3
+        assert t.dim // t.block_size == 3
         assert np.array_equal(t.to_dense(), before)
-        assert basis.projected_matrix().n_blocks == 4
+        assert basis.projected_matrix().dim // t.block_size == 4
+        # a view taken before the band's capacity doubles (from 8 steps to
+        # 16) keeps the old array, which still holds its T
+        for _ in range(5):
+            step(op, basis)
+        assert basis.projected_matrix().band.base is not t.band.base
+        assert np.array_equal(t.to_dense(), before)
+        assert np.array_equal(basis.projected_matrix(3).to_dense(), before)
+
+    def test_only_completed_steps_can_be_read(self):
+        op = SparseOperator(laplacian1d(20))
+        basis = init_basis(op, np.ones((20, 1)))
+        for m in (0, 1):
+            with pytest.raises(DimensionMismatchError):
+                basis.projected_matrix(m)
+        lanczos_step(op, basis)
+        for m in (0, 2):
+            with pytest.raises(DimensionMismatchError):
+                basis.projected_matrix(m)
+            with pytest.raises(DimensionMismatchError):
+                basis.coupling(m)
+        assert basis.projected_matrix(1).dim == 1
 
     def test_projection_identity_stored_mode(self):
         # 1-D Laplacian of order 200, block width 2, ten steps
@@ -132,7 +154,7 @@ class TestLanczosStep:
         # the coupling block continues the projection into the next block
         v_next = basis.stored[m]
         coupling = v_next.T @ op.apply(basis.stored[m - 1])
-        assert np.allclose(coupling, basis.last_coupling, atol=1e-10)
+        assert np.allclose(coupling, basis.coupling(), atol=1e-10)
 
     def test_windowed_mode_peak_storage(self):
         op = SparseOperator(laplacian1d(100))
@@ -191,9 +213,14 @@ class TestExtendedStep:
         m = basis.n_t_blocks
         v = _full_basis(basis, m)
         t = basis.projected_matrix()
-        assert t.band.shape[0] == basis.ell + 1
-        for i in range(1, basis.ell + 1):  # nothing past row k
-            assert not t.band[i, -i:].any()
+        ell, k = basis.ell, t.dim
+        assert t.band.shape[0] == ell + 1
+        # past row k the view holds the coupling block to the next basis
+        # block, which T excludes
+        lower = np.zeros((k + ell, k))
+        for i in range(ell + 1):
+            lower[np.arange(k) + i, np.arange(k)] = t.band[i]
+        assert np.array_equal(lower[k:, k - ell:], basis.coupling())
         proj = v.T @ op.apply(v)
         assert np.linalg.norm(proj - t.to_dense()) <= 1e-9 * np.linalg.norm(proj)
         # structural invariants that keep T in a band of ell + 1 rows: every
@@ -203,7 +230,7 @@ class TestExtendedStep:
         for b in (basis, windowed):
             while b.n_t_blocks < 30:
                 step(op, b)
-                coupling = b.last_coupling
+                coupling = b.coupling()
                 assert not np.tril(coupling, -1).any()
                 if space == "extended":
                     assert np.array_equal(coupling[s:], np.zeros((s, 2 * s)))
@@ -218,10 +245,10 @@ class TestExtendedStep:
         m = basis.n_t_blocks
         v_next = basis.stored[m]
         explicit = v_next.T @ op.apply(basis.stored[m - 1])
-        assert np.allclose(explicit, basis.last_coupling, atol=1e-9)
+        assert np.allclose(explicit, basis.coupling(), atol=1e-9)
         # the nonzero part is the upper s x 2s slice
-        assert np.allclose(basis.last_coupling[2:, :], 0.0)
-        assert np.allclose(basis.coupling_upper(), basis.last_coupling[:2, :])
+        assert np.allclose(basis.coupling()[2:, :], 0.0)
+        assert np.allclose(basis.coupling_upper(), basis.coupling()[:2, :])
 
     def test_invariant_space_is_exhausted(self):
         # order 6 and block size 2: the third step spans the whole space
@@ -231,7 +258,7 @@ class TestExtendedStep:
         for _ in range(3):
             extended_step(op, basis)
         assert basis.exhausted
-        assert np.array_equal(basis.last_coupling, np.zeros((2, 2)))
+        assert np.array_equal(basis.coupling(), np.zeros((2, 2)))
         v = _full_basis(basis, 3)
         proj = v.T @ op.apply(v)
         t = basis.projected_matrix().to_dense()

@@ -5,6 +5,7 @@ import scipy.linalg
 from krymat import (
     BlockTridiagonal,
     DimensionMismatchError,
+    FactorizationError,
     IndefiniteMatrixError,
     economy_qr,
     partial_eig_blocktridiag,
@@ -12,7 +13,12 @@ from krymat import (
     truncated_spd_factor,
     truncated_svd_factor,
 )
-from krymat.kernels import band_tridiagonalize, rank_deficient
+from krymat.kernels import (
+    DENOM_TOL,
+    band_tridiagonalize,
+    guarded_denominators,
+    rank_deficient,
+)
 
 from conftest import block_tridiagonal, random_block_tridiagonal
 
@@ -93,6 +99,54 @@ class TestEconomyQR:
         assert np.array_equal(r, [[0.0]])
         assert rank_deficient(r)
         assert np.array_equal(q, np.eye(5, 1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_raises(self, value):
+        with pytest.raises(FactorizationError, match="non-finite norm"):
+            economy_qr(np.array([[1.0], [value], [2.0]]))
+
+
+def _full_scan_raises(left, right):
+    """Whether the guard raises by the k^2 scan of every |l_i + r_j|."""
+    scale = max(np.max(np.abs(left)), np.max(np.abs(right)))
+    return np.min(np.abs(left[:, None] + right[None, :])) < DENOM_TOL * scale
+
+
+class TestGuardedDenominators:
+    """The guard skips its scan when the sums cannot change sign, and must
+    raise exactly when the full scan does, with the same denominators."""
+
+    @staticmethod
+    def _spectra():
+        rng = np.random.default_rng(31)
+        neg = -np.exp(rng.uniform(-3.0, 3.0, 40))
+        pos = -neg[::-1]
+        yield "negative", neg, neg[:25]
+        yield "positive", pos, pos[:25]
+        yield "mixed", neg, pos[:25]
+        yield "mixed within one side", np.append(neg, 0.5), neg[:25]
+        # sums of one sign whose nearest to zero is just below, at and just
+        # above DENOM_TOL * scale (scale 4)
+        for sign in (-1.0, 1.0):
+            for ulps in (-2, 0, 2):
+                a = DENOM_TOL * 4.0 - DENOM_TOL
+                a += ulps * np.spacing(a)
+                left = sign * np.array([4.0, 3.0, a])
+                right = sign * np.array([DENOM_TOL, 2.0])
+                yield "boundary %+g %+d" % (sign, ulps), left, right
+
+    def test_raises_exactly_when_the_full_scan_does(self):
+        outcomes = set()
+        for name, left, right in self._spectra():
+            expected = _full_scan_raises(left, right)
+            outcomes.add(expected)
+            if expected:
+                with pytest.raises(IndefiniteMatrixError):
+                    guarded_denominators(left, right)
+            else:
+                denom = guarded_denominators(left, right)
+                assert np.array_equal(denom, left[:, None] + right[None, :]), name
+        assert outcomes == {True, False}
 
 
 class TestBandTridiagonalize:

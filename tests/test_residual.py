@@ -275,6 +275,27 @@ def test_lyapunov_reduced_solution_is_exactly_symmetric(space, s):
         assert np.array_equal(rv.y, rv.y.T)
 
 
+@pytest.mark.parametrize("space", ["standard", "extended"])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_prefix_check_equals_the_check_made_at_its_step(space, s):
+    # a check on T_m and O_m read from the band of a later step, after its
+    # capacity doubled (from 8 steps to 16), is the check made at step m
+    op = SparseOperator(gen_fd2d("fd2d-exp", 20))
+    basis = init_basis(op, gen_rhs(400, s, seed=s), space=space)
+    step = lanczos_step if space == "standard" else extended_step
+    checks, first = [], None
+    for _ in range(12):
+        step(op, basis)
+        t = basis.projected_matrix()
+        first = t if first is None else first
+        checks.append(ctri_lyapunov(t, basis.gamma, basis.coupling_upper()))
+    assert basis.projected_matrix().band.base is not first.band.base
+    for m, then in enumerate(checks, start=1):
+        now = ctri_lyapunov(basis.projected_matrix(m), basis.gamma, basis.coupling_upper(m))
+        assert now.res == then.res
+        assert np.array_equal(now.y, then.y)
+
+
 class TestBandedPath:
     """Projections of bandwidth 2 or more go to one LAPACK banded
     eigensolve.  Eigenvector rows are not unique inside clusters, so the

@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import krymat.residual
+import krymat.solvers
 
 from krymat import (
     AsymmetricMatrixError,
@@ -14,6 +15,7 @@ from krymat import (
     IndefiniteMatrixError,
     KrylovBasis,
     KrymatError,
+    NonFiniteOperatorError,
     RecurrenceMismatchError,
     SolveOptions,
     SparseOperator,
@@ -54,6 +56,29 @@ class _DriftingOperator(SparseOperator):
     def apply(self, v):
         self.calls += 1
         return (1.0 + 1e-6 * max(self.calls - self.exact_calls, 0)) * super().apply(v)
+
+
+class _BrokenOperator(SparseOperator):
+    """Returns ``value`` in entry (0, 0) of its ``bad_call``-th ``method``
+    ("apply" or "solve") result, counting from 1."""
+
+    def __init__(self, a, method, bad_call, value):
+        super().__init__(a)
+        self.method, self.bad_call, self.value, self.calls = method, bad_call, value, 0
+
+    def _spoil(self, method, out):
+        if method == self.method:
+            self.calls += 1
+            if self.calls == self.bad_call:
+                out = out.copy()
+                out[0, 0] = self.value
+        return out
+
+    def apply(self, v):
+        return self._spoil("apply", super().apply(v))
+
+    def solve(self, v):
+        return self._spoil("solve", super().solve(v))
 
 
 def _first_pass(op, c, space, storage, m):
@@ -308,6 +333,52 @@ class TestTwoPass:
         opts = SolveOptions(tol=1e-8, max_m=64, space=space, storage="windowed")
         with pytest.raises(RecurrenceMismatchError, match="at step 2;"):
             solve_lyapunov(op, c, opts)
+
+
+class TestBrokenOperator:
+    """A non-finite block from the operator is a NonFiniteOperatorError that
+    names the step and the call, never a factor."""
+
+    @staticmethod
+    def _solve(op, space, storage, s=2):
+        opts = SolveOptions(tol=1e-6, max_m=200, space=space, storage=storage)
+        return solve_lyapunov(op, gen_rhs(400, s, seed=7), opts)
+
+    @pytest.mark.parametrize("storage", ["stored", "windowed"])
+    @pytest.mark.parametrize("space, step", [("standard", "Lanczos"), ("extended", "extended")])
+    def test_nan_from_apply_in_the_first_pass(self, space, step, storage):
+        op = _BrokenOperator(gen_fd2d("fd2d-exp", 20), "apply", 5, np.nan)
+        with pytest.raises(NonFiniteOperatorError,
+                           match="^%s step 5: the operator's apply returned" % step):
+            self._solve(op, space, storage)
+
+    @pytest.mark.parametrize("storage", ["stored", "windowed"])
+    @pytest.mark.parametrize("bad_call, where", [(1, "initial block"),
+                                                 (4, "extended step 3")])
+    def test_inf_from_solve(self, storage, bad_call, where):
+        op = _BrokenOperator(gen_fd2d("fd2d-exp", 20), "solve", bad_call, np.inf)
+        with pytest.raises(NonFiniteOperatorError,
+                           match="^%s: the operator's solve returned" % where):
+            self._solve(op, "extended", storage)
+
+    @pytest.mark.parametrize("space", ["standard", "extended"])
+    def test_nan_on_the_last_apply_of_the_second_pass(self, space):
+        # s = 1: the second pass factors single columns, so a NaN must
+        # neither be normalized to e_1 nor pass the replay check as NaN
+        a = gen_fd2d("fd2d-exp", 20)
+        m = self._solve(SparseOperator(a), space, "windowed", s=1).iterations
+        # one apply per first-pass step, one per regenerated block after v1
+        op = _BrokenOperator(a, "apply", m + m - 1, np.nan)
+        with pytest.raises(NonFiniteOperatorError,
+                           match="^second pass step %d: the operator's apply" % m):
+            self._solve(op, space, "windowed", s=1)
+
+    def test_non_finite_regenerated_coupling_fails_replay(self, monkeypatch):
+        qr = krymat.solvers.economy_qr
+        monkeypatch.setattr(krymat.solvers, "economy_qr",
+                            lambda w: (qr(w)[0], np.full((2, 2), np.nan)))
+        with pytest.raises(RecurrenceMismatchError, match="at step 2;"):
+            self._solve(SparseOperator(gen_fd2d("fd2d-exp", 20)), "standard", "windowed")
 
 
 class TestSylvesterTwoSided:

@@ -1,19 +1,24 @@
 """Paired in-process A/B timing of two krymat source trees.
 
 Both trees are loaded into one process, under the package names
-``krymat_a`` and ``krymat_b``, and solve the same fd2d-exp Lyapunov
-equation A X + X A + C C^T = 0 (order n^2, tolerance 1e-6 as in the
-benchmark).  Every round solves one right-hand side with both trees, one
-after the other, and the tree that goes first switches from round to round,
-so a machine that slows for a while slows both sides of a pair alike:
+``krymat_a`` and ``krymat_b``, and solve the same equation at tolerance 1e-6,
+as in the benchmark.  ``--equation`` picks it: ``lyapunov`` (the default),
+A X + X A + C C^T = 0 with A from fd2d-exp; ``two-sided``, A X + X B +
+C1 C2^T = 0 on the fd2d-pair problem (A from fd2d-exp, B from fd2d-trig);
+or ``one-sided``, the same equation on the fd3d-split problem, with the
+small B dense.  A is of order n^2; C2 comes from the seed plus one, as in
+``krymat solve-sylv``.  Every round solves one right-hand side with both
+trees, one after the other, and the tree that goes first switches from
+round to round, so a machine that slows for a while slows both sides of a
+pair alike:
 
     python tools/ab_inprocess.py OLD/src NEW/src --n 24 --s 2 \\
-        --storage windowed --d 1 --seeds 1101-1110
+        --storage windowed --d 1 --seeds 1101-1110 [--equation two-sided]
 
 There are two rounds per seed, so each seed runs once with each tree first;
-for more rounds, pass more seeds.  Each tree builds its own operator (and,
-in the extended space, its sparse LU) before any solve is timed.  BLAS runs
-on one thread.
+for more rounds, pass more seeds.  Each tree builds its own operators (and,
+in the extended space, their sparse LUs) before any solve is timed.  BLAS
+runs on one thread.
 
 The output gives each tree's median solve time and quartiles, the number of
 rounds in which B was faster than A, the median paired difference, and
@@ -34,6 +39,9 @@ import numpy as np  # noqa: E402
 
 TOL = 1e-6
 MAX_M = 2000
+
+#: The problem kind (``krymat.problems.gen_operator``) of each equation.
+PROBLEMS = {"lyapunov": "fd2d-exp", "two-sided": "fd2d-pair", "one-sided": "fd3d-split"}
 
 
 def load_tree(src, name):
@@ -61,20 +69,35 @@ def rounds(seeds):
     return [(seed, order) for seed in seeds for order in ((0, 1), (1, 0))]
 
 
+def solver(tree, args, a, b):
+    """``solve(c1, c2)`` of ``args.equation`` with the operators and options
+    of ``tree``; every LU the extended space needs is built here, untimed."""
+    opts = tree.SolveOptions(tol=TOL, max_m=MAX_M, check_period=args.d,
+                             space=args.space, storage=args.storage)
+    ops = [tree.SparseOperator(a)]
+    if args.equation == "two-sided":
+        ops.append(tree.SparseOperator(b))
+    if args.space == "extended":
+        for op in ops:
+            op.factorization()
+    if args.equation == "lyapunov":
+        return lambda c1, c2: tree.solve_lyapunov(ops[0], c1, opts)
+    if args.equation == "two-sided":
+        return lambda c1, c2: tree.solve_sylvester_two_sided(*ops, c1, c2, opts)
+    b_dense = b.toarray()
+    return lambda c1, c2: tree.solve_sylvester_one_sided(ops[0], b_dense, c1, c2, opts)
+
+
 def run(args):
     trees = [load_tree(src, name) for src, name in
              ((args.src_a, "krymat_a"), (args.src_b, "krymat_b"))]
     problems = trees[0].problems
-    a = problems.gen_fd2d("fd2d-exp", args.n)
-    rhs = {seed: problems.gen_rhs(a.shape[0], args.s, seed) for seed in args.seeds}
-    ops, opts = [], []
-    for tree in trees:
-        op = tree.SparseOperator(a)
-        if args.space == "extended":
-            op.factorization()
-        ops.append(op)
-        opts.append(tree.SolveOptions(tol=TOL, max_m=MAX_M, check_period=args.d,
-                                      space=args.space, storage=args.storage))
+    kind = PROBLEMS[args.equation]
+    a, b = problems.gen_operator(kind, args.n)
+    rhs = {seed: (problems.gen_rhs(a.shape[0], args.s, seed),
+                  None if b is None else problems.gen_rhs(b.shape[0], args.s, seed + 1))
+           for seed in args.seeds}
+    solves = [solver(tree, args, a, b) for tree in trees]
 
     times = [[], []]
     outcomes = [{}, {}]
@@ -82,12 +105,12 @@ def run(args):
     for seed, order in schedule:
         for side in order:
             tic = time.perf_counter()
-            sol = trees[side].solve_lyapunov(ops[side], rhs[seed], opts[side])
+            sol = solves[side](*rhs[seed])
             times[side].append(time.perf_counter() - tic)
             outcomes[side][seed] = (sol.iterations, sol.rank, sol.final_residual)
 
-    print("fd2d-exp(%d), order %d, s=%d, %s %s, d=%d, seeds %s, %d rounds" % (
-        args.n, a.shape[0], args.s, args.space, args.storage, args.d,
+    print("%s(%d), order %d, s=%d, %s %s, d=%d, seeds %s, %d rounds" % (
+        kind, args.n, a.shape[0], args.s, args.space, args.storage, args.d,
         ",".join(map(str, args.seeds)), len(schedule)))
     for label, src, t in (("A", args.src_a, times[0]), ("B", args.src_b, times[1])):
         q1, med, q3 = np.percentile(t, [25, 50, 75])
@@ -105,6 +128,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a", help="source tree A (the directory holding krymat/)")
     parser.add_argument("src_b", help="source tree B")
+    parser.add_argument("--equation", choices=tuple(PROBLEMS), default="lyapunov",
+                        help="equation to solve, each on its own problem (see above)")
     parser.add_argument("--n", type=int, required=True, help="grid size; order n^2")
     parser.add_argument("--s", type=int, required=True, help="right-hand side columns")
     parser.add_argument("--space", choices=("standard", "extended"), default="standard")
