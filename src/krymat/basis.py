@@ -17,7 +17,9 @@ band that holds T and every coupling block.  Both step functions share one
 orthogonalize-and-factor skeleton, and every step writes T's new blocks into
 the band once, so T at any step is a view of it.  A residual block that is
 numerically zero means the space became invariant: the step completes T
-with a zero coupling block and marks the basis exhausted.
+with a zero coupling block and marks the basis exhausted.  A basis of n
+columns whose residual block is rounding is exhausted too, with that block
+kept as T's coupling, so no basis outgrows a space it spans.
 """
 
 import math
@@ -37,6 +39,13 @@ from .kernels import BlockTridiagonal, economy_qr, rank_deficient
 #: Residual blocks below this size (relative to the unorthogonalized block)
 #: mean the Krylov space hit an invariant subspace: the projection is exact.
 ZERO_BLOCK_TOL = 1e-13
+
+#: Once the basis has n columns no new direction exists, so a residual block
+#: below this size (relative as above, about sqrt(eps)) is the rounding of a
+#: basis that spans the whole space: the basis gets no further block.  A
+#: larger one means the recurrence lost orthogonality before reaching n, and
+#: it runs on past the order, as Lanczos does.
+ORDER_BLOCK_TOL = 1e-8
 
 
 class KrylovBasis:
@@ -72,8 +81,8 @@ class KrylovBasis:
         self.gamma = r0[:, : self.s]
         self.r_last = r0
         self.last_diag_sum = None
-        # set when the space became invariant: the projection is exact and
-        # the coupling to any further block is zero
+        # set when the space became invariant, or spans all n dimensions:
+        # the basis gets no further block
         self.exhausted = False
         self._band = np.empty((self.ell + 1, 8 * self.ell), order="F")  # 8 steps
         q = np.arange(self.ell)
@@ -246,7 +255,10 @@ def _next_block(op, basis):
     ``basis.r_last`` to the R factor of the new block and returns the new
     block with the Gram-Schmidt sum against the current block.  A
     numerically zero residual block means the space became invariant: the
-    new block is then None and its R factor zero.
+    new block is then None and its R factor zero.  Once the basis holds
+    ``op.n`` columns, a block below ORDER_BLOCK_TOL also ends the space: the
+    new block is None, but its R factor is kept as T's coupling block, so a
+    check at this step measures the residual the rounding leaves.
     """
     if basis.exhausted:
         raise DeflationUnsupportedError("the Krylov space is already invariant")
@@ -262,8 +274,11 @@ def _next_block(op, basis):
         check_finite(np.linalg.norm(w[:, : basis.s]), context % basis.m, "apply")
         check_finite(scale, context % basis.m, "solve")
     w, diag_sum = mgs_twice(w, older, current)
-    if np.linalg.norm(w) <= ZERO_BLOCK_TOL * scale:
+    left = np.linalg.norm(w)
+    if left <= ZERO_BLOCK_TOL * scale:
         v_next, r = None, np.zeros((basis.ell, basis.ell))
+    elif basis.m * basis.ell >= op.n and left <= ORDER_BLOCK_TOL * scale:
+        v_next, r = None, economy_qr(w)[1]  # T keeps the coupling it has
     else:
         v_next, r = _qr_new_block(w, context % basis.m)
     basis.r_last = r
@@ -308,7 +323,5 @@ def extended_step(op, basis):
     # X R = rhs as R^T X^T = rhs^T
     strip[:, s:] = scipy.linalg.solve_triangular(r_prev[s:, s:], rhs.T, lower=False,
                                                  trans="T").T
-    if v_next is None:
-        strip[ell:] = 0.0
     basis.last_diag_sum = diag_sum
     basis._record(strip, v_next)

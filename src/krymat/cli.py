@@ -58,7 +58,10 @@ def _add_common_options(parser):
 def _add_iteration_options(parser):
     parser.add_argument("--tol", type=float)
     parser.add_argument("--max-m", dest="max_m", type=int)
-    parser.add_argument("--check-period", dest="check_period", type=int)
+    parser.add_argument("--check-period", dest="check_period", type=int, metavar="D",
+                        help="stop at the first multiple of D iterations whose "
+                             "residual meets --tol; solves check a growing subset "
+                             "of those steps, bench-residual checks each one")
     parser.add_argument("--space", choices=("standard", "extended"))
 
 

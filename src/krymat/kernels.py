@@ -95,7 +95,8 @@ def economy_qr(w):
     input), which the two-pass basis regeneration relies on.  A single
     column is normalized directly: a zero column gives R = 0, so
     ``rank_deficient`` flags it, and Q = e_1 as from Householder QR, and a
-    column whose norm is not finite raises FactorizationError.  Wider blocks
+    column whose norm is not finite raises FactorizationError, as does a
+    wider block whose R has a diagonal entry that is not finite.  Wider blocks
     go straight to LAPACK's ``dgeqrf`` and ``dorgqr``, the calls that
     ``scipy.linalg.qr(mode="economic")`` makes, without its wrapper, and
     with the optimal workspace that scipy queries, so a block wide enough
@@ -118,6 +119,8 @@ def economy_qr(w):
     lwork = int(lapack.dgeqrf_lwork(n, c)[0])
     qr, tau, _, _ = lapack.dgeqrf(w, lwork=lwork)
     r = qr[:c].copy()
+    if not np.isfinite(r.diagonal()).all():  # a NaN or inf in w spreads to it
+        raise FactorizationError("QR of a block with a non-finite entry")
     for i in range(1, c):  # R is the upper triangle; at these widths this
         r[i, :i] = 0.0     # loop costs less than np.triu's mask
     q, _, _ = lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)

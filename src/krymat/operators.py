@@ -39,6 +39,11 @@ def validate_symmetric(a, name="matrix"):
         i = np.searchsorted(a.indptr, k, side="right") - 1
         raise KrymatError("%s entry (%d, %d) = %.17g is not finite"
                           % (name, i, a.indices[k], a.data[k]))
+    if a.has_canonical_format:  # then equal CSR arrays mean equal matrices
+        t = a.T.tocsr()
+        if (np.array_equal(t.indptr, a.indptr) and np.array_equal(t.indices, a.indices)
+                and np.array_equal(t.data, a.data)):
+            return a
     diff = (a - a.T).tocoo()
     bad = diff.data != 0.0
     if bad.any():

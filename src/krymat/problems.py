@@ -43,29 +43,23 @@ def gen_fd2d(kind, n):
         return v.reshape(-1, order="F")
 
     size = n * n
-    diag = -flat(a_east + a_west + b_north + b_south)
-    rows = [np.arange(size)]
-    cols = [np.arange(size)]
-    vals = [diag]
-    # east neighbour (i+1, j): a at the shared interface x_{i+1/2}
+    # east neighbour (i+1, j): a at the shared interface x_{i+1/2}, with no
+    # coupling across the x boundary; north neighbour (i, j+1): b at y_{j+1/2}
     east = flat(a_east)[: size - 1].copy()
-    east[n - 1:: n] = 0.0  # no coupling across the x boundary
-    nz = east != 0.0
-    i = np.arange(size - 1)[nz]
-    rows += [i, i + 1]
-    cols += [i + 1, i]
-    vals += [east[nz], east[nz]]
-    # north neighbour (i, j+1): b at the shared interface y_{j+1/2}
+    east[n - 1:: n] = 0.0
     north = flat(b_north)[: size - n]
-    i = np.arange(size - n)
-    rows += [i, i + n]
-    cols += [i + n, i]
-    vals += [north, north]
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
-    return mat.tocsr()
+    # row i holds entries (i, i + k), k = -n, -1, 0, 1, n, in column order;
+    # zeros (boundary pairs and neighbours off the grid) are not stored
+    vals = np.zeros((size, 5))
+    vals[n:, 0] = vals[: size - n, 4] = north
+    vals[1:, 1] = vals[: size - 1, 3] = east
+    vals[:, 2] = -flat(a_east + a_west + b_north + b_south)
+    index = np.int32 if 5 * size < 2**31 else np.int64  # as scipy would pick
+    cols = np.arange(size, dtype=index)[:, None] + np.array([-n, -1, 0, 1, n], index)
+    stored = vals != 0.0
+    indptr = np.zeros(size + 1, dtype=index)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((vals[stored], cols[stored], indptr), shape=(size, size))
 
 
 def laplacian1d(n):

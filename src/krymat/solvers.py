@@ -1,9 +1,10 @@
 """Outer Galerkin drivers.
 
 All three solvers run one loop that grows a block Krylov basis per large
-coefficient matrix and, every ``check_period`` iterations, evaluates the
-relative residual norm with the solver's cheap projected formula, which
-forms the reduced solution in eigen coordinates.  At convergence the solver
+coefficient matrix and, at a growing subset of the multiples of
+``check_period``, evaluates the relative residual norm with the solver's
+cheap projected formula, which forms the reduced solution in eigen
+coordinates (see ``_galerkin``).  At convergence the solver
 truncates that check's reduced solution, as the check formed it, and maps
 it back through the check's eigenvectors and the basis, one workspace of
 blocks at a time, with no further eigensolve.  The blocks come from
@@ -12,6 +13,7 @@ kept in memory, from a second Lanczos pass that regenerates it block by
 block while the solution factor accumulates.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -52,9 +54,12 @@ HISTORY_COLUMNS = (
 class SolveOptions:
     """Knobs of the outer iteration.
 
-    ``check_period`` is the d of the papers' experiments: the residual is
-    evaluated every d iterations, accepting up to d-1 overshoot iterations.
-    It may not exceed ``max_m``, or the solve would end without a check.
+    ``check_period`` is the d of the papers' experiments: the solve stops at
+    the first multiple of d iterations whose residual meets ``tol``,
+    accepting up to d-1 overshoot iterations.  It checks a growing subset of
+    those steps, and, once one meets ``tol``, the ones it skipped (see
+    ``_galerkin``).  It may not exceed ``max_m``, or the solve would end
+    without a check.
     """
 
     tol: float = 1e-6
@@ -93,8 +98,11 @@ class LowRankSolution:
     """Low-rank factors with convergence history and cost telemetry.
 
     ``z2`` is None for Lyapunov solutions (X ~ Z Z^T); Sylvester solutions
-    carry both factors (X ~ Z1 Z2^T).  History rows follow
-    ``HISTORY_COLUMNS``.
+    carry both factors (X ~ Z1 Z2^T).  ``history`` has one row per residual
+    check made, in the order made, with the columns ``HISTORY_COLUMNS``: m
+    steps back where the skipped steps are checked, the cumulative timers
+    never decrease, and the last row is (``iterations``, its space
+    dimension, ``final_residual``, ...).
     """
 
     z1: np.ndarray
@@ -149,9 +157,9 @@ def true_sylvester_residual(op_a, z1, z2, c1, c2, apply_b):
     return float(np.linalg.norm(r_u @ r_w.T))
 
 
-def _regenerated(op, basis):
-    """The first ``basis.n_t_blocks`` basis blocks again, from a second
-    Lanczos pass that starts at ``basis.v1``.
+def _regenerated(op, basis, m):
+    """The first m basis blocks again, from a second Lanczos pass that
+    starts at ``basis.v1``.
 
     The Gram-Schmidt coefficients are recomputed rather than substituted
     from the first pass: replaying the bare three-term recurrence with fixed
@@ -172,7 +180,7 @@ def _regenerated(op, basis):
     v = basis.v1
     yield v
     older = None
-    for i in range(2, basis.n_t_blocks + 1):
+    for i in range(2, m + 1):
         # first s columns of the joint orthogonalization (all of them in
         # standard mode): MGS acts per column, and the leading s columns of
         # the joint QR factor equal the QR of the first half-block alone
@@ -196,7 +204,9 @@ def _regenerated(op, basis):
 
 
 def two_pass_recover(op, basis, qy):
-    """The solution factor Z = V Q Ycheck = sum_i V_i (E_i^T Q Ycheck).
+    """The solution factor Z = V Q Ycheck = sum_i V_i (E_i^T Q Ycheck), over
+    the first m = rows(Q Ycheck) / ell blocks: the stopping check's step,
+    which may lie before the basis's last.
 
     The blocks V_i come from ``basis.stored`` in stored mode and from a
     second Lanczos pass in windowed mode, which never holds more than the
@@ -209,8 +219,8 @@ def two_pass_recover(op, basis, qy):
     temporary is made.  Like Z, the workspace is recovery storage:
     ``peak_basis_vectors`` counts the basis window only.
     """
-    ell, m = basis.ell, basis.n_t_blocks
-    blocks = basis.stored[:m] if basis.stored is not None else _regenerated(op, basis)
+    ell, m = basis.ell, qy.shape[0] // basis.ell
+    blocks = basis.stored[:m] if basis.stored is not None else _regenerated(op, basis, m)
     buf = np.empty((op.n, min(max(RECOVERY_COLUMNS // ell, 1), m) * ell), order="F")
     z = np.zeros((op.n, qy.shape[1]))
 
@@ -233,24 +243,66 @@ def two_pass_recover(op, basis, qy):
     return z
 
 
+def _next_gap(gap, d, tol, previous, current):
+    """Steps from a check that missed tol, with relative residual ``current``,
+    to the next one, ``gap`` steps after a check that read ``previous`` (None
+    for the first check).  Half the steps that the log-residual slope between
+    the two predicts to tol, at most twice ``gap``, rounded down to a multiple
+    of d and at least d; d when the residual did not fall."""
+    if previous is None or not current < previous:
+        return d
+    slope = (math.log(current) - math.log(previous)) / gap  # < 0, or -inf
+    predicted = (math.log(tol) - math.log(current)) / slope  # > 0, or 0
+    return max(int(min(predicted / 2, 2 * gap) // d) * d, d)
+
+
 def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
     """The outer loop of every solver: one basis per (operator, right-hand
-    side) pair, each stepped until it alone becomes invariant.  Every
-    ``check_period`` iterations, and once all are invariant, ``residual``
-    gets the projection (T, gamma, tau) of each basis; at convergence
-    ``reduce`` gets that check's ResidualValue and each basis and returns
-    Z1, Z2 (None for Lyapunov) and the truncation's discarded mass, and with
-    ``opts.verify`` ``true_residual(z1, z2)`` gives the verified relative
-    residual.
+    side) pair, each stepped until it alone becomes invariant.
+
+    The solve stops at the first multiple of d = ``check_period`` at which
+    the residual meets tol, or, if all bases become invariant first, at that
+    step, but it checks only a growing subset of those multiples: the first
+    at d, each later one ``_next_gap`` steps on, and the last multiple of d
+    within ``max_m``, plus the step at which every basis is exhausted.  A
+    check that meets tol is followed by checks of the multiples of d that it
+    skipped, in increasing order, on the leading blocks of each projection
+    (T at step m is a view of the band, so each equals the check that step
+    would have made); the first of them that meets tol is the stop, and
+    otherwise the check that met it.  This relies on the residual not
+    falling below tol and rising above it again between two checks.
+
+    A check passes ``residual`` the projection (T, gamma, tau) of each basis;
+    a basis exhausted before the checked step gives its full projection.
+    ``reduce`` gets the stopping check's ResidualValue and each basis and
+    returns Z1, Z2 (None for Lyapunov) and the truncation's discarded mass,
+    and with ``opts.verify`` ``true_residual(z1, z2)`` gives the verified
+    relative residual.  History rows are the checks made, in the order made,
+    each with the cumulative timers when it was recorded; only when no
+    skipped step meets tol does the row of the check that met it move after
+    the scan's rows.  So m steps back where a skipped step is the stop, the
+    timers never decrease, and the last row is the stop.
     """
     step = lanczos_step if opts.space == "standard" else extended_step
     tic = time.perf_counter()
     bases = [init_basis(op, c, space=opts.space, storage=opts.storage)
              for op, c in zip(ops, rhss)]
     t_basis, t_res = time.perf_counter() - tic, 0.0
+    d, history = opts.check_period, []
 
-    history = []
-    rv = None
+    def check(m):
+        nonlocal t_res
+        tic = time.perf_counter()
+        rv = residual(*[(b.projected_matrix(min(m, b.n_t_blocks)), b.gamma,
+                         b.coupling_upper(min(m, b.n_t_blocks))) for b in bases])
+        t_res += time.perf_counter() - tic
+        return rv
+
+    def record(m, rv):
+        history.append((m, m * bases[0].ell, rv.relative, t_basis, t_res))
+
+    last = 0  # the step of the last check
+    due, final, previous = d, opts.max_m // d * d, None
     for it in range(1, opts.max_m + 1):
         tic = time.perf_counter()
         for op, basis in zip(ops, bases):
@@ -258,26 +310,36 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
                 step(op, basis)
         t_basis += time.perf_counter() - tic
         exhausted = all(basis.exhausted for basis in bases)
-        if it % opts.check_period == 0 or exhausted:
-            tic = time.perf_counter()
-            rv = None  # frees the last check's k x k eigen-data before the next
-            rv = residual(*[(b.projected_matrix(), b.gamma, b.coupling_upper())
-                            for b in bases])
-            t_res += time.perf_counter() - tic
-            history.append((it, it * bases[0].ell, rv.relative, t_basis, t_res))
-            if rv.relative <= opts.tol:
-                break
-            if exhausted:
-                spaces = "both Krylov spaces" if len(bases) > 1 else "the Krylov space"
-                raise ConvergenceError(
-                    "%s became invariant at m=%d without meeting the tolerance "
-                    "(residual %.3e)" % (spaces, it, rv.relative),
-                    history,
-                )
+        if it != due and not exhausted:
+            continue
+        rv = None  # frees the last check's k x k eigen-data before the next
+        rv = check(it)
+        if rv.relative <= opts.tol:
+            met = len(history)
+            record(it, rv)
+            for m in range(last + d, it, d):  # the multiples of d skipped
+                earlier = check(m)
+                record(m, earlier)
+                if earlier.relative <= opts.tol:
+                    it, rv = m, earlier
+                    break
+            else:  # the check that met tol is the stop: its row goes last
+                history.append(history.pop(met)[:3] + (t_basis, t_res))
+            break
+        record(it, rv)
+        if exhausted:
+            spaces = "both Krylov spaces" if len(bases) > 1 else "the Krylov space"
+            raise ConvergenceError(
+                "%s became invariant at m=%d without meeting the tolerance "
+                "(residual %.3e)" % (spaces, it, rv.relative),
+                history,
+            )
+        gap = _next_gap(it - last, d, opts.tol, previous, rv.relative)
+        last, previous, due = it, rv.relative, min(it + gap, final)
     else:
         raise ConvergenceError(
-            "no convergence to %.1e within %d iterations (last residual %s)"
-            % (opts.tol, opts.max_m, "%.3e" % rv.relative if rv else "never checked"),
+            "no convergence to %.1e within %d iterations (last residual %.3e)"
+            % (opts.tol, opts.max_m, rv.relative),
             history,
         )
 

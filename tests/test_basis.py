@@ -288,3 +288,35 @@ def test_global_orthogonality_moderate_run():
         lanczos_step(op, basis)
     v = _full_basis(basis, 40)
     assert np.linalg.norm(v.T @ v - np.eye(80)) <= 1e-8
+
+
+# (n, s, space) whose bases keep orthogonality up to n columns, where the
+# block left at k = n is rounding: stepping on would add columns of noise
+@pytest.mark.parametrize("n, s, space", [
+    (16, 2, "standard"), (16, 2, "extended"), (20, 2, "standard"),
+    (20, 2, "extended"), (40, 1, "standard"), (40, 2, "standard"),
+])
+def test_basis_stops_at_the_order(n, s, space):
+    op = SparseOperator(laplacian1d(n))
+    step = lanczos_step if space == "standard" else extended_step
+    for seed in range(10):
+        basis = init_basis(op, np.random.default_rng(seed).random((n, s)), space=space)
+        while not basis.exhausted and basis.n_t_blocks * basis.ell <= n:
+            step(op, basis)
+        assert basis.exhausted and basis.n_t_blocks * basis.ell == n, seed
+        v = np.concatenate(basis.stored, axis=1)  # no block past the order
+        assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-6
+        proj = v.T @ op.apply(v)
+        t = basis.projected_matrix().to_dense()
+        assert np.linalg.norm(proj - t) <= 1e-6 * np.linalg.norm(proj)
+
+
+def test_basis_that_lost_orthogonality_runs_past_the_order():
+    # a geometric spectrum loses orthogonality long before 40 steps: the
+    # block left at k = n is not rounding, so the recurrence runs on, as
+    # Lanczos does, rather than claim an exact projection
+    op = _diag_op(-np.geomspace(0.1, 1e3, 40))
+    basis = init_basis(op, np.random.default_rng(1).standard_normal((40, 1)))
+    for _ in range(45):
+        lanczos_step(op, basis)
+    assert not basis.exhausted and basis.n_t_blocks == 45

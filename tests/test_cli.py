@@ -50,7 +50,11 @@ class TestSolveLyap:
         assert z.shape[1] == summary["rank"]
         header, *rows = (tmp_path / "history.csv").read_text().splitlines()
         assert header == "m,space_dim,relative_residual,cum_basis_secs,cum_residual_secs"
-        assert len(rows) == summary["iterations"]
+        # a row per check made, on a growing schedule: the last is the stop
+        assert len(rows) < summary["iterations"]
+        m, _, res = rows[-1].split(",")[:3]
+        assert int(m) == summary["iterations"]
+        assert float(res) == summary["final_relative_residual"]
 
     def test_asymmetric_input_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
@@ -144,7 +148,10 @@ class TestSolveSylv:
             "--seed", 2, "--tol", "1e-12", "--max-m", 4, "--out", tmp_path,
         ]) == 1
         assert "no convergence" in capsys.readouterr().err
-        assert len((tmp_path / "history.csv").read_text().splitlines()) == 5
+        # a row per check made: the first at m = 1, the last forced at max_m
+        _, *rows = (tmp_path / "history.csv").read_text().splitlines()
+        steps = [int(row.split(",")[0]) for row in rows]
+        assert steps[0] == 1 and steps[-1] == 4 and steps == sorted(set(steps))
 
     # B of order 3 beside A of order 4 is solved one-sided, of order 4
     # two-sided (through its own operator); either way the error names B

@@ -49,6 +49,14 @@ class TestEconomyQR:
         assert np.linalg.norm(r2 - np.eye(5)) <= 1e-12
         assert np.allclose(q2, q)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("row, col", [(0, 0), (3, 1), (5, 1)])
+    def test_non_finite_block_raises(self, bad, row, col):
+        w = np.random.default_rng(3).random((6, 2))
+        w[row, col] = bad
+        with pytest.raises(FactorizationError, match="non-finite"):
+            economy_qr(w)
+
     def test_rank_deficiency_detection(self):
         u = np.ones((10, 1))
         w = np.hstack([u, 2.0 * u])

@@ -58,6 +58,18 @@ class TestValidation:
         a = validate_symmetric(laplacian1d(5))
         assert a.shape == (5, 5)
 
+    def test_symmetric_in_any_storage_order_accepted(self):
+        # unsorted column indices and a duplicate entry leave the CSR arrays
+        # unequal to the transpose's, so the entry-wise comparison decides
+        a = sp.csr_matrix((np.array([1.0, -2.0, 0.5, 0.5, 1.0, -2.0]),
+                           np.array([1, 0, 1, 1, 0, 1]), np.array([0, 2, 6])),
+                          shape=(2, 2))
+        assert not a.has_canonical_format
+        assert (validate_symmetric(a).toarray() == [[-2.0, 1.0], [1.0, -1.0]]).all()
+        a.data[0] = 1.5  # entry (0, 1)
+        with pytest.raises(AsymmetricMatrixError, match=r"\(0, 1\) = 1.5 but \(1, 0\) = 1$"):
+            validate_symmetric(a)
+
 
 class TestBlockApply:
     def test_identity(self):

@@ -6,8 +6,43 @@ from scipy.stats import kstest
 
 from krymat.operators import validate_symmetric
 from krymat.problems import (
-    PROBLEM_KINDS, gen_fd2d, gen_fd3d_split, gen_operator, gen_rhs, laplacian1d,
+    FD2D_KINDS, PROBLEM_KINDS, _coefficients, gen_fd2d, gen_fd3d_split, gen_operator,
+    gen_rhs, laplacian1d,
 )
+
+
+def _fd2d_by_triplets(kind, n):
+    """The five-point operator assembled from (row, column, value) triplets
+    through COO, the pairs across the x boundary left out: the reference
+    that the CSR arrays ``gen_fd2d`` builds directly must equal."""
+    a_fun, b_fun = _coefficients(kind)
+    h = 1.0 / (n + 1)
+    idx = np.arange(1, n + 1) * h
+    x, y = np.meshgrid(idx, idx, indexing="ij")
+    a_east, a_west = a_fun(x + 0.5 * h, y) / h**2, a_fun(x - 0.5 * h, y) / h**2
+    b_north, b_south = b_fun(x, y + 0.5 * h) / h**2, b_fun(x, y - 0.5 * h) / h**2
+
+    def flat(v):
+        return v.reshape(-1, order="F")
+
+    size = n * n
+    rows, cols = [np.arange(size)], [np.arange(size)]
+    vals = [-flat(a_east + a_west + b_north + b_south)]
+    east = flat(a_east)[: size - 1].copy()
+    east[n - 1:: n] = 0.0
+    nz = east != 0.0
+    i = np.arange(size - 1)[nz]
+    rows += [i, i + 1]
+    cols += [i + 1, i]
+    vals += [east[nz], east[nz]]
+    north = flat(b_north)[: size - n]
+    i = np.arange(size - n)
+    rows += [i, i + n]
+    cols += [i + n, i]
+    vals += [north, north]
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(size, size)).tocsr()
 
 
 class TestFd2d:
@@ -32,6 +67,15 @@ class TestFd2d:
             a = gen_fd2d(kind, 16)
             lam_max = np.linalg.eigvalsh(a.toarray())[-1]
             assert lam_max < 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 24])
+    @pytest.mark.parametrize("kind", FD2D_KINDS)
+    def test_csr_arrays_equal_the_triplet_assembly(self, kind, n):
+        a, ref = gen_fd2d(kind, n), _fd2d_by_triplets(kind, n)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, name), getattr(ref, name)), name
+        assert a.indices.dtype == a.indptr.dtype == ref.indices.dtype == np.int32
+        assert a.has_canonical_format
 
     def test_definiteness_diagnostic_passes(self):
         for kind in ("fd2d-exp", "fd2d-trig", "laplacian2d"):

@@ -31,6 +31,7 @@ from krymat import (
     two_pass_recover,
 )
 from krymat.problems import gen_fd2d, gen_rhs, laplacian1d
+from krymat.residual import ctri_lyapunov, ctri_sylvester
 from krymat.solvers import RECOVERY_COLUMNS
 
 from conftest import (
@@ -666,12 +667,12 @@ def test_non_finite_tolerance_is_rejected(field, value):
         SolveOptions(**{field: value})
 
 
-def _solve(solver, sign, opts):
+def _solve(solver, sign, opts, s=2):
     """One small solve of each kind on A = sign * fd2d-exp (order 64, negative
     definite for sign 1), with B = sign * fd2d-trig two-sided and a small
-    negative definite B one-sided."""
+    negative definite B one-sided, right-hand sides of s columns."""
     a, b = sign * gen_fd2d("fd2d-exp", 8), sign * gen_fd2d("fd2d-trig", 8)
-    c1, c2 = gen_rhs(64, 2, seed=61), gen_rhs(64, 2, seed=62)
+    c1, c2 = gen_rhs(64, s, seed=61), gen_rhs(64, s, seed=62)
     if solver == "lyapunov":
         return solve_lyapunov(SparseOperator(a), c1, opts)
     if solver == "two-sided":
@@ -689,9 +690,9 @@ def test_no_projection_after_the_converged_check(monkeypatch, solver, space):
     calls = []
     projected_matrix = KrylovBasis.projected_matrix
 
-    def counted(basis):
+    def counted(basis, m=None):
         calls.append(basis)
-        return projected_matrix(basis)
+        return projected_matrix(basis, m)
 
     monkeypatch.setattr(KrylovBasis, "projected_matrix", counted)
     sol = _solve(solver, 1.0, SolveOptions(tol=1e-8, max_m=64, check_period=2,
@@ -777,3 +778,115 @@ def test_factor_does_not_depend_on_eigenvector_signs(monkeypatch, solver, proble
     assert calls["reduced_solution"] == len(sol.history)
     projections = 2 if solver == "two-sided" else 1
     assert calls["dstevd"] + calls["dsbevd"] == projections * len(sol.history)
+
+
+def _schedule_problem(solver, s):
+    """The operators, right-hand sides and residual check of ``_solve``'s
+    problems, formed as the solver forms them."""
+    a, c1, c2 = SparseOperator(gen_fd2d("fd2d-exp", 8)), gen_rhs(64, s, 61), gen_rhs(
+        64, s, 62)
+    if solver == "lyapunov":
+        beta2 = float(np.linalg.norm(c1) ** 2)
+        return [a], [c1], lambda proj: ctri_lyapunov(*proj, rhs_norm=beta2)
+    if solver == "two-sided":
+        rhs_norm = float(np.linalg.norm(c1) * np.linalg.norm(c2))
+        return ([a, SparseOperator(gen_fd2d("fd2d-trig", 8))], [c1, c2],
+                lambda pa, pb: ctri_sylvester(pa[0], pb[0], pa[1], pb[1], pa[2], pb[2],
+                                              rhs_norm=rhs_norm))
+    c2 = c2[:3]
+    rhs_norm = float(np.linalg.norm(c1) * np.linalg.norm(c2))
+    ups, p = np.linalg.eigh(-np.diag([1.0, 4.0, 9.0]))
+    return [a], [c1], lambda pa: ctri_sylvester(pa[0], (ups, p), pa[1], p.T @ c2, pa[2],
+                                                rhs_norm=rhs_norm)
+
+
+def _every_check(solver, s, opts):
+    """The relative residual at every multiple of d (and at the step where
+    every basis is exhausted) up to the first that meets tol, from bases
+    stepped by hand, as a loop that checks every multiple of d sees them."""
+    ops, rhss, residual = _schedule_problem(solver, s)
+    step = lanczos_step if opts.space == "standard" else extended_step
+    bases = [init_basis(op, c, space=opts.space, storage=opts.storage)
+             for op, c in zip(ops, rhss)]
+    checks = {}
+    for it in range(1, opts.max_m + 1):
+        for op, basis in zip(ops, bases):
+            if not basis.exhausted:
+                step(op, basis)
+        if it % opts.check_period == 0 or all(b.exhausted for b in bases):
+            checks[it] = residual(*[(b.projected_matrix(), b.gamma, b.coupling_upper())
+                                    for b in bases]).relative
+            if checks[it] <= opts.tol or all(b.exhausted for b in bases):
+                break
+    return checks
+
+
+@pytest.mark.parametrize("schedule", ["growing", "gaps of 8d"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("storage", ["stored", "windowed"])
+@pytest.mark.parametrize("space", ["standard", "extended"])
+@pytest.mark.parametrize("solver", ["lyapunov", "two-sided", "one-sided"])
+def test_stops_where_checking_every_multiple_of_d_stops(monkeypatch, solver, space,
+                                                         storage, s, d, schedule):
+    # gaps of 8d overshoot the stop, so the scan of the skipped steps finds it
+    if schedule != "growing":
+        monkeypatch.setattr(krymat.solvers, "_next_gap", lambda gap, d, *_: 8 * d)
+    opts = SolveOptions(tol=1e-9, max_m=64, check_period=d, space=space, storage=storage)
+    checks = _every_check(solver, s, opts)
+    stop = max(checks)
+    sol = _solve(solver, 1.0, opts, s)
+    assert (sol.iterations, sol.final_residual) == (stop, checks[stop])
+    assert sol.space_dim == stop * (s if space == "standard" else 2 * s)
+    # every row is a check that the loop above made, bit for bit, or one
+    # past the stop, and the last row is the stop
+    rows = sol.history
+    assert all(checks[m] == res for m, _, res, _, _ in rows if m <= stop)
+    assert rows[-1][:3] == (stop, sol.space_dim, sol.final_residual)
+    for column in (3, 4):  # the cumulative timers
+        assert all(a[column] <= b[column] for a, b in zip(rows, rows[1:]))
+    assert len(rows) == len(set(m for m, *_ in rows))
+
+
+@pytest.mark.parametrize("solver", ["lyapunov", "two-sided", "one-sided"])
+def test_error_at_max_m_names_the_last_multiple_of_d(solver):
+    opts = SolveOptions(tol=1e-14, max_m=17, check_period=3)
+    checks = _every_check(solver, 2, opts)
+    assert max(checks) == 15
+    with pytest.raises(ConvergenceError) as err:
+        _solve(solver, 1.0, opts)
+    assert str(err.value) == ("no convergence to 1.0e-14 within 17 iterations "
+                              "(last residual %.3e)" % checks[15])
+    assert err.value.history[-1][:3] == (15, 30, checks[15])
+
+
+@pytest.mark.parametrize("seed", [3000, 3004, 3008])
+def test_d1_monitoring_makes_few_checks(seed):
+    # the benchmark's d = 1 configuration: checking every step takes 53-58
+    # checks on these seeds, the growing schedule at most 20, same stop
+    op = SparseOperator(gen_fd2d("fd2d-exp", 24))
+    c = gen_rhs(576, 2, seed)
+    opts = SolveOptions(tol=1e-6, max_m=200, storage="windowed")
+    sol = solve_lyapunov(op, c, opts)
+    assert len(sol.history) <= 20
+    basis = init_basis(op, c, storage="windowed")
+    beta2 = float(np.linalg.norm(c) ** 2)
+    for m in range(1, sol.iterations + 1):
+        lanczos_step(op, basis)
+        rv = ctri_lyapunov(basis.projected_matrix(), basis.gamma, basis.coupling_upper(),
+                           rhs_norm=beta2)
+        assert (rv.relative <= opts.tol) == (m == sol.iterations)
+    assert rv.relative == sol.final_residual
+
+
+def test_solve_past_the_order_verifies():
+    # a basis that lost orthogonality runs past the order (see
+    # test_basis_that_lost_orthogonality_runs_past_the_order); ending it at
+    # k = n with a zero coupling would report 0.0 here and verify at 4e-3
+    opts = SolveOptions(tol=1e-10, max_m=400, check_period=5, storage="windowed",
+                        verify=True)
+    sol = solve_lyapunov(_diag_op(-np.geomspace(0.1, 1e3, 40)),
+                         np.random.default_rng(1).standard_normal((40, 1)), opts)
+    assert sol.iterations > 40
+    assert sol.verified_residual <= opts.tol
+
