@@ -34,7 +34,7 @@ from .errors import (
     KrymatError,
     NonFiniteOperatorError,
 )
-from .kernels import BlockTridiagonal, economy_qr, rank_deficient
+from .kernels import BlockTridiagonal, economy_qr, frobenius_norm, rank_deficient
 
 #: Residual blocks below this size (relative to the unorthogonalized block)
 #: mean the Krylov space hit an invariant subspace: the projection is exact.
@@ -269,12 +269,12 @@ def _next_block(op, basis):
         s = basis.s
         w = np.hstack([op.apply(current[:, :s]), op.solve(current[:, s:])])
         context = "extended step %d"
-    scale = np.linalg.norm(w)
+    scale = frobenius_norm(w)
     if not math.isfinite(scale):  # the first s columns (all, standard) were applied
         check_finite(np.linalg.norm(w[:, : basis.s]), context % basis.m, "apply")
         check_finite(scale, context % basis.m, "solve")
     w, diag_sum = mgs_twice(w, older, current)
-    left = np.linalg.norm(w)
+    left = frobenius_norm(w)
     if left <= ZERO_BLOCK_TOL * scale:
         v_next, r = None, np.zeros((basis.ell, basis.ell))
     elif basis.m * basis.ell >= op.n and left <= ORDER_BLOCK_TOL * scale:

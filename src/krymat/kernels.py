@@ -12,6 +12,7 @@ fixes them.
 Householder reference the banded eigensolve is tested against.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,6 +89,21 @@ class BlockTridiagonal:
         return lower + np.tril(lower, -1).T
 
 
+def frobenius_norm(x):
+    """||x||_F by the arithmetic of ``np.linalg.norm(x)``, to the last bit:
+    the square root of the dot product of x, flattened in memory order, with
+    itself, without the dispatch of that function."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+@functools.lru_cache(maxsize=64)
+def _qr_lwork(n, c):
+    """The optimal ``dgeqrf`` workspace for an n x c block, which ``dorgqr``
+    shares (c times the block size)."""
+    return int(scipy.linalg.lapack.dgeqrf_lwork(n, c)[0])
+
+
 def economy_qr(w):
     """Economy-size QR with the sign convention diag(R) >= 0.
 
@@ -114,9 +130,7 @@ def economy_qr(w):
             raise FactorizationError("QR of a column with a non-finite norm")
         q = w / norm if norm > 0.0 else np.eye(n, 1)
         return q, np.array([[norm]])
-    lapack = scipy.linalg.lapack
-    # dorgqr's optimal workspace is dgeqrf's, c times the block size
-    lwork = int(lapack.dgeqrf_lwork(n, c)[0])
+    lapack, lwork = scipy.linalg.lapack, _qr_lwork(n, c)
     qr, tau, _, _ = lapack.dgeqrf(w, lwork=lwork)
     r = qr[:c].copy()
     if not np.isfinite(r.diagonal()).all():  # a NaN or inf in w spreads to it
@@ -124,8 +138,7 @@ def economy_qr(w):
     for i in range(1, c):  # R is the upper triangle; at these widths this
         r[i, :i] = 0.0     # loop costs less than np.triu's mask
     q, _, _ = lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)
-    signs = np.sign(r.diagonal())
-    signs[signs == 0.0] = 1.0
+    signs = np.where(r.diagonal() < 0.0, -1.0, 1.0)
     # Q comes back in Fortran order; the basis keeps its blocks C-ordered.
     # The Gram products block.T @ w of later steps round by the block's
     # layout: a C-ordered block gives the same bits whatever w's layout, an
@@ -139,10 +152,10 @@ def rank_deficient(r):
     Uses ``|r_ii| < RANK_TOL * ||R||_F``; since ``||R||_F = ||W||_F`` the test
     is relative to the factored matrix.  The caller decides how to react.
     """
-    ref = np.linalg.norm(r)
+    ref = frobenius_norm(r)
     if ref == 0.0:
         return True
-    return bool(np.min(np.abs(np.diag(r))) < RANK_TOL * ref)
+    return bool(np.abs(r.diagonal()).min() < RANK_TOL * ref)
 
 
 def band_tridiagonalize(t):

@@ -28,7 +28,13 @@ from .errors import (
     KrymatError,
     RecurrenceMismatchError,
 )
-from .kernels import TRUNC_EPS, economy_qr, truncated_spd_factor, truncated_svd_factor
+from .kernels import (
+    TRUNC_EPS,
+    economy_qr,
+    frobenius_norm,
+    truncated_spd_factor,
+    truncated_svd_factor,
+)
 from .operators import validate_symmetric
 from .residual import ctri_lyapunov, ctri_sylvester
 
@@ -57,9 +63,10 @@ class SolveOptions:
     ``check_period`` is the d of the papers' experiments: the solve stops at
     the first multiple of d iterations whose residual meets ``tol``,
     accepting up to d-1 overshoot iterations.  It checks a growing subset of
-    those steps, and, once one meets ``tol``, the ones it skipped (see
-    ``_galerkin``).  It may not exceed ``max_m``, or the solve would end
-    without a check.
+    those steps, each aimed short of where the residual trend predicts tol,
+    and, once one meets ``tol``, searches the ones it skipped from the top
+    down for the lowest that meets it (see ``_galerkin``).  It may not
+    exceed ``max_m``, or the solve would end without a check.
     """
 
     tol: float = 1e-6
@@ -99,10 +106,12 @@ class LowRankSolution:
 
     ``z2`` is None for Lyapunov solutions (X ~ Z Z^T); Sylvester solutions
     carry both factors (X ~ Z1 Z2^T).  ``history`` has one row per residual
-    check made, in the order made, with the columns ``HISTORY_COLUMNS``: m
-    steps back where the skipped steps are checked, the cumulative timers
-    never decrease, and the last row is (``iterations``, its space
-    dimension, ``final_residual``, ...).
+    check made, with the columns ``HISTORY_COLUMNS``, in the order made but
+    for the last: m rises to the first check that meets tol, possibly past
+    the stop, then the search over the skipped steps below it follows, and
+    the stop's row moves to the end.  The cumulative timers never decrease,
+    and the last row is (``iterations``, its space dimension,
+    ``final_residual``, ...).
     """
 
     z1: np.ndarray
@@ -190,8 +199,8 @@ def _regenerated(op, basis, m):
         check_finite(coeffs.sum(), "second pass step %d" % i, "apply")
         v_new, r_hat = economy_qr(w)
         stored = basis.coupling(i - 1)[:s, :s]
-        scale = max(np.linalg.norm(stored), 1e-300)
-        if not np.linalg.norm(r_hat - stored) <= REPLAY_TOL * scale:  # NaN fails
+        scale = max(frobenius_norm(stored), 1e-300)
+        if not frobenius_norm(r_hat - stored) <= REPLAY_TOL * scale:  # NaN fails
             raise RecurrenceMismatchError(
                 "second pass regenerated a coupling block that differs from "
                 "the stored one at step %d; the operator looks nondeterministic"
@@ -243,17 +252,31 @@ def two_pass_recover(op, basis, qy):
     return z
 
 
+def _predicted_steps(tol, gap, previous, current):
+    """The steps on from a check that read relative residual ``current`` at
+    which the log-residual slope from a check ``gap`` steps before it, which
+    read ``previous``, reaches tol; None where that slope is flat or leads
+    away from tol.  The steps run forward from a check that missed tol, or
+    down from one that met it."""
+    if not (0.0 < previous and 0.0 < current and previous != current):
+        return None
+    slope = (math.log(current) - math.log(previous)) / gap
+    steps = (math.log(tol) - math.log(current)) / slope if slope else -1.0
+    return steps if steps >= 0.0 else None
+
+
 def _next_gap(gap, d, tol, previous, current):
     """Steps from a check that missed tol, with relative residual ``current``,
     to the next one, ``gap`` steps after a check that read ``previous`` (None
-    for the first check).  Half the steps that the log-residual slope between
-    the two predicts to tol, at most twice ``gap``, rounded down to a multiple
-    of d and at least d; d when the residual did not fall."""
-    if previous is None or not current < previous:
+    for the first check).  The next check is aimed at 0.9 times the steps
+    that the log-residual slope between the two predicts to tol, at most
+    twice ``gap``, rounded down to a multiple of d and at least d; d when the
+    residual did not fall."""
+    predicted = (None if previous is None else
+                 _predicted_steps(tol, gap, previous, current))
+    if predicted is None:
         return d
-    slope = (math.log(current) - math.log(previous)) / gap  # < 0, or -inf
-    predicted = (math.log(tol) - math.log(current)) / slope  # > 0, or 0
-    return max(int(min(predicted / 2, 2 * gap) // d) * d, d)
+    return max(int(min(0.9 * predicted, 2 * gap) // d) * d, d)
 
 
 def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
@@ -265,12 +288,21 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
     step, but it checks only a growing subset of those multiples: the first
     at d, each later one ``_next_gap`` steps on, and the last multiple of d
     within ``max_m``, plus the step at which every basis is exhausted.  A
-    check that meets tol is followed by checks of the multiples of d that it
-    skipped, in increasing order, on the leading blocks of each projection
-    (T at step m is a view of the band, so each equals the check that step
-    would have made); the first of them that meets tol is the stop, and
-    otherwise the check that met it.  This relies on the residual not
-    falling below tol and rising above it again between two checks.
+    check that meets tol is followed by a backward search over the
+    multiples of d that it skipped, on the leading blocks of each
+    projection (T at step m is a view of the band, so each equals the check
+    that step would have made).  This relies on the residual not falling
+    below tol and rising above it again between two checks: the skipped
+    steps that meet tol are then the highest ones, and the stop, the lowest
+    of them, is the step that a check at every multiple of d finds.  The
+    search first checks the highest skipped multiple, then jumps down to
+    where the log-residual slope of its two lowest checks that met tol
+    predicts the stop, in whole periods and at least one, or twice its last
+    jump where the slope predicts nothing, until a check misses; it then
+    bisects between that check and the lowest that met tol.  It ends when
+    no multiple of d lies between the two, or when the lowest that met tol
+    is the lowest skipped.  A stored basis may hold blocks past the stop,
+    up to the check that met tol.
 
     A check passes ``residual`` the projection (T, gamma, tau) of each basis;
     a basis exhausted before the checked step gives its full projection.
@@ -278,10 +310,9 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
     returns Z1, Z2 (None for Lyapunov) and the truncation's discarded mass,
     and with ``opts.verify`` ``true_residual(z1, z2)`` gives the verified
     relative residual.  History rows are the checks made, in the order made,
-    each with the cumulative timers when it was recorded; only when no
-    skipped step meets tol does the row of the check that met it move after
-    the scan's rows.  So m steps back where a skipped step is the stop, the
-    timers never decrease, and the last row is the stop.
+    each with the cumulative timers when it was recorded, except the stop's
+    row, which moves to the end with the timers at the search's end.  So
+    the timers never decrease and the last row is the stop.
     """
     step = lanczos_step if opts.space == "standard" else extended_step
     tic = time.perf_counter()
@@ -301,7 +332,7 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
     def record(m, rv):
         history.append((m, m * bases[0].ell, rv.relative, t_basis, t_res))
 
-    last = 0  # the step of the last check
+    last = 0  # the step of the last check, which missed tol
     due, final, previous = d, opts.max_m // d * d, None
     for it in range(1, opts.max_m + 1):
         tic = time.perf_counter()
@@ -315,16 +346,26 @@ def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
         rv = None  # frees the last check's k x k eigen-data before the next
         rv = check(it)
         if rv.relative <= opts.tol:
-            met = len(history)
             record(it, rv)
-            for m in range(last + d, it, d):  # the multiples of d skipped
+            stop = len(history) - 1  # the row of the lowest check that met tol
+            lo, above, periods = last, None, 1  # lo: the highest step that missed
+            while lo + d < it:  # a multiple of d lies between the two
+                m = max(((it - 1) // d - periods + 1) * d, lo + d)
+                earlier = None  # frees a check that missed before the next
                 earlier = check(m)
                 record(m, earlier)
                 if earlier.relative <= opts.tol:
-                    it, rv = m, earlier
-                    break
-            else:  # the check that met tol is the stop: its row goes last
-                history.append(history.pop(met)[:3] + (t_basis, t_res))
+                    above = (it, rv.relative)
+                    it, rv, stop = m, earlier, len(history) - 1
+                else:
+                    lo = m
+                if lo > last:  # a check of the search missed: bisect
+                    periods = (it - lo) // d // 2
+                else:
+                    steps = _predicted_steps(opts.tol, above[0] - it, above[1],
+                                             rv.relative)
+                    periods = 2 * periods if steps is None else max(int(steps // d), 1)
+            history.append(history.pop(stop)[:3] + (t_basis, t_res))
             break
         record(it, rv)
         if exhausted:

@@ -103,7 +103,8 @@ def test_moved_digests_counts_cases_solved_on_both_sides(capsys, tmp_path):
            ("c", SOLVED % (1e-9, "aa", "bb")), ("d", RAISED % ("1.464e-03", "aa"))]
     new = [("a", SOLVED % (1e-9, "cc", "bb")), ("b", SOLVED % (1e-9, "cc", "dd")),
            ("c", SOLVED % (1e-9, "aa", "bb")), ("d", RAISED % ("1.464e-03", "bb"))]
-    assert same_outputs.moved_digests(old, new) == {"solved": 3, "history": 1, "z": 2}
+    assert same_outputs.moved_digests(old, new) == {
+        "solved": 3, "peak": 0, "history": 1, "z": 2}
     # information only: digests that move do not fail the comparison
     paths = []
     for name, lines in (("old.txt", old), ("new.txt", new)):
@@ -112,6 +113,27 @@ def test_moved_digests_counts_cases_solved_on_both_sides(capsys, tmp_path):
     assert same_outputs.main(["--compare"] + [str(p) for p in paths]) == 0
     assert capsys.readouterr().out.endswith(
         "of 3 cases solved in both, 1 changed their history digest and 2 their "
+        "factor digest\n")
+
+
+def test_moved_digests_counts_moved_peaks(capsys, tmp_path):
+    # a stored basis whose last check ran past the stop holds more vectors;
+    # the command-line cases print no peak, so they never count as moved
+    cli = "it=9 rank=10 final=1e-09 verified=1.9e-09 z=aa history=bb"
+    old = [("a", SOLVED % (1e-9, "aa", "bb")), ("b", SOLVED % (1e-9, "aa", "bb")),
+           ("cli", cli)]
+    new = [("a", SOLVED.replace("peak=18", "peak=20") % (1e-9, "aa", "cc")),
+           ("b", SOLVED % (1e-9, "aa", "bb")), ("cli", cli)]
+    assert same_outputs.moved_digests(old, new) == {
+        "solved": 3, "peak": 1, "history": 1, "z": 0}
+    paths = []
+    for name, lines in (("old.txt", old), ("new.txt", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("".join("%s | %s\n" % line for line in lines))
+    assert same_outputs.main(["--compare"] + [str(p) for p in paths]) == 0
+    assert capsys.readouterr().out.endswith(
+        "1 of 3 cases solved in both moved their peak basis vectors\n"
+        "of 3 cases solved in both, 1 changed their history digest and 0 their "
         "factor digest\n")
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -243,7 +244,9 @@ class TestTwoPass:
         sol = solve_lyapunov(op, gen_rhs(100, s, seed=7),
                              SolveOptions(tol=1e-8, space=space, storage=storage))
         ell = s if space == "standard" else 2 * s
-        m = sol.iterations + 1  # blocks V_1 .. V_m were made
+        # the check that met tol may lie past the stop: blocks V_1 .. V_m
+        # were made, m one past the largest step checked
+        m = max(row[0] for row in sol.history) + 1
         assert sol.iterations >= 2
         if storage == "stored":
             expected = ell * (m - 1)  # the in-flight block is not counted
@@ -846,6 +849,69 @@ def test_stops_where_checking_every_multiple_of_d_stops(monkeypatch, solver, spa
     for column in (3, 4):  # the cumulative timers
         assert all(a[column] <= b[column] for a, b in zip(rows, rows[1:]))
     assert len(rows) == len(set(m for m, *_ in rows))
+
+
+def _synthetic_galerkin(curve, d):
+    """``_galerkin`` on an s = 1 Lanczos basis, with the relative residual of
+    step m read off ``curve(m)`` instead of computed; the solution and the
+    steps checked, in the order checked."""
+    op = SparseOperator(gen_fd2d("fd2d-exp", 12))  # order 144
+    checked = []
+
+    def residual(proj):
+        checked.append(proj[0].dim)  # s = 1: T_m has order m
+        return SimpleNamespace(relative=curve(checked[-1]))
+
+    def reduce(rv, basis):
+        return np.zeros((op.n, 1)), None, 0.0
+
+    opts = SolveOptions(tol=1e-6, max_m=60, check_period=d)
+    return krymat.solvers._galerkin([op], [gen_rhs(144, 1, seed=5)], opts, residual,
+                                    reduce, None), checked
+
+
+# the checks of the backward search below the check at 32 that met tol, and
+# the stop, per tail of the curve and d
+BACKWARD_SEARCH = {
+    ("steep", 1): ([31, 25, 24], 25),  # the slope of 32 and 31 predicts 25
+    ("steep", 2): ([30, 26, 24], 26),
+    ("flat", 1): ([31, 29, 25, 17], 17),  # no slope: the jumps double
+    ("flat", 2): ([30, 26, 18], 18),
+    ("bracket", 1): ([31, 29, 25, 17, 21, 19, 20], 21),  # 17 misses: bisect
+    ("bracket", 2): ([30, 26, 18, 22, 20], 22),
+}
+
+
+@pytest.mark.parametrize("tail", ["steep", "flat", "bracket"])
+@pytest.mark.parametrize("d, forward", [(1, [1, 2, 4, 8, 16]), (2, [2, 4, 8, 16])],
+                         ids=["d1", "d2"])
+def test_backward_search_from_a_check_past_the_stop(d, forward, tail):
+    # the residual falls a tenth of a decade a step to m = 16, so the gaps
+    # double and the check after 16 is aimed at 32; past 16 it falls far
+    # faster than that slope predicts: half a decade a step ("steep"), at
+    # once to 1e-9, where every skipped step meets tol ("flat"), or to 1e-9
+    # from m = 21 after a plateau at 1e-3 ("bracket")
+    def curve(m):
+        if m <= 16:
+            return 10.0 ** (-0.1 * m)
+        if tail == "steep":
+            return 10.0 ** (-1.6 - 0.5 * (m - 16))
+        return 1e-3 if tail == "bracket" and m <= 20 else 1e-9
+
+    sol, checked = _synthetic_galerkin(curve, d)
+    met, (search, stop) = 32, BACKWARD_SEARCH[tail, d]
+    assert stop == next(m for m in range(d, 61, d) if curve(m) <= 1e-6)
+    assert met - stop >= 2 * d  # the aim overshot by two periods or more
+    assert (sol.iterations, sol.final_residual) == (stop, curve(stop))
+    assert checked == forward + [met] + search
+    # fewer checks than a walk down from the met check to the first miss
+    assert len(search) < len([m for m in range(met - d, forward[-1], -d)
+                              if m >= stop - d])
+    rows = [row[0] for row in sol.history]
+    assert rows == [m for m in checked if m != stop] + [stop]
+    assert sol.history[-1][:3] == (stop, stop, curve(stop))
+    for column in (3, 4):  # the cumulative timers
+        assert all(a[column] <= b[column] for a, b in zip(sol.history, sol.history[1:]))
 
 
 @pytest.mark.parametrize("solver", ["lyapunov", "two-sided", "one-sided"])

@@ -45,11 +45,12 @@ that verifies.  The digests are not compared, so ``bench-residual``'s
 line is compared by its counts alone.  ``--compare`` applies that
 rule, prints each case that breaks it and the largest relative changes of a
 final and of a verified residual, and exits 1 on a violation.  It also
-prints how many solved cases changed their history digest and how many
-changed their factor digest; those counts only inform, they do not change
-the exit status.  It only reads the two files, so it runs without
-``krymat`` on the path; the library is imported only where cases are
-solved:
+prints how many solved cases moved their peak basis vectors, which a stored
+basis whose last check ran past the stop raises, how many changed their
+history digest and how many changed their factor digest; those counts only
+inform, they do not change the exit status.  It only reads the two
+files, so it runs without ``krymat`` on the path; the library is imported
+only where cases are solved:
 
     python tools/same_outputs.py --compare old.txt new.txt
 """
@@ -349,14 +350,16 @@ def compare(old, new):
 
 def moved_digests(old, new):
     """How many cases are solved on both sides (``solved``), and how many of
-    them changed their history digest (``history``) and their factor digest
-    (``z``)."""
-    moved = {"solved": 0, "history": 0, "z": 0}
+    them changed their peak basis vectors (``peak``, which the command-line
+    cases do not print), their history digest (``history``) and their factor
+    digest (``z``)."""
+    moved = {"solved": 0, "peak": 0, "history": 0, "z": 0}
     for (_, before), (_, after) in zip(old, new):
         if _solved(before) is None or _solved(after) is None:
             continue
         a, b = _fields(before), _fields(after)
         moved["solved"] += 1
+        moved["peak"] += a.get("peak") != b.get("peak")
         moved["history"] += a["history"] != b["history"]
         moved["z"] += a["z"] != b["z"]
     return moved
@@ -376,6 +379,8 @@ def main(argv=None):
               "largest verified-residual change %.2g"
               % (len(broken), len(new), worst["final"], worst["verified"]))
         moved = moved_digests(old, new)
+        print("%d of %d cases solved in both moved their peak basis vectors"
+              % (moved["peak"], moved["solved"]))
         print("of %d cases solved in both, %d changed their history digest and %d "
               "their factor digest" % (moved["solved"], moved["history"], moved["z"]))
         return 1 if broken else 0
