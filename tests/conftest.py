@@ -1,3 +1,7 @@
+import importlib.util
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,6 +32,18 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "paper_scale: full-scale reproduction, excluded by default"
     )
+
+
+def load_tool(name):
+    """The script ``tools/<name>.py`` as a module (``tools`` is not a
+    package), with the environment as it was before the script pinned BLAS
+    threads at import."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
 
 
 def count_calls(monkeypatch, calls, module, name):

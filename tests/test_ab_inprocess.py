@@ -1,7 +1,6 @@
 """Smoke test of ``tools/ab_inprocess.py``, the paired in-process A/B of two
 source trees, on two copies of this tree at a tiny order."""
 
-import importlib.util
 import os
 import shutil
 import sys
@@ -11,11 +10,9 @@ import pytest
 
 import krymat
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "ab_inprocess.py")
-_spec = importlib.util.spec_from_file_location("ab_inprocess", _PATH)
-ab_inprocess = importlib.util.module_from_spec(_spec)
-with mock.patch.dict(os.environ):  # the script pins BLAS threads at import
-    _spec.loader.exec_module(ab_inprocess)
+from conftest import load_tool
+
+ab_inprocess = load_tool("ab_inprocess")
 
 
 def test_seed_ranges_and_lists():

@@ -2,8 +2,10 @@
 
 Each test prints a single PASS line on success (visible with ``pytest -s``
 or in the captured output); a failure carries the offending numbers in the
-assertion message.  Criterion 6's full-scale iteration-count reproduction is
-gated behind ``--paper-scale``; its desk-scale substitute runs by default.
+assertion message.  Criterion 6 runs the paper's experiments from the table
+of ``tools/paper_scale.py``: its three Lyapunov iteration counts run by
+default, in a child process, and its two Sylvester counts, which do not
+reproduce, only with ``--paper-scale``.
 """
 
 import gc
@@ -40,10 +42,13 @@ from conftest import (
     explicit_lyapunov_residual_ld,
     full_solve,
     lanczos_block_tridiagonal,
+    load_tool,
     naive_residual_norm,
     reduced_solve,
     refined_reduced_lyapunov,
 )
+
+paper_scale = load_tool("paper_scale")
 
 
 def _report(number, detail):
@@ -230,86 +235,39 @@ def test_criterion_6_desk_scale_convergence():
             % sol.iterations)
 
 
-@pytest.mark.paper_scale
-@pytest.mark.parametrize("s,expected", [(1, 444), (4, 319), (8, 250)])
-def test_criterion_6_paper_scale_iteration_counts(s, expected):
-    op = SparseOperator(gen_fd2d("fd2d-exp", 148))  # order 21904
-    c = gen_rhs(21904, s, seed=1100 + s)
-    sol = solve_lyapunov(
-        op, c,
-        SolveOptions(tol=1e-6, max_m=700, check_period=1, storage="windowed"),
-    )
-    low, high = 0.85 * expected, 1.15 * expected
-    assert low <= sol.iterations <= high, (
-        "s=%d: %d iterations outside [%d, %d]"
-        % (s, sol.iterations, int(low), int(high))
-    )
-    _report(6, "paper scale s=%d: %d iterations (expected %d +- 15%%)"
-            % (s, sol.iterations, expected))
-
-
-def _paper_count_s1():
-    """Iterations of the paper's s = 1 Lyapunov run (fd2d-exp, order 21904)."""
-    op = SparseOperator(gen_fd2d("fd2d-exp", 148))
-    c = gen_rhs(21904, 1, seed=1101)
-    return solve_lyapunov(
-        op, c,
-        SolveOptions(tol=1e-6, max_m=700, check_period=1, storage="windowed"),
-    ).iterations
-
-
-def test_criterion_6_paper_count_s1():
-    # tier-1 twin of the s = 1 paper-scale count: about 2.3 s on one BLAS
-    # thread, which the child process is pinned to
-    expected = 444
-    iterations = json.loads(_pinned_child("t._paper_count_s1()", timeout=120))
+def _assert_paper_count(name, iterations):
+    expected = paper_scale.CASES[name].reference
     low, high = 0.85 * expected, 1.15 * expected
     assert low <= iterations <= high, (
-        "s=1: %d iterations outside [%d, %d]" % (iterations, int(low), int(high))
+        "%s: %d iterations outside [%d, %d]" % (name, iterations, int(low), int(high))
     )
-    _report(6, "paper scale s=1: %d iterations (expected %d +- 15%%)"
-            % (iterations, expected))
+    _report(6, "paper scale %s: %d iterations (expected %d +- 15%%)"
+            % (name, iterations, expected))
 
 
+def test_criterion_6_paper_scale_iteration_counts():
+    # the three Lyapunov runs of the paper (order 21904, s = 1, 4 and 8): about
+    # 18 s on one BLAS thread, which the child process is pinned to
+    names = ("s1", "s4", "s8")
+    counts = json.loads(_pinned_child(
+        "[t.paper_scale.run_case(n)['iterations'] for n in %r]" % (names,), timeout=600))
+    for name, iterations in zip(names, counts):
+        _assert_paper_count(name, iterations)
+
+
+# The two Sylvester counts do not reproduce: krymat converges on both
+# problems, but at 308 iterations against 217 two-sided and 256 against 190
+# one-sided, with the residual still 175 to 260 times tol at the paper's
+# counts.  The paper's operators, right-hand sides or stopping quantity
+# likely differ from these; the tests keep their bounds and fail honestly.
 @pytest.mark.paper_scale
 def test_paper_scale_sylvester_two_sided_iterations():
-    # exp/trig operator pair of order 16384, s = 3: expected 217 iterations.
-    # Note: the Lyapunov counts above reproduce, but the reference counts for
-    # the Sylvester runs depend on an unstated residual normalization; with
-    # the factor-norm-product normalization used here the counts come out
-    # higher (see the one-sided case), so this check may fail honestly.
-    a = gen_fd2d("fd2d-exp", 128)
-    b = gen_fd2d("fd2d-trig", 128)
-    c1 = gen_rhs(16384, 3, seed=1201)
-    c2 = gen_rhs(16384, 3, seed=1202)
-    sol = solve_sylvester_two_sided(
-        SparseOperator(a), SparseOperator(b), c1, c2,
-        SolveOptions(tol=1e-6, max_m=400, storage="windowed"),
-    )
-    assert 0.85 * 217 <= sol.iterations <= 1.15 * 217, (
-        "%d iterations outside 217 +- 15%%" % sol.iterations
-    )
-    _report(6, "two-sided Sylvester full scale: %d iterations (expected 217)"
-            % sol.iterations)
+    _assert_paper_count("two-sided", paper_scale.run_case("two-sided")["iterations"])
 
 
 @pytest.mark.paper_scale
 def test_paper_scale_sylvester_one_sided_iterations():
-    # 3-D split: A of order 148^2 = 21904, B of order 148, s = 3: expected
-    # 190.  Measured here: ~260 (the trajectory passes 1.75e-4 at m = 190);
-    # same normalization caveat as the two-sided case, kept failing honestly.
-    a, b = gen_fd3d_split(148)
-    c1 = gen_rhs(21904, 3, seed=1203)
-    c2 = gen_rhs(148, 3, seed=1204)
-    sol = solve_sylvester_one_sided(
-        SparseOperator(a), b.toarray(), c1, c2,
-        SolveOptions(tol=1e-6, max_m=400, storage="windowed"),
-    )
-    assert 0.85 * 190 <= sol.iterations <= 1.15 * 190, (
-        "%d iterations outside 190 +- 15%%" % sol.iterations
-    )
-    _report(6, "one-sided Sylvester full scale: %d iterations (expected 190)"
-            % sol.iterations)
+    _assert_paper_count("one-sided", paper_scale.run_case("one-sided")["iterations"])
 
 
 def test_criterion_7_extended_vs_standard():

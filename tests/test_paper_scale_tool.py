@@ -1,40 +1,46 @@
 """Smoke test of ``tools/paper_scale.py`` on a small grid."""
 
-import importlib.util
-import os
 import re
-from unittest import mock
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "paper_scale.py")
-_spec = importlib.util.spec_from_file_location("paper_scale", _PATH)
-paper_scale = importlib.util.module_from_spec(_spec)
-with mock.patch.dict(os.environ):  # the script pins BLAS threads at import
-    _spec.loader.exec_module(paper_scale)
+import pytest
+
+from conftest import load_tool
+
+paper_scale = load_tool("paper_scale")
+
+LINE = (r"^([\w-]+): iterations (\d+) \(paper (\d+)\) k=(\d+) d=(\d+) checks=(\d+) "
+        r"solve [\d.]+ s: checks [\d.]+ s, basis [\d.]+ s, recovery [\d.]+ s, "
+        r"verified (\S+)$")
 
 
-def test_prints_counts_and_the_solvers_timers(monkeypatch, capsys):
-    monkeypatch.setattr(paper_scale, "GRID", 12)
+@pytest.fixture
+def small_grid(monkeypatch):
+    """Every case on a 12 x 12 grid, on one BLAS thread."""
+    for name, case in paper_scale.CASES.items():
+        monkeypatch.setitem(paper_scale.CASES, name, case._replace(n=12))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert paper_scale.main(["--case", "s4", "--case", "s1"]) == 0
+
+
+def _rows(capsys, argv):
+    """The groups of ``LINE`` in each case's line of ``main(argv)``."""
+    assert paper_scale.main(argv) == 0
     threads, *lines = capsys.readouterr().out.splitlines()
     assert threads == "BLAS threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1"
-    pattern = (r"^(s\d): iterations (\d+) \(paper (\d+)\) k=(\d+) d=1 checks=(\d+) "
-               r"solve [\d.]+ s: checks [\d.]+ s, basis [\d.]+ s, recovery [\d.]+ s, "
-               r"verified \S+$")
-    rows = [re.match(pattern, line).groups() for line in lines]
-    assert [(row[0], row[2]) for row in rows] == [("s4", "319"), ("s1", "444")]
-    for name, iterations, _, k, checks in rows:
-        assert int(k) == int(name[1:]) * int(iterations)
+    return [re.match(LINE, line).groups() for line in lines]
+
+
+def test_prints_counts_and_the_solvers_timers(small_grid, capsys):
+    rows = _rows(capsys, [])
+    assert [(row[0], int(row[2])) for row in rows] == [
+        (name, case.reference) for name, case in paper_scale.CASES.items()]
+    for name, iterations, _, k, d, checks, verified in rows:
+        assert int(k) == paper_scale.CASES[name].s * int(iterations) and d == "1"
         assert 1 <= int(checks) < int(iterations)
+        assert float(verified) <= 1e-6
 
 
-def test_check_period_sets_the_checked_steps(monkeypatch, capsys):
-    monkeypatch.setattr(paper_scale, "GRID", 12)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert paper_scale.main(["--case", "s1", "--check-period", "10"]) == 0
-    line = capsys.readouterr().out.splitlines()[1]
-    iterations = int(re.search(r"iterations (\d+) ", line).group(1))
-    assert " d=10 " in line and iterations % 10 == 0
-    assert float(re.search(r"verified (\S+)$", line).group(1)) <= 1e-6
+def test_check_period_sets_the_checked_steps(small_grid, capsys):
+    (row,) = _rows(capsys, ["--case", "s1", "--check-period", "10"])
+    assert row[4] == "10" and int(row[1]) % 10 == 0
+    assert float(row[6]) <= 1e-6

@@ -1,16 +1,11 @@
-import importlib.util
-import os
 import subprocess
 import sys
-from unittest import mock
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "same_outputs.py")
-_spec = importlib.util.spec_from_file_location("same_outputs", _PATH)
-same_outputs = importlib.util.module_from_spec(_spec)
-with mock.patch.dict(os.environ):  # the script pins BLAS threads at import
-    _spec.loader.exec_module(same_outputs)
+from conftest import load_tool
+
+same_outputs = load_tool("same_outputs")
 
 SOLVED = "it=9 rank=10 final=%r verified=1.9e-09 z=%s history=%s peak=18"
 VERIFIED = "it=9 rank=10 final=1.8e-09 verified=%r z=aa history=bb peak=18"
@@ -90,8 +85,9 @@ def test_compare_runs_without_the_library(tmp_path):
               "sys.modules['krymat'] = None\n"
               "sys.argv = sys.argv[1:]\n"
               "runpy.run_path(sys.argv[0], run_name='__main__')\n")
-    runs = [subprocess.run([sys.executable, "-c", script, _PATH, "--compare",
-                            str(old), str(after)], capture_output=True, text=True)
+    runs = [subprocess.run([sys.executable, "-c", script, same_outputs.__file__,
+                            "--compare", str(old), str(after)],
+                           capture_output=True, text=True)
             for after in (old, new)]
     assert [run.returncode for run in runs] == [0, 1], [run.stderr for run in runs]
     assert "0 of 1 cases break the rule" in runs[0].stdout
