@@ -17,6 +17,7 @@ from .errors import (
     IndefiniteMatrixError,
     KrymatError,
     NonFiniteOperatorError,
+    OptionError,
     RecurrenceMismatchError,
 )
 from .kernels import (
@@ -65,6 +66,7 @@ __all__ = [
     "LinearOperator",
     "LowRankSolution",
     "NonFiniteOperatorError",
+    "OptionError",
     "RecurrenceMismatchError",
     "ResidualValue",
     "SolveOptions",

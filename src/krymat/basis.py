@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatchError,
     KrymatError,
     NonFiniteOperatorError,
+    OptionError,
 )
 from .kernels import BlockTridiagonal, economy_qr, frobenius_norm, rank_deficient
 
@@ -230,11 +231,11 @@ def init_basis(op, c, space="standard", storage="stored"):
     if not np.isfinite(c).all():
         raise KrymatError("right-hand side block C has a non-finite entry")
     if storage not in ("windowed", "stored"):
-        raise ValueError("storage mode must be 'windowed' or 'stored'")
+        raise OptionError("storage mode must be 'windowed' or 'stored'")
     if space == "standard":
         return KrylovBasis(space, storage, *_qr_new_block(c, "initial QR of C"))
     if space != "extended":
-        raise ValueError("space must be 'standard' or 'extended'")
+        raise OptionError("space must be 'standard' or 'extended'")
     if not op.can_solve:
         raise KrymatError(
             "the extended Krylov space needs solves with A, which this operator "

@@ -5,6 +5,12 @@ class KrymatError(Exception):
     """Base class for all krymat errors."""
 
 
+class OptionError(KrymatError, ValueError):
+    """An option, a storage or space mode, or a problem kind is not one of
+    its valid values.  Also a ValueError, so ``except ValueError`` catches
+    it."""
+
+
 class DimensionMismatchError(KrymatError):
     """Operands have incompatible shapes."""
 

@@ -1,9 +1,10 @@
 """Matrix Market readers and writers, on top of ``scipy.io``.
 
-Coordinate format (``symmetric`` or ``general``) for sparse matrices and
-array format for dense blocks.  Values are written as the shortest decimal
-that reads back as the same binary64 value, so write-then-read round-trips
-every value except the sign of zero: ``-0.0`` reads back as ``+0.0``.
+Coordinate format for sparse matrices, written ``symmetric`` and read
+``symmetric`` or ``general``, and array format for dense blocks.  Values
+are written as the shortest decimal that reads back as the same binary64
+value, so write-then-read round-trips every value except the sign of
+zero: ``-0.0`` reads back as ``+0.0``.
 Malformed files raise ``MatrixMarketError``.
 """
 
@@ -25,13 +26,10 @@ def _write(path, a, symmetry):
         scipy.io.mmwrite(fh, a, symmetry=symmetry)
 
 
-def write_coordinate(path, a, symmetric=True):
-    """Write a sparse matrix in coordinate format.
-
-    With ``symmetric=True`` only the lower triangle is stored and the header
-    declares the symmetric qualifier.
-    """
-    _write(path, sp.coo_matrix(a), "symmetric" if symmetric else "general")
+def write_coordinate(path, a):
+    """Write a symmetric sparse matrix in coordinate format: the lower
+    triangle only, under the symmetric qualifier."""
+    _write(path, sp.coo_matrix(a), "symmetric")
 
 
 def write_array(path, m):

@@ -10,6 +10,8 @@ definite.
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import OptionError
+
 FD2D_KINDS = ("fd2d-exp", "fd2d-trig", "laplacian2d")
 
 #: Every kind ``gen_operator`` builds; the last two are Sylvester pairs.
@@ -23,7 +25,7 @@ def _coefficients(kind):
         return (lambda x, y: np.sin(x * y)), (lambda x, y: np.cos(x * y))
     if kind == "laplacian2d":
         return (lambda x, y: np.ones_like(x)), (lambda x, y: np.ones_like(x))
-    raise ValueError("unknown 2-D problem kind %r" % kind)
+    raise OptionError("unknown 2-D problem kind %r" % kind)
 
 
 def gen_fd2d(kind, n):
@@ -80,16 +82,11 @@ def gen_fd3d_split(n):
     return gen_fd2d("fd2d-exp", n), (10.0 * laplacian1d(n)).tocsr()
 
 
-def gen_rhs(n, s, seed, normalize=True):
-    """Right-hand side block with entries uniform in (0, 1).
-
-    Deterministic for a fixed seed (PCG64); with ``normalize`` the block is
-    scaled to unit Frobenius norm.
-    """
-    rng = np.random.default_rng(seed)
-    c = rng.random((n, s))
-    if normalize:
-        c /= np.linalg.norm(c)
+def gen_rhs(n, s, seed):
+    """Right-hand side block with entries uniform in (0, 1), scaled to unit
+    Frobenius norm.  Deterministic for a fixed seed (PCG64)."""
+    c = np.random.default_rng(seed).random((n, s))
+    c /= np.linalg.norm(c)
     return c
 
 
@@ -105,4 +102,4 @@ def gen_operator(kind, n):
         return gen_fd2d("fd2d-exp", n), gen_fd2d("fd2d-trig", n)
     if kind == "fd3d-split":
         return gen_fd3d_split(n)
-    raise ValueError("unknown problem kind %r" % kind)
+    raise OptionError("unknown problem kind %r" % kind)

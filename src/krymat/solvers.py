@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     IndefiniteMatrixError,
     KrymatError,
+    OptionError,
     RecurrenceMismatchError,
 )
 from .kernels import (
@@ -74,30 +75,26 @@ class SolveOptions:
     check_period: int = 1
     space: str = "standard"
     storage: str = "stored"
-    trunc_eps: float = TRUNC_EPS
     verify: bool = False
 
     def __post_init__(self):
         for name in ("max_m", "check_period"):
             if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError("%s must be an integer" % name)
-        for name in ("tol", "trunc_eps"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError("%s must be finite" % name)
+                raise OptionError("%s must be an integer" % name)
+        if not np.isfinite(self.tol):
+            raise OptionError("tol must be finite")
         if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+            raise OptionError("tol must be positive")
         if self.max_m < 1:
-            raise ValueError("max_m must be >= 1")
+            raise OptionError("max_m must be >= 1")
         if self.check_period < 1:
-            raise ValueError("check_period must be >= 1")
+            raise OptionError("check_period must be >= 1")
         if self.check_period > self.max_m:
-            raise ValueError("check_period must be <= max_m")
-        if self.trunc_eps < 0.0:
-            raise ValueError("trunc_eps must be >= 0")
+            raise OptionError("check_period must be <= max_m")
         if self.space not in ("standard", "extended"):
-            raise ValueError("space must be 'standard' or 'extended'")
+            raise OptionError("space must be 'standard' or 'extended'")
         if self.storage not in ("stored", "windowed"):
-            raise ValueError("storage must be 'stored' or 'windowed'")
+            raise OptionError("storage must be 'stored' or 'windowed'")
 
 
 @dataclass
@@ -433,7 +430,7 @@ def solve_lyapunov(op, c, options=None):
     Grows the (standard or extended) block Krylov space of A and C until the
     relative residual ||R_m||_F / ||C||_F^2 drops below ``options.tol``,
     then returns X ~ Z Z^T with the reduced solution truncated at
-    ``options.trunc_eps``.
+    ``TRUNC_EPS``.
 
     Raises ConvergenceError (with the residual history attached) if
     ``options.max_m`` iterations do not suffice.
@@ -444,7 +441,7 @@ def solve_lyapunov(op, c, options=None):
 
     def reduce(rv, basis):
         (q,), y = _eigenvectors(rv)
-        f, discarded = truncated_spd_factor(-y, opts.trunc_eps)
+        f, discarded = truncated_spd_factor(-y, TRUNC_EPS)
         return two_pass_recover(op, basis, q @ f), None, discarded
 
     return _galerkin(
@@ -469,7 +466,7 @@ def solve_sylvester_two_sided(op_a, op_b, c1, c2, options=None):
 
     def reduce(rv, basis_a, basis_b):
         (q, p), y = _eigenvectors(rv, "a projected matrix is not negative definite")
-        f1, f2, discarded = truncated_svd_factor(-y, opts.trunc_eps)
+        f1, f2, discarded = truncated_svd_factor(-y, TRUNC_EPS)
         z1 = two_pass_recover(op_a, basis_a, q @ f1)
         return z1, two_pass_recover(op_b, basis_b, p @ f2), discarded
 
@@ -505,7 +502,7 @@ def solve_sylvester_one_sided(op_a, b, c1, c2, options=None):
 
     def reduce(rv, basis):
         (q, p), y = _eigenvectors(rv)
-        f1, f2, discarded = truncated_svd_factor(-y, opts.trunc_eps)
+        f1, f2, discarded = truncated_svd_factor(-y, TRUNC_EPS)
         return two_pass_recover(op_a, basis, q @ f1), p @ f2, discarded
 
     return _galerkin(

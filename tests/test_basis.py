@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from krymat import (
     DeflationUnsupportedError,
     DimensionMismatchError,
+    OptionError,
     SparseOperator,
     extended_step,
     init_basis,
@@ -76,6 +77,12 @@ class TestInitBasis:
         c = np.ones((3, 2))  # two identical columns
         with pytest.raises(DeflationUnsupportedError):
             init_basis(op, c)
+
+    @pytest.mark.parametrize("mode", [{"space": "krylov"}, {"storage": "disk"}],
+                             ids=["space", "storage"])
+    def test_unknown_mode_is_an_option_error(self, mode):
+        with pytest.raises(OptionError, match="must be"):
+            init_basis(_diag_op([-1.0, -2.0]), np.ones((2, 1)), **mode)
 
 
 class TestLanczosStep:

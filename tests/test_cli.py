@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from krymat import cli, mmio
+from krymat import LowRankSolution, cli, mmio
 from krymat.cli import build_parser, main
 from krymat.problems import laplacian1d
 
@@ -157,6 +157,32 @@ class TestSolveSylv:
         steps = [int(row.split(",")[0]) for row in rows]
         assert steps[0] == 1 and steps[-1] == 4 and steps == sorted(set(steps))
 
+    # B of order at most 1000 and below A's is solved one-sided
+    @pytest.mark.parametrize("order, one_sided", [(1000, True), (1001, False)])
+    def test_one_sided_choice_at_its_boundary(self, tmp_path, monkeypatch, order,
+                                              one_sided):
+        called = []
+
+        def stub(name):
+            def solve(*args):
+                called.append(name)
+                return LowRankSolution(z1=np.zeros((1, 1)), z2=np.zeros((1, 1)),
+                                       history=[(1, 1, 0.0, 0.0, 0.0)])
+            return solve
+
+        monkeypatch.setattr(cli, "solve_sylvester_one_sided", stub("one-sided"))
+        monkeypatch.setattr(cli, "solve_sylvester_two_sided", stub("two-sided"))
+        mmio.write_coordinate(tmp_path / "A.mtx", laplacian1d(1002))
+        mmio.write_coordinate(tmp_path / "B.mtx", laplacian1d(order))
+        mmio.write_array(tmp_path / "C1.mtx", np.ones((1002, 1)))
+        mmio.write_array(tmp_path / "C2.mtx", np.ones((order, 1)))
+        assert run(["solve-sylv", "--A", tmp_path / "A.mtx", "--B", tmp_path / "B.mtx",
+                    "--C1", tmp_path / "C1.mtx", "--C2", tmp_path / "C2.mtx",
+                    "--out", tmp_path]) == 0
+        assert called == ["one-sided" if one_sided else "two-sided"]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["one_sided"] is one_sided
+
     # B of order 3 beside A of order 4 is solved one-sided, of order 4
     # two-sided (through its own operator); either way the error names B
     @pytest.mark.parametrize("order", [3, 4], ids=["one-sided", "two-sided"])
@@ -219,7 +245,6 @@ class TestBenchResidual:
     (["gen", "--problem", "laplacian1d", "--n", 0], None),
     (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--s", -1], None),
     (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--s", 0], None),
-    (["solve-lyap", "--problem", "laplacian2d", "--n", 4, "--trunc-eps", -1], None),
     (["solve-lyap"], "problem = laplacian2d\nn = 4\ntlo = 1e-3\nstorrage = windowed\n"),
     (["bench-residual", "--problem", "laplacian2d", "--n", 4, "--tol", 0], None),
     (["bench-residual"], "problem = laplacian2d\nn = 4\ncheck-period = 0\n"),
@@ -233,7 +258,7 @@ class TestBenchResidual:
       "--check-period", 5], None),
 ], ids=["missing-matrix", "missing-config", "negative-tol", "zero-check-period",
         "non-integer-n", "unknown-space", "zero-n-solve", "zero-n-gen",
-        "negative-s", "zero-s", "negative-trunc-eps", "misspelled-config-key",
+        "negative-s", "zero-s", "misspelled-config-key",
         "bench-zero-tol", "bench-zero-check-period", "bench-unknown-space",
         "misspelled-boolean", "unknown-problem-in-config", "negative-seed",
         "gen-negative-seed", "negative-seed-in-config", "check-period-above-max-m"])
@@ -265,22 +290,21 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, monkeypatch, argv, config)
     (["solve-lyap", "--tol", "nan"], None, "tol must be finite"),
     (["solve-lyap", "--tol", "inf"], None, "tol must be finite"),
     (["bench-residual", "--tol", "nan"], None, "tol must be finite"),
-    (["solve-lyap", "--trunc-eps", "nan", "--verify"], None, "trunc_eps must be finite"),
-    (["solve-lyap", "--trunc-eps", "inf"], None, "trunc_eps must be finite"),
-    (["solve-lyap"], "trunc-eps = nan\n", "trunc_eps must be finite"),
+    (["solve-lyap"], "trunc-eps = 1e-12\n", "unknown config key 'trunc-eps'"),
+    (["solve-sylv"], "one-sided = true\n", "unknown config key 'one-sided'"),
+    (["bench-residual"], "reps = 5\n", "unknown config key 'reps'"),
 ], ids=["zero-max-m", "negative-max-m", "bench-zero-max-m", "misspelled-boolean",
         "check-period-above-max-m", "bench-check-period-above-max-m",
         "negative-seed", "gen-negative-seed", "negative-seed-in-config",
         "unknown-problem-in-config", "nan-tol", "infinite-tol", "bench-nan-tol",
-        "nan-trunc-eps", "infinite-trunc-eps", "nan-trunc-eps-in-config"])
+        "former-trunc-eps-key", "former-one-sided-key", "former-reps-key"])
 def test_rejected_value_is_named(tmp_path, capsys, argv, config, message):
     # unchecked, max_m < 1 ran no iteration and wrote an empty history or
     # bench.csv, and a misspelled boolean read as false; check_period > max_m
     # ran max_m steps without a check, a negative seed failed inside numpy,
     # and a config value outside the choices failed as an untyped ValueError
-    # (or went unread under the flag that overrides it); a NaN or infinite
-    # trunc_eps kept rank 0 and reported convergence, and a NaN tol ran all
-    # max_m steps
+    # (or went unread under the flag that overrides it), and a NaN tol ran
+    # all max_m steps
     argv = argv + ["--problem", "laplacian2d", "--n", 4, "--out", tmp_path]
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
@@ -302,29 +326,42 @@ def test_boolean_config_spellings(tmp_path, value, verified):
 
 
 def test_config_key_of_another_command_is_accepted(tmp_path):
-    # one config file can serve several commands: solve-lyap ignores reps
+    # one config file can serve several commands: solve-lyap ignores the
+    # B and C2 files of solve-sylv
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("problem = laplacian2d\nn = 4\nreps = 5\none-sided = true\n")
+    cfg.write_text("problem = laplacian2d\nn = 4\nb = B.mtx\nc2 = C2.mtx\n")
     assert run(["solve-lyap", "--config", cfg, "--out", tmp_path]) == 0
 
 
 def test_bench_residual_ignores_solve_only_config_values(tmp_path):
-    # a config shared with solve-lyap: bench-residual reads neither storage,
-    # trunc-eps nor verify, so values that solve-lyap rejects cannot fail it
+    # a config shared with solve-lyap: bench-residual reads neither storage
+    # nor verify, so values that solve-lyap rejects cannot fail it
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = laplacian2d\nn = 4\nmax-m = 3\n"
-                   "trunc-eps = -1\nstorage = bogus\nverify = yes\n")
+                   "storage = bogus\nverify = yes\n")
     assert run(["bench-residual", "--config", cfg, "--out", tmp_path]) == 0
     assert run(["solve-lyap", "--config", cfg, "--out", tmp_path]) == 1
 
 
 @pytest.mark.parametrize("flag", [
-    ["--storage", "stored"], ["--trunc-eps", "5"], ["--verify"],
-], ids=["storage", "trunc-eps", "verify"])
+    ["--storage", "stored"], ["--verify"],
+], ids=["storage", "verify"])
 def test_bench_residual_has_no_solve_only_flags(tmp_path, flag):
     with pytest.raises(SystemExit):
         run(["bench-residual", "--problem", "laplacian2d", "--n", 4,
              "--out", tmp_path] + flag)
+
+
+def test_csv_bytes(tmp_path):
+    # integers as integers, floats at 17 significant digits: the shortest
+    # that reads back every binary64 value, the sign of zero included
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, ("m", "space_dim", "a", "b", "c"),
+                   [(1, 2, -0.0, np.inf, 1e300), (30, 60, 0.1, -np.inf, 5e-324)])
+    assert path.read_bytes() == (
+        b"m,space_dim,a,b,c\n"
+        b"1,2,-0,inf,1.0000000000000001e+300\n"
+        b"30,60,0.10000000000000001,-inf,4.9406564584124654e-324\n")
 
 
 def test_zero_block_width_names_the_flag(tmp_path, capsys):

@@ -283,11 +283,11 @@ class TestTwoPass:
         assert np.array_equal(windowed, stored)
 
     @pytest.mark.parametrize("storage", ["stored", "windowed"])
-    def test_truncation_to_rank_zero(self, storage):
+    def test_truncation_to_rank_zero(self, storage, monkeypatch):
         # a tail mass above ||Y||_F drops every eigenvalue: Z has no columns
+        monkeypatch.setattr(krymat.solvers, "TRUNC_EPS", 1e300)
         op = SparseOperator(gen_fd2d("fd2d-exp", 20))
-        sol = solve_lyapunov(op, gen_rhs(400, 1, seed=5),
-                             SolveOptions(trunc_eps=1e300, storage=storage))
+        sol = solve_lyapunov(op, gen_rhs(400, 1, seed=5), SolveOptions(storage=storage))
         assert sol.rank == 0 and sol.z.shape == (400, 0)
 
     # the drift starts at a block in the middle of the second workspace fill
@@ -567,14 +567,16 @@ def test_history_deterministic_across_runs():
     assert runs[0] == runs[1]
 
 
-def test_truncation_changes_residual_within_bound():
+def test_truncation_changes_residual_within_bound(monkeypatch):
     # dropping tail mass eps from the reduced solution moves X by at most
     # about eps and the true residual by at most ~ 2 ||A|| eps
     a = gen_fd2d("laplacian2d", 9)
     op = SparseOperator(a)
     c = gen_rhs(81, 2, seed=51)
-    tight = solve_lyapunov(op, c, SolveOptions(tol=1e-7, max_m=60, trunc_eps=1e-16))
-    loose = solve_lyapunov(op, c, SolveOptions(tol=1e-7, max_m=60, trunc_eps=1e-12))
+    opts = SolveOptions(tol=1e-7, max_m=60)
+    loose = solve_lyapunov(op, c, opts)  # at the library's TRUNC_EPS, 1e-12
+    monkeypatch.setattr(krymat.solvers, "TRUNC_EPS", 1e-16)
+    tight = solve_lyapunov(op, c, opts)
     assert loose.rank <= tight.rank
     x_diff = np.linalg.norm(tight.z @ tight.z.T - loose.z @ loose.z.T)
     assert x_diff <= 1.5e-12
@@ -618,8 +620,9 @@ def test_generalized_equation_via_cholesky_transform():
 
 @pytest.mark.parametrize("max_m", [0, -3])
 def test_max_m_below_one_is_rejected(max_m):
-    with pytest.raises(ValueError, match="^max_m must be >= 1$"):
+    with pytest.raises(ValueError, match="^max_m must be >= 1$") as err:
         SolveOptions(max_m=max_m)
+    assert isinstance(err.value, KrymatError)
 
 
 @pytest.mark.parametrize("max_m, check_period", [(4, 5), (1, 2)])
@@ -661,13 +664,11 @@ def test_non_finite_rhs_is_rejected(solver, side, value):
             solve_sylvester_one_sided(op, -np.diag([1.0, 4.0, 9.0]), *rhs)
 
 
-@pytest.mark.parametrize("field", ["tol", "trunc_eps"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_non_finite_tolerance_is_rejected(field, value):
-    # unchecked, a NaN or infinite trunc_eps truncated the factor to rank 0
-    # and the solve still reported convergence
-    with pytest.raises(ValueError, match="^%s must be finite$" % field):
-        SolveOptions(**{field: value})
+def test_non_finite_tolerance_is_rejected(value):
+    # unchecked, a NaN tol ran all max_m steps
+    with pytest.raises(ValueError, match="^tol must be finite$"):
+        SolveOptions(tol=value)
 
 
 def _solve(solver, sign, opts, s=2):

@@ -7,7 +7,8 @@ import importlib.util
 import os
 
 import krymat
-from krymat import cli
+from krymat import SparseOperator, cli
+from krymat.problems import laplacian1d
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,3 +30,12 @@ def test_every_traced_name_is_a_library_callable():
         assert callable(getattr(module, name, None)), "%s.%s" % (module.__name__, name)
     # the tracer also swaps the CLI's operator class for a factory
     assert callable(cli.SparseOperator)
+
+
+def test_sparse_operator_takes_definite_positionally():
+    # the tracer builds the CLI's operator as SparseOperator(a, definite) and
+    # reads the wrapped operator's definite and matrix
+    a = laplacian1d(3)
+    op = SparseOperator(a, True)
+    assert op.definite is True
+    assert (op.matrix != a).nnz == 0
