@@ -557,6 +557,25 @@ class TestSylvesterOneSided:
                                       gen_rhs(10, 1, seed=1), gen_rhs(3, 1, seed=2))
 
 
+# both Sylvester solvers look TRUNC_EPS up when they reduce, as the Lyapunov
+# solver does: a tail mass above ||Y||_F drops every singular value
+@pytest.mark.parametrize("sided", ["two-sided", "one-sided"])
+def test_sylvester_truncation_to_rank_zero(sided, monkeypatch):
+    monkeypatch.setattr(krymat.solvers, "TRUNC_EPS", 1e300)
+    op = SparseOperator(gen_fd2d("laplacian2d", 10))
+    c1 = gen_rhs(100, 1, seed=45)
+    if sided == "two-sided":
+        sol = solve_sylvester_two_sided(op, op, c1, gen_rhs(100, 1, seed=46))
+        order_b = 100
+    else:
+        sol = solve_sylvester_one_sided(op, np.diag(-np.arange(1.0, 6.0)), c1,
+                                        gen_rhs(5, 1, seed=46))
+        order_b = 5
+    assert sol.rank == 0
+    assert sol.z1.shape == (100, 0) and sol.z2.shape == (order_b, 0)
+    assert sol.truncation_discarded > 0.0
+
+
 def test_history_deterministic_across_runs():
     op = SparseOperator(gen_fd2d("fd2d-exp", 9))
     c = gen_rhs(81, 2, seed=50)
