@@ -32,8 +32,6 @@ from .operators import (
     LinearOperator,
     SparseFactorization,
     SparseOperator,
-    TransformedOperator,
-    cholesky_transform,
     validate_symmetric,
 )
 from .basis import KrylovBasis, extended_step, init_basis, lanczos_step
@@ -72,8 +70,6 @@ __all__ = [
     "SolveOptions",
     "SparseFactorization",
     "SparseOperator",
-    "TransformedOperator",
-    "cholesky_transform",
     "ctri_lyapunov",
     "ctri_sylvester",
     "economy_qr",

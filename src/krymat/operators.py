@@ -6,7 +6,6 @@ after construction and safe to share between solves.
 """
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -16,11 +15,6 @@ from .errors import (
     FactorizationError,
     KrymatError,
 )
-
-#: Dense Cholesky is used for the generalized-equation transform; refuse
-#: to densify mass matrices beyond this order.
-DENSE_CHOLESKY_LIMIT = 4096
-
 
 def validate_symmetric(a, name="matrix"):
     """Return ``a`` as CSR after checking that its entries are finite and
@@ -133,53 +127,4 @@ class SparseOperator(LinearOperator):
 
     def solve(self, v):
         return self.factorization().solve(v)
-
-
-class TransformedOperator(LinearOperator):
-    """Congruence transform L^{-1} A L^{-T} for a mass matrix E = L L^T.
-
-    Lets a generalized equation  A X E + E X A + C C^T = 0  be treated as a
-    standard one without ever forming the transformed matrix.
-    """
-
-    def __init__(self, cholesky_l, a):
-        self._l = cholesky_l
-        self.matrix = validate_symmetric(a, "A")
-        self.n = self.matrix.shape[0]
-
-    def apply(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.n:
-            raise DimensionMismatchError(
-                "operator is order %d, block has %d rows" % (self.n, v.shape[0])
-            )
-        w = scipy.linalg.solve_triangular(self._l, v, lower=True, trans="T")
-        return scipy.linalg.solve_triangular(self._l, self.matrix @ w, lower=True)
-
-    def transform_rhs(self, c):
-        """Map the right-hand side factor C to L^{-1} C."""
-        return scipy.linalg.solve_triangular(self._l, c, lower=True)
-
-    def untransform_factor(self, z):
-        """Map a solution factor of the transformed equation back: L^{-T} Z."""
-        return scipy.linalg.solve_triangular(self._l, z, lower=True, trans="T")
-
-
-def cholesky_transform(e, a):
-    """Build the operator L^{-1} A L^{-T} from an SPD mass matrix E = L L^T.
-
-    E is densified for the Cholesky factorization, which caps the practical
-    order at ``DENSE_CHOLESKY_LIMIT``.
-    """
-    e = validate_symmetric(e, "E")
-    if e.shape[0] > DENSE_CHOLESKY_LIMIT:
-        raise FactorizationError(
-            "mass matrix of order %d exceeds the dense Cholesky limit %d"
-            % (e.shape[0], DENSE_CHOLESKY_LIMIT)
-        )
-    try:
-        lower = scipy.linalg.cholesky(e.toarray(), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("mass matrix is not positive definite") from exc
-    return TransformedOperator(lower, a)
 

@@ -1,16 +1,15 @@
 """Outer Galerkin drivers.
 
 All three solvers run one loop that grows a block Krylov basis per large
-coefficient matrix and, at a growing subset of the multiples of
-``check_period``, evaluates the relative residual norm with the solver's
-cheap projected formula, which forms the reduced solution in eigen
-coordinates (see ``_galerkin``).  At convergence the solver
-truncates that check's reduced solution, as the check formed it, and maps
-it back through the check's eigenvectors and the basis, one workspace of
-blocks at a time, with no further eigensolve.  The blocks come from
-the stored basis, or, with ``windowed`` storage, where the basis is never
-kept in memory, from a second Lanczos pass that regenerates it block by
-block while the solution factor accumulates.
+coefficient matrix and evaluates the relative residual norm with the
+solver's cheap projected formula, which forms the reduced solution in eigen
+coordinates, at the steps that ``_schedule`` names (see ``_galerkin``).  At
+convergence the solver truncates that check's reduced solution, as the
+check formed it, and maps it back through the check's eigenvectors and the
+basis, one workspace of blocks at a time, with no further eigensolve.  The
+blocks come from the stored basis, or, with ``windowed`` storage, where the
+basis is never kept in memory, from a second Lanczos pass that regenerates
+it block by block while the solution factor accumulates.
 """
 
 import math
@@ -63,11 +62,9 @@ class SolveOptions:
 
     ``check_period`` is the d of the papers' experiments: the solve stops at
     the first multiple of d iterations whose residual meets ``tol``,
-    accepting up to d-1 overshoot iterations.  It checks a growing subset of
-    those steps, each aimed short of where the residual trend predicts tol,
-    and, once one meets ``tol``, searches the ones it skipped from the top
-    down for the lowest that meets it (see ``_galerkin``).  It may not
-    exceed ``max_m``, or the solve would end without a check.
+    accepting up to d-1 overshoot iterations, and checks only the steps
+    that ``_schedule`` names.  It may not exceed ``max_m``, or the solve
+    would end without a check.
     """
 
     tol: float = 1e-6
@@ -103,12 +100,10 @@ class LowRankSolution:
 
     ``z2`` is None for Lyapunov solutions (X ~ Z Z^T); Sylvester solutions
     carry both factors (X ~ Z1 Z2^T).  ``history`` has one row per residual
-    check made, with the columns ``HISTORY_COLUMNS``, in the order made but
-    for the last: m rises to the first check that meets tol, possibly past
-    the stop, then the search over the skipped steps below it follows, and
-    the stop's row moves to the end.  The cumulative timers never decrease,
-    and the last row is (``iterations``, its space dimension,
-    ``final_residual``, ...).
+    check made, with the columns ``HISTORY_COLUMNS``, in the order that
+    ``_schedule`` asked for them, but for the stop's row, which moves to the
+    end.  The cumulative timers never decrease, and the last row is
+    (``iterations``, its space dimension, ``final_residual``, ...).
     """
 
     z1: np.ndarray
@@ -276,110 +271,125 @@ def _next_gap(gap, d, tol, previous, current):
     return max(int(min(0.9 * predicted, 2 * gap) // d) * d, d)
 
 
+def _schedule(d, max_m, tol):
+    """The residual-check schedule, the one place the policy lives: a
+    generator that yields the next step to check and is sent the
+    (m, relative residual) of the check made there, m lower when every basis
+    became invariant first.  It ends once it knows the stop.
+
+    The stop is the first multiple of d at which the residual meets tol, or
+    the step at which every basis became invariant, but only a growing
+    subset of those multiples is checked: the first at d, each later one
+    ``_next_gap`` steps on, and the last multiple of d within ``max_m``.
+    After that one it asks for max_m + 1, a step never reached, so the bases
+    step on to ``max_m`` and are checked only where they become invariant.
+    A check that meets tol is followed by a backward search over the
+    multiples of d that it skipped, on steps already taken.  This relies on
+    the residual not falling below tol and rising above it again between two
+    checks: the skipped steps that meet tol are then the highest ones, and
+    the stop, the lowest of them, is the step that a check at every multiple
+    of d finds.  The search first checks the highest skipped multiple, then
+    jumps down to where the log-residual slope of its two lowest checks that
+    met tol predicts the stop, in whole periods and at least one, or twice
+    its last jump where the slope predicts nothing, until a check misses; it
+    then bisects between that check and the lowest that met tol.  It ends
+    when no multiple of d lies between the two, or when the lowest that met
+    tol is the lowest skipped.
+    """
+    last, previous, due, final = 0, None, d, max_m // d * d  # last: the highest miss
+    while True:
+        m, relative = yield due
+        if relative <= tol:
+            break
+        due = (max_m + 1 if m >= final else
+               min(m + _next_gap(m - last, d, tol, previous, relative), final))
+        last, previous = m, relative
+    lo, above, periods = last, None, 1  # lo: the highest step that missed
+    while lo + d < m:  # a multiple of d lies between the two
+        step = max(((m - 1) // d - periods + 1) * d, lo + d)
+        _, checked = yield step
+        if checked <= tol:
+            above, m, relative = (m, relative), step, checked
+        else:
+            lo = step
+        if lo > last:  # a check of the search missed: bisect
+            periods = (m - lo) // d // 2
+        else:
+            steps = _predicted_steps(tol, above[0] - m, above[1], relative)
+            periods = 2 * periods if steps is None else max(int(steps // d), 1)
+
+
 def _galerkin(ops, rhss, opts, residual, reduce, true_residual):
     """The outer loop of every solver: one basis per (operator, right-hand
-    side) pair, each stepped until it alone becomes invariant.
+    side) pair, each stepped until it alone becomes invariant, and checked
+    where ``_schedule`` asks, with d = ``check_period``.
 
-    The solve stops at the first multiple of d = ``check_period`` at which
-    the residual meets tol, or, if all bases become invariant first, at that
-    step, but it checks only a growing subset of those multiples: the first
-    at d, each later one ``_next_gap`` steps on, and the last multiple of d
-    within ``max_m``, plus the step at which every basis is exhausted.  A
-    check that meets tol is followed by a backward search over the
-    multiples of d that it skipped, on the leading blocks of each
-    projection (T at step m is a view of the band, so each equals the check
-    that step would have made).  This relies on the residual not falling
-    below tol and rising above it again between two checks: the skipped
-    steps that meet tol are then the highest ones, and the stop, the lowest
-    of them, is the step that a check at every multiple of d finds.  The
-    search first checks the highest skipped multiple, then jumps down to
-    where the log-residual slope of its two lowest checks that met tol
-    predicts the stop, in whole periods and at least one, or twice its last
-    jump where the slope predicts nothing, until a check misses; it then
-    bisects between that check and the lowest that met tol.  It ends when
-    no multiple of d lies between the two, or when the lowest that met tol
-    is the lowest skipped.  A stored basis may hold blocks past the stop,
-    up to the check that met tol.
-
-    A check passes ``residual`` the projection (T, gamma, tau) of each basis;
-    a basis exhausted before the checked step gives its full projection.
-    ``reduce`` gets the stopping check's ResidualValue and each basis and
-    returns Z1, Z2 (None for Lyapunov) and the truncation's discarded mass,
-    and with ``opts.verify`` ``true_residual(z1, z2)`` gives the verified
-    relative residual.  History rows are the checks made, in the order made,
-    each with the cumulative timers when it was recorded, except the stop's
-    row, which moves to the end with the timers at the search's end.  So
-    the timers never decrease and the last row is the stop.
+    Asked for a step past those taken, the loop steps the bases to it, or to
+    where they all become invariant, and checks there; it ends without a
+    check when ``max_m`` comes first, or when the check at invariance
+    missed.  Asked for a step already taken, it checks the leading blocks of
+    each projection: T at step m is a view of the band, so that check equals
+    the one the step would have made.  A check passes ``residual`` the
+    projection (T, gamma, tau) of each basis; a basis exhausted before the
+    checked step gives its full projection.  The stop is the lowest check
+    that met tol; a stored basis may hold blocks past it.  ``reduce`` gets
+    the stop's ResidualValue and each basis and returns Z1, Z2 (None for
+    Lyapunov) and the truncation's discarded mass, and with ``opts.verify``
+    ``true_residual(z1, z2)`` gives the verified relative residual.
+    History rows are the checks made, in the order made, each with the
+    cumulative timers when it was recorded, except the stop's row, which
+    moves to the end with the timers at the schedule's end.  So the timers
+    never decrease and the last row is the stop.
     """
     step = lanczos_step if opts.space == "standard" else extended_step
     tic = time.perf_counter()
     bases = [init_basis(op, c, space=opts.space, storage=opts.storage)
              for op, c in zip(ops, rhss)]
     t_basis, t_res = time.perf_counter() - tic, 0.0
-    d, history = opts.check_period, []
-
-    def check(m):
-        nonlocal t_res
+    plan, history = _schedule(opts.check_period, opts.max_m, opts.tol), []
+    taken, exhausted, sent, stop = 0, False, None, None
+    while True:
+        try:
+            m = plan.send(sent)
+        except StopIteration:
+            break
+        if m > taken:
+            if exhausted:  # the check where every basis became invariant missed
+                break
+            tic = time.perf_counter()
+            while taken < min(m, opts.max_m) and not exhausted:
+                for op, basis in zip(ops, bases):
+                    if not basis.exhausted:
+                        step(op, basis)
+                taken += 1
+                exhausted = all(basis.exhausted for basis in bases)
+            t_basis += time.perf_counter() - tic
+            if taken < m and not exhausted:  # max_m came first
+                break
+            m = taken
         tic = time.perf_counter()
         rv = residual(*[(b.projected_matrix(min(m, b.n_t_blocks)), b.gamma,
                          b.coupling_upper(min(m, b.n_t_blocks))) for b in bases])
         t_res += time.perf_counter() - tic
-        return rv
-
-    def record(m, rv):
         history.append((m, m * bases[0].ell, rv.relative, t_basis, t_res))
-
-    last = 0  # the step of the last check, which missed tol
-    due, final, previous = d, opts.max_m // d * d, None
-    for it in range(1, opts.max_m + 1):
-        tic = time.perf_counter()
-        for op, basis in zip(ops, bases):
-            if not basis.exhausted:
-                step(op, basis)
-        t_basis += time.perf_counter() - tic
-        exhausted = all(basis.exhausted for basis in bases)
-        if it != due and not exhausted:
-            continue
-        rv = None  # frees the last check's k x k eigen-data before the next
-        rv = check(it)
-        if rv.relative <= opts.tol:
-            record(it, rv)
-            stop = len(history) - 1  # the row of the lowest check that met tol
-            lo, above, periods = last, None, 1  # lo: the highest step that missed
-            while lo + d < it:  # a multiple of d lies between the two
-                m = max(((it - 1) // d - periods + 1) * d, lo + d)
-                earlier = None  # frees a check that missed before the next
-                earlier = check(m)
-                record(m, earlier)
-                if earlier.relative <= opts.tol:
-                    above = (it, rv.relative)
-                    it, rv, stop = m, earlier, len(history) - 1
-                else:
-                    lo = m
-                if lo > last:  # a check of the search missed: bisect
-                    periods = (it - lo) // d // 2
-                else:
-                    steps = _predicted_steps(opts.tol, above[0] - it, above[1],
-                                             rv.relative)
-                    periods = 2 * periods if steps is None else max(int(steps // d), 1)
-            history.append(history.pop(stop)[:3] + (t_basis, t_res))
-            break
-        record(it, rv)
+        if rv.relative <= opts.tol and (stop is None or m < stop[0]):
+            stop = m, rv, len(history) - 1
+        sent, rv = (m, rv.relative), None  # the stop keeps its own check
+    if stop is None:
         if exhausted:
             spaces = "both Krylov spaces" if len(bases) > 1 else "the Krylov space"
             raise ConvergenceError(
                 "%s became invariant at m=%d without meeting the tolerance "
-                "(residual %.3e)" % (spaces, it, rv.relative),
+                "(residual %.3e)" % (spaces, *sent),
                 history,
             )
-        gap = _next_gap(it - last, d, opts.tol, previous, rv.relative)
-        last, previous, due = it, rv.relative, min(it + gap, final)
-    else:
         raise ConvergenceError(
             "no convergence to %.1e within %d iterations (last residual %.3e)"
-            % (opts.tol, opts.max_m, rv.relative),
+            % (opts.tol, opts.max_m, sent[1]),
             history,
         )
+    it, rv, row = stop
+    history.append(history.pop(row)[:3] + (t_basis, t_res))
 
     tic = time.perf_counter()
     z1, z2, discarded = reduce(rv, *bases)

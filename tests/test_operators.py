@@ -10,7 +10,6 @@ from krymat import (
     KrymatError,
     SparseFactorization,
     SparseOperator,
-    cholesky_transform,
     validate_symmetric,
 )
 from krymat.problems import gen_fd2d, laplacian1d
@@ -48,9 +47,9 @@ class TestValidation:
         bad = laplacian1d(4).tolil()
         bad[0, 1] = 0.5
         with pytest.raises(AsymmetricMatrixError, match=r"^E is not symmetric: "):
-            cholesky_transform(bad, laplacian1d(4))
+            validate_symmetric(bad, "E")
         with pytest.raises(AsymmetricMatrixError, match=r"^A is not symmetric: "):
-            cholesky_transform(sp.eye(4, format="csr"), bad)
+            validate_symmetric(bad, "A")
         with pytest.raises(DimensionMismatchError, match=r"^B is 2x3, not square$"):
             validate_symmetric(np.zeros((2, 3)), "B")
 
@@ -162,46 +161,3 @@ class TestSymmetricOrdering:
         lu = SparseFactorization(a)._lu
         default = spla.splu(sp.csc_matrix(a))
         assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
-
-
-class TestCholeskyTransform:
-    def test_identity_mass_matrix(self):
-        a = laplacian1d(6)
-        op = cholesky_transform(sp.eye(6, format="csr"), a)
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal((6, 2))
-        assert np.allclose(op.apply(v), a @ v)
-
-    def test_scalar_scaling(self):
-        op = cholesky_transform(4.0 * sp.eye(3), (-sp.eye(3)).tocsr())
-        v = np.eye(3)
-        assert np.allclose(op.apply(v), -0.25 * np.eye(3))
-
-    def test_generalized_eigenvalues(self):
-        import scipy.linalg
-
-        rng = np.random.default_rng(7)
-        w = rng.standard_normal((10, 10))
-        e = sp.csr_matrix(w @ w.T + 10 * np.eye(10))
-        a = laplacian1d(10)
-        op = cholesky_transform(e, a)
-        transformed = op.apply(np.eye(10))
-        lam = np.sort(np.linalg.eigvalsh(0.5 * (transformed + transformed.T)))
-        expected = np.sort(scipy.linalg.eigh(a.toarray(), e.toarray(), eigvals_only=True))
-        assert np.allclose(lam, expected, atol=1e-10 * np.abs(expected).max())
-
-    def test_not_spd_rejected(self):
-        with pytest.raises(FactorizationError) as err:
-            cholesky_transform((-sp.eye(4)).tocsr(), (-sp.eye(4)).tocsr())
-        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
-
-    def test_rhs_and_factor_transforms_invert(self):
-        rng = np.random.default_rng(9)
-        w = rng.standard_normal((8, 8))
-        e = sp.csr_matrix(w @ w.T + 8 * np.eye(8))
-        op = cholesky_transform(e, laplacian1d(8))
-        c = rng.standard_normal((8, 2))
-        lc = op.transform_rhs(c)
-        assert np.allclose(op.untransform_factor(op._l.T @ c), c)
-        assert np.allclose(op._l @ lc, c)
-

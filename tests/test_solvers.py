@@ -16,11 +16,11 @@ from krymat import (
     IndefiniteMatrixError,
     KrylovBasis,
     KrymatError,
+    LinearOperator,
     NonFiniteOperatorError,
     RecurrenceMismatchError,
     SolveOptions,
     SparseOperator,
-    cholesky_transform,
     extended_step,
     init_basis,
     lanczos_step,
@@ -611,30 +611,20 @@ def test_truncation_changes_residual_within_bound(monkeypatch):
         <= 2.0 * a_norm * x_diff + 1e-13
 
 
+class _ApplyOnlyOperator(LinearOperator):
+    """The block product of a matrix and nothing else: no inverse-apply."""
+
+    def __init__(self, a):
+        self.n, self._a = a.shape[0], a
+
+    def apply(self, v):
+        return self._a @ v
+
+
 def test_extended_space_needs_an_operator_that_solves():
-    # the congruence transform applies L^{-1} A L^{-T} but cannot solve with it
-    op = cholesky_transform(sp.identity(20, format="csr"), laplacian1d(20))
+    op = _ApplyOnlyOperator(laplacian1d(20))
     with pytest.raises(KrymatError, match="extended Krylov space needs solves"):
         solve_lyapunov(op, gen_rhs(20, 1, seed=32), SolveOptions(space="extended"))
-
-
-def test_generalized_equation_via_cholesky_transform():
-    # A X E + E X A + C C^T = 0 handled through the congruence transform;
-    # mild conditioning so convergence happens well before m reaches n
-    rng = np.random.default_rng(30)
-    n = 40
-    w = rng.standard_normal((n, n))
-    a = sp.csr_matrix(-(w @ w.T) / n - np.eye(n))
-    w2 = 0.1 * rng.standard_normal((n, n))
-    e = sp.csr_matrix(np.eye(n) + 0.5 * (w2 + w2.T))
-    op = cholesky_transform(e, a)
-    c = gen_rhs(n, 1, seed=31)
-    sol = solve_lyapunov(op, op.transform_rhs(c), SolveOptions(tol=1e-9, max_m=n))
-    z = op.untransform_factor(sol.z)
-    x = z @ z.T
-    ad, ed = a.toarray(), e.toarray()
-    res = np.linalg.norm(ad @ x @ ed + ed @ x @ ad + c @ c.T)
-    assert res <= 1e-7 * np.linalg.norm(c @ c.T)
 
 
 @pytest.mark.parametrize("max_m", [0, -3])
@@ -944,6 +934,36 @@ def test_error_at_max_m_names_the_last_multiple_of_d(solver):
     assert str(err.value) == ("no convergence to 1.0e-14 within 17 iterations "
                               "(last residual %.3e)" % checks[15])
     assert err.value.history[-1][:3] == (15, 30, checks[15])
+
+
+@pytest.mark.parametrize("storage", ["stored", "windowed"])
+def test_invariance_past_the_last_multiple_of_d_is_checked(storage):
+    # the space of diag(-1..-5) and a vector of ones is invariant at m = 5,
+    # past the last multiple of d = 3 within max_m = 5: the check at 3 misses,
+    # and the solve steps on to where the space becomes invariant
+    opts = SolveOptions(tol=1e-12, max_m=5, check_period=3, storage=storage)
+    sol = solve_lyapunov(_diag_op(-np.arange(1.0, 6.0)), np.ones((5, 1)), opts)
+    assert [row[0] for row in sol.history] == [3, 5]
+    assert sol.history[0][2] > opts.tol
+    assert (sol.iterations, sol.space_dim) == (5, 5)
+    assert sol.final_residual <= opts.tol
+
+
+@pytest.mark.parametrize("d, checked", [(1, [1, 2, 4, 8]), (3, [3, 6, 8]), (4, [4, 8])],
+                         ids=["d1", "d3", "d4"])
+def test_invariant_space_that_misses_tol_ends_at_its_check(d, checked):
+    # fd2d-exp(4), s = 2: the space spans all 16 dimensions at m = 8, where
+    # the residual is rounding, above a tol of 1e-300; that step is due at
+    # d = 1 and d = 4 and lies between checks at d = 3, and either way its
+    # check is the last
+    op = SparseOperator(gen_fd2d("fd2d-exp", 4))
+    opts = SolveOptions(tol=1e-300, max_m=40, check_period=d)
+    with pytest.raises(ConvergenceError) as err:
+        solve_lyapunov(op, gen_rhs(16, 2, seed=51), opts)
+    history = err.value.history
+    assert [row[0] for row in history] == checked
+    assert str(err.value) == ("the Krylov space became invariant at m=8 without "
+                              "meeting the tolerance (residual %.3e)" % history[-1][2])
 
 
 @pytest.mark.parametrize("seed", [3000, 3004, 3008])
